@@ -301,7 +301,6 @@ def cmd_analyze(args) -> int:
                 else load_camo(cfg.camo_relations_path))
     estimate = estimate_permeability(relation, porosity, profile, comp)
     k_md = estimate.k_md
-    check = camo_check(relation, porosity, k_md, estimate.camo_class)
 
     pfunc = PFunction(c=cfg.pfunction_c, e=cfg.pfunction_e)
     p_cd = pcd_from_permeability(k_md, porosity, pfunc)
@@ -313,9 +312,7 @@ def cmd_analyze(args) -> int:
     catalog = (default_catalog() if cfg.catalog_path is None
                else load_catalog(cfg.catalog_path))
     rock = classify(k_md, pc_shape_features(curve), catalog,
-                    phi=porosity, modality=profile.modality,
-                    camo_consistent=check.consistent,
-                    camo_deviation_decades=check.deviation_decades)
+                    phi=porosity, modality=profile.modality)
 
     payload = {
         # file name only: keeps output trees byte-identical when the same
@@ -329,8 +326,6 @@ def cmd_analyze(args) -> int:
         "modality": profile.to_json_dict(),
         "camo_class": estimate.camo_class,
         "phi_in_camo_range": estimate.phi_in_range,
-        "camo": {"deviation": check.deviation_decades,
-                 "consistent": check.consistent},
         "permeability_md": k_md,
         "p_cd_psi": curve.p_cd_psi,
         "p_cu_psi": curve.p_cu_psi,
@@ -467,7 +462,6 @@ def cmd_report(args) -> int:
         return "n/a" if value is None else fmt.format(value)
 
     rock = a.get("rock_type", {})
-    camo = a.get("camo") or {}
     modality = a.get("modality", {})
     lines = [
         "# Digital rock typing report",
@@ -498,11 +492,6 @@ def cmd_report(args) -> int:
         lines.append(f"- Nearest rule: {rock.get('nearest_code', 'n/a')}")
         for v in rock.get("violations", []):
             lines.append(f"  - {v}")
-    if camo:
-        verdict = "consistent" if camo.get("consistent") else "inconsistent"
-        lines.append(
-            f"- CAMO check: {verdict} "
-            f"(deviation {camo.get('deviation', float('nan')):.4g} decades)")
     lines.append("")
 
     out_dir = _ensure_dir(Path(args.out)) if args.out else run

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
-from scipy.signal import find_peaks
 
 from .errors import BadParams, IoFailure, NoPoreVoxels, TooFewPoints
 from .volume import Volume
@@ -27,6 +26,10 @@ _STRUCTS = {
     6: ndimage.generate_binary_structure(3, 1),
     26: ndimage.generate_binary_structure(3, 3),
 }
+
+# entries per local-thickness scatter batch: bounds the index array for
+# groups of many centers with large balls
+_SCATTER_BATCH = 1 << 18
 
 
 def _as_class_set(foreground) -> frozenset[int]:
@@ -138,10 +141,11 @@ def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
     """Largest-inscribed-ball diameter covering each pore voxel, in microns.
 
     thickness(v) = 2 * voxel_size * max{ EDT(c) : |c - v| <= EDT(c) } over
-    foreground voxels c, and 0 on background. Computed by painting balls
-    in descending radius order with squared-integer coverage tests;
-    centers whose ball is contained in a 26-neighbor's ball are skipped.
-    The voxel size defaults to the mask header's.
+    foreground voxels c, and 0 on background. Computed on squared integer
+    radii: the centers are grouped by EDT², and each group's balls are
+    scattered at once into a grid padded so that no ball wraps. Groups go
+    in ascending EDT² order, so every covered voxel ends up holding its
+    largest covering EDT². The voxel size defaults to the mask header's.
     """
     fg = mask.data != 0
     vs = mask.header.voxel_size_um if voxel_size_um is None else float(voxel_size_um)
@@ -155,48 +159,35 @@ def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
         return mask.with_data(out, value_kind="throat_size", element_encoding="f32")
 
     edt = ndimage.distance_transform_edt(fg)
-    r2 = np.rint(edt * edt).astype(np.int64)  # exact on an integer grid
-    nz, ny, nx = fg.shape
-    flat_r2 = r2.ravel()
-    centers = np.nonzero(flat_r2 > 0)[0]
-    centers = centers[np.argsort(-flat_r2[centers], kind="stable")]
+    r2 = np.rint(edt * edt).astype(np.int32)  # exact on an integer grid
+    r2_max = int(r2.max())
+    # a ball reaches no further than r_max, and an offset beyond n - 1
+    # leaves the volume from every center
+    pad = [min(math.isqrt(r2_max), n - 1) for n in fg.shape]
+    th2 = np.zeros([n + 2 * p for n, p in zip(fg.shape, pad)], dtype=np.int32)
+    sz, sy = th2.shape[1] * th2.shape[2], th2.shape[2]
+    dz, dy, dx = np.ogrid[tuple(slice(-p, p + 1) for p in pad)]
+    d2 = (dz * dz + dy * dy + dx * dx).ravel()
+    by_length = np.argsort(d2, kind="stable")
+    # the ball of squared radius s is the prefix of offsets with d2 <= s
+    d2 = d2[by_length]
+    offsets = (dz * sz + dy * sy + dx).ravel()[by_length]
 
-    neighbor_offsets = [
-        (dz, dy, dx, math.sqrt(dx * dx + dy * dy + dz * dz))
-        for dz in (-1, 0, 1) for dy in (-1, 0, 1) for dx in (-1, 0, 1)
-        if (dz, dy, dx) != (0, 0, 0)
-    ]
-    th2 = np.zeros(fg.shape, dtype=np.int64)  # squared covering radius
-    ball_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for flat in centers:
-        z, rem = divmod(int(flat), ny * nx)
-        y, x = divmod(rem, nx)
-        r2c = int(r2[z, y, x])
-        rc = math.sqrt(r2c)
-        dominated = False
-        for dz, dy, dx, dist in neighbor_offsets:
-            zn, yn, xn = z + dz, y + dy, x + dx
-            if 0 <= zn < nz and 0 <= yn < ny and 0 <= xn < nx:
-                rn2 = r2[zn, yn, xn]
-                if rn2 > r2c and math.sqrt(rn2) >= rc + dist:
-                    dominated = True
-                    break
-        if dominated:
-            continue
-        r = math.isqrt(r2c)
-        if r2c not in ball_cache:
-            span = np.arange(-r, r + 1, dtype=np.int64)
-            bz, by, bx = np.meshgrid(span, span, span, indexing="ij")
-            inside = bz * bz + by * by + bx * bx <= r2c
-            ball_cache[r2c] = (bz[inside], by[inside], bx[inside])
-        bz, by, bx = ball_cache[r2c]
-        pz, py, px = bz + z, by + y, bx + x
-        keep = ((pz >= 0) & (pz < nz) & (py >= 0) & (py < ny)
-                & (px >= 0) & (px < nx))
-        pz, py, px = pz[keep], py[keep], px[keep]
-        write = fg[pz, py, px] & (th2[pz, py, px] == 0)
-        th2[pz[write], py[write], px[write]] = r2c
+    cz, cy, cx = np.nonzero(fg)
+    centers = (cz + pad[0]) * sz + (cy + pad[1]) * sy + (cx + pad[2])
+    center_r2 = r2[cz, cy, cx]
+    order = np.argsort(center_r2, kind="stable")
+    centers, center_r2 = centers[order], center_r2[order]
+    values, starts = np.unique(center_r2, return_index=True)
+    flat = th2.reshape(-1)
+    for value, group in zip(values.tolist(), np.split(centers, starts[1:])):
+        ball = offsets[:np.searchsorted(d2, value, side="right")]
+        step = max(1, _SCATTER_BATCH // ball.size)
+        for i in range(0, group.size, step):
+            flat[(group[i:i + step, None] + ball).ravel()] = value
 
+    inner = tuple(slice(p, p + n) for p, n in zip(pad, fg.shape))
+    th2 = np.where(fg, th2[inner], 0)
     out = 2.0 * vs * np.sqrt(th2.astype(np.float64))
     return mask.with_data(out, value_kind="throat_size", element_encoding="f32")
 
@@ -281,6 +272,10 @@ def throat_distribution(thickness: Volume,
     f_micro = float(np.mean(values < t_micro_um))
     f_macro = float(np.mean(values > t_macro_um))
     f_meso = 1.0 - f_micro - f_macro
+
+    # imported here: scipy.signal loads scipy.stats, which would double the
+    # import time of every CLI stage while only analyze finds peaks
+    from scipy.signal import find_peaks
 
     padded = np.concatenate(([0.0], counts.astype(np.float64), [0.0]))
     peak_idx, _ = find_peaks(padded, prominence=0.05 * values.size)

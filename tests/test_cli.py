@@ -299,7 +299,6 @@ class TestReport:
         assert "Source: `seg.raw`" in report
         assert f"- Code: {analysis['rock_type']['code']}" in report
         assert "- P_cd:" in report and "- S_wi:" in report
-        assert "- CAMO check:" in report
 
     def test_separate_output_directory(self, analyzed, tmp_path):
         rc = main(["report", "--run", str(analyzed), "--out", str(tmp_path)])

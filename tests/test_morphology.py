@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drt import (
     BadParams,
@@ -249,6 +250,19 @@ class TestLocalThickness:
             got = local_thickness(label_volume(mask))
             want = thickness_reference(mask, 1.0)
             np.testing.assert_allclose(got.data, want, rtol=1e-6)
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.tuples(*[st.integers(1, 12)] * 3),
+           pore_fraction=st.floats(0.0, 0.999),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_quadratic_reference_on_random_masks(self, shape,
+                                                         pore_fraction, seed):
+        # near-full masks give balls wider than an axis, so the padding
+        # and the offsets dropped beyond it are exercised
+        mask = np.random.default_rng(seed).random(shape) < pore_fraction
+        mask = mask.astype(np.uint8)
+        got = local_thickness(label_volume(mask))
+        np.testing.assert_array_equal(got.data, thickness_reference(mask, 1.0))
 
     def test_voxel_size_scales_output(self):
         mask = np.zeros((5, 5, 5), dtype=np.uint8)
