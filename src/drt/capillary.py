@@ -9,16 +9,15 @@ permeability mD, saturations fractions.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (BadOrdering, BadParams, InsufficientSamples, IoFailure,
+from .errors import (BadOrdering, BadParams, InsufficientSamples,
                      NonPositiveInput, SaturationOutOfRange)
+from .fileio import read_json, write_csv, write_json
 
 
 class PFunction(NamedTuple):
@@ -165,23 +164,11 @@ def pc_shape_features(curve: PcCurve) -> tuple[float, float, float]:
 
 
 def save_pc_curve_json(curve: PcCurve, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(curve.to_json_dict(), sort_keys=True, indent=2))
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_json(path, curve.to_json_dict())
 
 
 def load_pc_curve_json(path) -> PcCurve:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadParams(f"{path} is not valid JSON: {exc}") from exc
-    return PcCurve.from_json_dict(d)
+    return PcCurve.from_json_dict(read_json(path))
 
 
 def export_pc_csv(curve: PcCurve, path, n_points: int = 101) -> None:
@@ -190,11 +177,5 @@ def export_pc_csv(curve: PcCurve, path, n_points: int = 101) -> None:
         raise BadParams(f"n_points must be >= 2, got {n_points}")
     s = np.linspace(min(curve.s_wi + 1e-3, 1.0), 1.0, n_points)
     pc = curve.evaluate(s)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["s_w", "pc_psi"])
-            for sw, p in zip(s, pc):
-                writer.writerow([f"{sw:.12g}", f"{p:.12g}"])
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_csv(path, [["s_w", "pc_psi"]]
+              + [[f"{sw:.12g}", f"{p:.12g}"] for sw, p in zip(s, pc)])

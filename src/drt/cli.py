@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import math
 import sys
@@ -23,6 +22,7 @@ from .capillary import (PFunction, build_pc_curve, export_pc_csv,
                         save_pc_curve_json)
 from .errors import (BadParams, ConfigError, InputError, IoError, IoFailure,
                      MissingArtifacts, NumericError)
+from .fileio import read_json, read_text, write_json, write_text
 from .filters import build_feature_stack, FeatureBankConfig
 from .forest import (ForestHyperparameters, load_labels_csv, load_model,
                      save_model, segment_volume, TrainingSet, train_forest)
@@ -185,31 +185,11 @@ def config_from_json_dict(raw: dict) -> PipelineConfig:
 def load_config(path: str | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_json_dict(raw)
-
-
-def _write_json(payload, path: Path) -> None:
-    try:
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                        encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return config_from_json_dict(read_json(path, ConfigError))
 
 
 def _read_json(path: Path) -> dict:
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadParams(f"{path} is not valid JSON: {exc}") from exc
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise BadParams(f"{path} must hold a JSON object")
     return raw
@@ -223,16 +203,7 @@ def _ensure_dir(path: Path) -> Path:
     return path
 
 
-def _check_threads(args) -> None:
-    threads = getattr(args, "threads", 1)
-    if threads < 1:
-        raise BadParams(f"--threads must be >= 1, got {threads}")
-    # execution is single threaded by design; the flag is accepted so
-    # callers can assert output is identical for any value
-
-
 def cmd_train(args) -> int:
-    _check_threads(args)
     cfg = load_config(args.config)
     volume = load_volume(args.volume)
     coords, labels = load_labels_csv(args.labels, dims=volume.dims)
@@ -257,7 +228,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    _check_threads(args)
     volume = load_volume(args.volume)
     model = load_model(args.model)
     label_vol, conf_vol = segment_volume(model, volume)
@@ -274,7 +244,6 @@ def cmd_segment(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _check_threads(args)
     cfg = load_config(args.config)
     labels = load_volume(args.labels)
     out_dir = _ensure_dir(Path(args.out))
@@ -285,9 +254,6 @@ def cmd_analyze(args) -> int:
         micro_weight=cfg.micro_weight, n_classes=n_classes)
     comp = connected_components(labels, set(cfg.pore_classes),
                                 connectivity=cfg.connectivity)
-    dominant = comp.largest_component()
-    percolating = bool(dominant
-                       and comp.percolates_any_axis()[dominant - 1])
 
     pore_mask = binary_mask(labels, set(cfg.pore_classes))
     thickness = local_thickness(pore_mask)
@@ -320,8 +286,8 @@ def cmd_analyze(args) -> int:
         "source": Path(args.labels).name,
         "porosity": porosity,
         "n_components": comp.n_components,
-        "dominant_component": dominant,
-        "percolating": percolating,
+        "dominant_component": comp.largest_component(),
+        "percolating": comp.dominant_percolates(),
         "throat": dist.to_json_dict(),
         "modality": profile.to_json_dict(),
         "camo_class": estimate.camo_class,
@@ -333,7 +299,7 @@ def cmd_analyze(args) -> int:
         "lambda": None if math.isinf(curve.lam) else curve.lam,
         "rock_type": rock.to_json_dict(),
     }
-    _write_json(payload, out_dir / "analysis.json")
+    write_json(out_dir / "analysis.json", payload)
     print(out_dir / "analysis.json")
     return 0
 
@@ -357,11 +323,8 @@ def _rows_from_analysis(path: Path) -> list[dict]:
 def _rows_from_csv(path: Path) -> list[dict]:
     """Parse rows of k,p_cd,p_cu,s_wi[,phi[,class]] with optional header."""
     rows: list[dict] = []
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    for row_no, row in enumerate(csv.reader(text.splitlines()), start=1):
+    for row_no, row in enumerate(csv.reader(read_text(path).splitlines()),
+                                 start=1):
         if not row:
             continue
         first = row[0].strip().lower()
@@ -389,7 +352,6 @@ def _rows_from_csv(path: Path) -> list[dict]:
 
 
 def cmd_classify(args) -> int:
-    _check_threads(args)
     cfg = load_config(args.config)
     direct = [args.k, args.pcd, args.pcu, args.swi]
     sources = [args.analysis is not None, args.samples is not None,
@@ -439,7 +401,7 @@ def cmd_classify(args) -> int:
         print(f"{res.code}")
 
     out_dir = _ensure_dir(Path(args.out))
-    _write_json(results, out_dir / "results.json")
+    write_json(out_dir / "results.json", results)
     emit_camo_chart(relation, chart_samples, out_dir / "camo_chart.svg",
                     out_dir / "camo_chart.csv")
     print(out_dir / "results.json")
@@ -447,7 +409,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    _check_threads(args)
     run = Path(args.run)
     analysis_path = run / "analysis.json"
     pc_csv = run / "pc_curve.csv"
@@ -496,10 +457,7 @@ def cmd_report(args) -> int:
 
     out_dir = _ensure_dir(Path(args.out)) if args.out else run
     report_path = out_dir / "report.md"
-    try:
-        report_path.write_text("\n".join(lines), encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {report_path}: {exc}") from exc
+    write_text(report_path, "\n".join(lines))
     print(report_path)
     return 0
 
@@ -577,6 +535,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        if args.threads < 1:
+            raise BadParams(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except InputError as exc:
         log.error("%s", exc)

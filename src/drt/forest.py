@@ -14,14 +14,14 @@ the left child, and leaves carry feature == -1.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (BadHyperparameters, BadModelFile, BadParams, DimensionMismatch,
-                     EmptyClass, IoFailure, VersionMismatch)
+                     EmptyClass, VersionMismatch)
+from .fileio import read_json, read_text, write_json
 from .filters import FeatureBankConfig, build_feature_stack
 from .rng import SplitMix64
 from .volume import Volume
@@ -290,7 +290,11 @@ class ForestModel:
         return self.feature_bank.feature_count
 
     def _check_features(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        # float32 rows are used as they are: `x <= threshold` promotes them
+        # to float64 exactly, so a float64 copy would only cost memory
+        x = np.asarray(x)
+        if x.dtype != np.float32:
+            x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise DimensionMismatch(
                 f"expected feature matrix (N, {self.n_features}), got {x.shape}")
@@ -389,7 +393,7 @@ def segment_volume(model: ForestModel, volume: Volume, *,
     stack = build_feature_stack(volume, model.feature_bank)
     x = stack.as_matrix()
     labels = np.empty(x.shape[0], dtype=np.uint8)
-    confidence = np.empty(x.shape[0], dtype=np.float64)
+    confidence = np.empty(x.shape[0], dtype=np.float32)
     for start in range(0, x.shape[0], chunk_voxels):
         block = x[start:start + chunk_voxels]
         ids, probs = model.predict_batch(block)
@@ -404,22 +408,11 @@ def segment_volume(model: ForestModel, volume: Volume, *,
 
 
 def save_model(model: ForestModel, path) -> None:
-    text = json.dumps(model.to_json_dict(), sort_keys=True, indent=2)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write model file {path}: {exc}") from exc
+    write_json(path, model.to_json_dict())
 
 
 def load_model(path) -> ForestModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadModelFile(f"model file {path} is not valid JSON: {exc}") from exc
+    raw = read_json(path, BadModelFile)
     if not isinstance(raw, dict):
         raise BadModelFile("model file must hold a JSON object")
     version = raw.get("version")
@@ -455,31 +448,27 @@ def load_labels_csv(path, dims: tuple[int, int, int] | None = None):
     """
     coords: list[tuple[int, int, int]] = []
     labels: list[int] = []
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            for row_no, row in enumerate(reader, start=1):
-                if not row or (row_no == 1 and not _is_int(row[0])):
-                    continue  # blank line or header
-                if len(row) != 4:
-                    raise BadParams(
-                        f"{path}:{row_no}: expected 4 fields x,y,z,class_id, "
-                        f"got {len(row)}")
-                try:
-                    x, y, z, c = (int(v) for v in row)
-                except ValueError as exc:
-                    raise BadParams(f"{path}:{row_no}: non-integer field: {exc}") from exc
-                if c < 0:
-                    raise BadParams(f"{path}:{row_no}: class_id must be >= 0, got {c}")
-                if dims is not None:
-                    nx, ny, nz = dims
-                    if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
-                        raise BadParams(
-                            f"{path}:{row_no}: voxel ({x},{y},{z}) outside dims {dims}")
-                coords.append((x, y, z))
-                labels.append(c)
-    except OSError as exc:
-        raise IoFailure(f"cannot read labels file {path}: {exc}") from exc
+    for row_no, row in enumerate(csv.reader(read_text(path).splitlines()),
+                                 start=1):
+        if not row or (row_no == 1 and not _is_int(row[0])):
+            continue  # blank line or header
+        if len(row) != 4:
+            raise BadParams(
+                f"{path}:{row_no}: expected 4 fields x,y,z,class_id, "
+                f"got {len(row)}")
+        try:
+            x, y, z, c = (int(v) for v in row)
+        except ValueError as exc:
+            raise BadParams(f"{path}:{row_no}: non-integer field: {exc}") from exc
+        if c < 0:
+            raise BadParams(f"{path}:{row_no}: class_id must be >= 0, got {c}")
+        if dims is not None:
+            nx, ny, nz = dims
+            if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
+                raise BadParams(
+                    f"{path}:{row_no}: voxel ({x},{y},{z}) outside dims {dims}")
+        coords.append((x, y, z))
+        labels.append(c)
     if not coords:
         # an annotation-free file is legal here; training later rejects it
         # as a set of empty classes

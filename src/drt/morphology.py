@@ -11,15 +11,14 @@ covering it, in physical units.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import BadParams, IoFailure, NoPoreVoxels, TooFewPoints
+from .errors import BadParams, NoPoreVoxels, TooFewPoints
+from .fileio import write_csv, write_json
 from .volume import Volume
 
 _STRUCTS = {
@@ -76,6 +75,11 @@ class ComponentMap:
         for axis in ("x", "y", "z"):
             out |= self.percolates(axis)
         return out
+
+    def dominant_percolates(self) -> bool:
+        """Whether the largest component touches both faces along some axis."""
+        dominant = self.largest_component()
+        return dominant > 0 and bool(self.percolates_any_axis()[dominant - 1])
 
     def largest_component(self) -> int:
         """Id of the most voxel-rich component (lowest id wins ties); 0 if none."""
@@ -229,23 +233,13 @@ class PoreThroatDistribution:
         }
 
     def save_json(self, path) -> None:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(self.to_json_dict(), sort_keys=True, indent=2))
-                fh.write("\n")
-        except OSError as exc:
-            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        write_json(path, self.to_json_dict())
 
     def save_csv(self, path) -> None:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["bin_lo_um", "bin_hi_um", "count"])
-                for lo, hi, c in zip(self.bin_edges_um, self.bin_edges_um[1:],
-                                     self.counts):
-                    writer.writerow([f"{lo:.6g}", f"{hi:.6g}", int(c)])
-        except OSError as exc:
-            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        write_csv(path, [["bin_lo_um", "bin_hi_um", "count"]] + [
+            [f"{lo:.6g}", f"{hi:.6g}", int(c)]
+            for lo, hi, c in zip(self.bin_edges_um, self.bin_edges_um[1:],
+                                 self.counts)])
 
 
 def throat_distribution(thickness: Volume,
@@ -273,18 +267,45 @@ def throat_distribution(thickness: Volume,
     f_macro = float(np.mean(values > t_macro_um))
     f_meso = 1.0 - f_micro - f_macro
 
-    # imported here: scipy.signal loads scipy.stats, which would double the
-    # import time of every CLI stage while only analyze finds peaks
-    from scipy.signal import find_peaks
-
-    padded = np.concatenate(([0.0], counts.astype(np.float64), [0.0]))
-    peak_idx, _ = find_peaks(padded, prominence=0.05 * values.size)
     centers = np.sqrt(edges[:-1] * edges[1:])
-    peaks = [float(centers[i - 1]) for i in peak_idx]
+    peaks = [float(centers[i])
+             for i in _prominent_peaks(counts, 0.05 * values.size)]
     return PoreThroatDistribution(
         bin_edges_um=edges, counts=counts, n_values=int(values.size),
         f_micro=f_micro, f_meso=f_meso, f_macro=f_macro,
         t_micro_um=t_micro_um, t_macro_um=t_macro_um, peaks_um=peaks)
+
+
+def _prominent_peaks(counts: np.ndarray, min_prominence: float) -> list[int]:
+    """Indices of the histogram modes whose prominence reaches min_prominence.
+
+    The counts are padded with a zero bin at each end, so edge bins can be
+    modes. A mode is a sample or plateau higher than both neighbours,
+    reported at the middle of the plateau rounded down. Its prominence is
+    its height minus the higher of its two bases, a base being the lowest
+    count between the mode and the nearest higher count on that side (or
+    the end of the padded counts).
+    """
+    x = [0] + [int(c) for c in counts] + [0]
+    last = len(x) - 1
+    peaks = []
+    i = 1
+    while i < last:
+        j = i  # last sample of the plateau that starts at i
+        while j + 1 < last and x[j + 1] == x[i]:
+            j += 1
+        if x[i - 1] < x[i] > x[j + 1]:
+            mid, height = (i + j) // 2, x[i]
+            lo, hi = i, j
+            while lo > 0 and x[lo - 1] <= height:
+                lo -= 1
+            while hi < last and x[hi + 1] <= height:
+                hi += 1
+            base = max(min(x[lo:i + 1]), min(x[j:hi + 1]))
+            if height - base >= min_prominence:
+                peaks.append(mid - 1)
+        i = j + 1
+    return peaks
 
 
 def _pava_nondecreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:

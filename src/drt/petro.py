@@ -10,15 +10,14 @@ connectivity and band dominance.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadParams, InsufficientSamples, IoFailure,
-                     MissingClassCoefficients, NonPositiveValue,
-                     UnknownClassId)
+from .errors import (BadParams, InsufficientSamples, MissingClassCoefficients,
+                     NonPositiveValue, UnknownClassId)
+from .fileio import read_json, read_text, write_json
 from .morphology import ComponentMap, PoreThroatDistribution
 from .volume import Volume
 
@@ -271,22 +270,18 @@ def fit_camo(samples) -> CamoRelation:
 def load_camo_samples_csv(path) -> list[tuple[float, float, str]]:
     """Read (phi, k_mD, class) fit samples from a headed CSV file."""
     rows: list[tuple[float, float, str]] = []
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            for lineno, row in enumerate(reader, start=1):
-                if not row or (lineno == 1 and row[0].strip().lower() == "phi"):
-                    continue
-                if len(row) != 3:
-                    raise BadParams(
-                        f"{path}:{lineno}: expected phi,k_mD,class "
-                        f"(3 fields), got {len(row)}")
-                try:
-                    rows.append((float(row[0]), float(row[1]), row[2].strip()))
-                except ValueError as exc:
-                    raise BadParams(f"{path}:{lineno}: {exc}") from exc
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    for lineno, row in enumerate(csv.reader(read_text(path).splitlines()),
+                                 start=1):
+        if not row or (lineno == 1 and row[0].strip().lower() == "phi"):
+            continue
+        if len(row) != 3:
+            raise BadParams(
+                f"{path}:{lineno}: expected phi,k_mD,class "
+                f"(3 fields), got {len(row)}")
+        try:
+            rows.append((float(row[0]), float(row[1]), row[2].strip()))
+        except ValueError as exc:
+            raise BadParams(f"{path}:{lineno}: {exc}") from exc
     return rows
 
 
@@ -298,8 +293,7 @@ def select_camo_class(profile: ModalityProfile,
     otherwise micropore when the micro band fraction is the largest of
     the three; otherwise non_connected.
     """
-    dominant = components.largest_component()
-    if dominant > 0 and bool(components.percolates_any_axis()[dominant - 1]):
+    if components.dominant_percolates():
         return "connected"
     f_micro, f_meso, f_macro = profile.fractions
     if f_micro > f_meso and f_micro > f_macro:
@@ -333,23 +327,11 @@ def estimate_permeability(relation: CamoRelation, phi: float,
 
 
 def save_camo(relation: CamoRelation, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(relation.to_json_dict(), sort_keys=True,
-                                indent=2))
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_json(path, relation.to_json_dict())
 
 
 def load_camo(path) -> CamoRelation:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadParams(f"{path} is not valid JSON: {exc}") from exc
+    d = read_json(path)
     if not isinstance(d, dict):
         raise BadParams(f"{path}: expected a JSON object of classes")
     return CamoRelation.from_json_dict(d)

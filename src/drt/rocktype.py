@@ -15,8 +15,6 @@ Capillary-pressure bounds are strict one-sided comparisons.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -24,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadParams, IoFailure, MalformedCode, NonPositiveValue
+from .errors import BadParams, MalformedCode, NonPositiveValue
+from .fileio import read_json, write_csv, write_json, write_text
 from .petro import CamoRelation
 
 PERM_CLASS_BOUNDS = {
@@ -228,6 +227,8 @@ def classify(k_md: float, pc: tuple[float, float, float],
         return RockTypeResult(code="LD5", k_md=k_md, p_cd_psi=p_cd_psi,
                               p_cu_psi=p_cu_psi, s_wi=s_wi, rule_id=rule_id,
                               **context)
+    if not rules:
+        raise BadParams("the rule catalog is empty")
     nearest: tuple[int, int, CatalogRule, list[str]] | None = None
     for idx, rule in enumerate(rules):
         bad = rule.violations(k_md, p_cd_psi, p_cu_psi, s_wi)
@@ -237,7 +238,6 @@ def classify(k_md: float, pc: tuple[float, float, float],
                                   **context)
         if nearest is None or len(bad) < nearest[0]:
             nearest = (len(bad), idx, rule, bad)
-    assert nearest is not None
     return RockTypeResult(code=UNCLASSIFIED, k_md=k_md, p_cd_psi=p_cd_psi,
                           p_cu_psi=p_cu_psi, s_wi=s_wi,
                           nearest_rule_id=nearest[1],
@@ -320,22 +320,11 @@ def camo_check(relation: CamoRelation, phi: float, k_md: float,
 
 
 def save_catalog(rules: list[CatalogRule], path) -> None:
-    payload = [r.to_json_dict() for r in rules]
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_json(path, [r.to_json_dict() for r in rules])
 
 
 def load_catalog(path) -> list[CatalogRule]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadParams(f"{path} is not valid JSON: {exc}") from exc
+    raw = read_json(path)
     if not isinstance(raw, list) or not raw:
         raise BadParams(f"{path} must hold a non-empty JSON list of rules")
     try:
@@ -499,24 +488,15 @@ def emit_camo_chart(relation: CamoRelation, samples: list[ChartSample],
         out.append(f'<text x="{lx + 28:.2f}" y="{y + 4:.2f}">{name}</text>')
     out.append("</svg>")
 
-    try:
-        with open(svg_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(out) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {svg_path}: {exc}") from exc
+    write_text(svg_path, "\n".join(out) + "\n")
 
     if csv_path is not None:
-        try:
-            with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["phi", "k_md", "camo_class", "code",
-                                 "k_camo_md"])
-                for s in samples:
-                    if s.camo_class in relation:
-                        k_pred = f"{relation[s.camo_class].permeability(s.phi):.12g}"
-                    else:
-                        k_pred = ""
-                    writer.writerow([f"{s.phi:.12g}", f"{s.k_md:.12g}",
-                                     s.camo_class, s.code, k_pred])
-        except OSError as exc:
-            raise IoFailure(f"cannot write {csv_path}: {exc}") from exc
+        rows = [["phi", "k_md", "camo_class", "code", "k_camo_md"]]
+        for s in samples:
+            if s.camo_class in relation:
+                k_pred = f"{relation[s.camo_class].permeability(s.phi):.12g}"
+            else:
+                k_pred = ""
+            rows.append([f"{s.phi:.12g}", f"{s.k_md:.12g}", s.camo_class,
+                         s.code, k_pred])
+        write_csv(csv_path, rows)

@@ -14,13 +14,13 @@ save.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BadHeader, IoFailure, SizeMismatch
+from .fileio import read_json, write_json
 
 VALUE_KINDS = ("grayscale", "label", "distance", "throat_size")
 ENCODINGS = ("u8", "u16", "f32")
@@ -151,22 +151,16 @@ class Volume:
         return Volume(header, data)
 
 
-def load_volume(raw_path: str | Path, header_path: str | Path | None = None) -> Volume:
+def load_volume(raw_path: str | Path) -> Volume:
     """Read a RAW blob plus its JSON sidecar into a Volume.
 
-    The sidecar defaults to the raw path with a .json suffix. Raises
-    BadHeader for sidecar problems and SizeMismatch when the raw byte
-    count disagrees with dims times element width.
+    The sidecar is the raw path with a .json suffix. Raises BadHeader for
+    sidecar problems and SizeMismatch when the raw byte count disagrees
+    with dims times element width.
     """
     raw_path = Path(raw_path)
-    header_path = sidecar_path(raw_path) if header_path is None else Path(header_path)
-    try:
-        with open(header_path, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read sidecar {header_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadHeader(f"sidecar {header_path} is not valid JSON: {exc}") from exc
+    header_path = sidecar_path(raw_path)
+    sidecar = read_json(header_path, BadHeader)
     if not isinstance(sidecar, dict):
         raise BadHeader(f"sidecar {header_path} must hold a JSON object")
     header = VolumeHeader.from_json_dict(sidecar)
@@ -187,20 +181,16 @@ def load_volume(raw_path: str | Path, header_path: str | Path | None = None) -> 
     return Volume(header, data)
 
 
-def save_volume(volume: Volume, raw_path: str | Path,
-                header_path: str | Path | None = None) -> None:
+def save_volume(volume: Volume, raw_path: str | Path) -> None:
     """Write the RAW blob and JSON sidecar; load_volume reproduces the volume."""
     raw_path = Path(raw_path)
-    header_path = sidecar_path(raw_path) if header_path is None else Path(header_path)
     dtype = volume.header.storage_dtype
     data = np.ascontiguousarray(volume.data, dtype=dtype)
     try:
         raw_path.write_bytes(data.tobytes())
-        with open(header_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(volume.header.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
     except OSError as exc:
         raise IoFailure(f"cannot write volume to {raw_path}: {exc}") from exc
+    write_json(sidecar_path(raw_path), volume.header.to_json_dict())
 
 
 def sidecar_path(raw_path: str | Path) -> Path:

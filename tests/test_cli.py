@@ -354,6 +354,17 @@ class TestCommonFlags:
 
 
 class TestConsoleScript:
+    def test_analyze_does_not_load_scipy_signal(self, workdir, tmp_path):
+        code = ("import sys; from drt.cli import main; "
+                "rc = main(sys.argv[1:]); "
+                "sys.exit(rc or 'scipy.signal' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "analyze",
+             "--labels", str(workdir / "truth.raw"),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_help_runs(self):
         proc = subprocess.run([sys.executable, "-m", "drt.cli", "--help"],
                               capture_output=True, text=True)

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drt import (
     BadHyperparameters,
@@ -247,6 +248,27 @@ class TestPrediction:
         _, probs = model.predict_batch(np.random.default_rng(1).random((50, 2)) * 3)
         assert (probs >= 0).all() and (probs <= 1).all()
         np.testing.assert_allclose(probs.sum(axis=1), 1.0)
+
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_float32_rows_predict_as_float64(self, seed):
+        # rows at the float32 roundings of the thresholds decide the split
+        # only if the comparison is made in float64
+        rng = np.random.default_rng(seed)
+        ts = TrainingSet(features=rng.normal(size=(60, 3)).astype(np.float32),
+                         labels=rng.integers(0, 3, 60),
+                         class_names=["a", "b", "c"])
+        model = train_forest(ts, ForestHyperparameters(n_trees=4), bank_for(3),
+                             seed=seed)
+        thresholds = np.concatenate([t.threshold[t.feature >= 0]
+                                     for t in model.trees])
+        near = rng.choice(thresholds, size=(200, 3)).astype(np.float32)
+        x32 = np.vstack([near, rng.normal(size=(200, 3)).astype(np.float32)])
+        labels32, probs32 = model.predict_batch(x32)
+        labels64, probs64 = model.predict_batch(x32.astype(np.float64))
+        np.testing.assert_array_equal(labels32, labels64)
+        np.testing.assert_array_equal(probs32, probs64)
 
 
 class TestSegmentVolume:

@@ -27,6 +27,7 @@ from drt import (
     local_thickness,
     throat_distribution,
 )
+from drt.morphology import _prominent_peaks
 
 _OFFSETS_6 = [(0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0)]
 _OFFSETS_26 = [(dz, dy, dx)
@@ -315,6 +316,17 @@ class TestLocalThickness:
 
 
 class TestThroatDistribution:
+    @settings(max_examples=400, deadline=None)
+    @given(counts=st.lists(st.integers(0, 4), min_size=1, max_size=34),
+           min_prominence=st.one_of(st.integers(0, 5), st.floats(0.0, 6.0)))
+    def test_peaks_match_scipy_find_peaks(self, counts, min_prominence):
+        # small counts make plateaus and equal bases common
+        from scipy.signal import find_peaks
+        counts = np.asarray(counts, dtype=np.int64)
+        padded = np.concatenate(([0.0], counts, [0.0]))
+        want, _ = find_peaks(padded, prominence=min_prominence)
+        assert _prominent_peaks(counts, min_prominence) == (want - 1).tolist()
+
     def bimodal(self):
         rng = np.random.default_rng(3)
         vals = np.zeros(1000)

@@ -136,6 +136,10 @@ class TestClassify:
         assert res.code == "LD5"
         assert res.rule_id is None
 
+    def test_empty_catalog_is_rejected(self):
+        with pytest.raises(BadParams):
+            classify(1.0, (10.0, 100.0, 0.1), [])
+
     def test_validation(self):
         with pytest.raises(NonPositiveValue):
             classify(0.0, (50.0, 300.0, 0.10))

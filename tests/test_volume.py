@@ -169,14 +169,6 @@ class TestVolumeIo:
         assert text == json.dumps(v.header.to_json_dict(), indent=2,
                                   sort_keys=True) + "\n"
 
-    def test_load_with_explicit_header_path(self, tmp_path):
-        v = make_volume()
-        raw = tmp_path / "blob.bin"
-        hdr = tmp_path / "meta.json"
-        save_volume(v, raw, hdr)
-        loaded = load_volume(raw, hdr)
-        assert loaded.header == v.header
-
     def test_load_rejects_truncated_blob(self, tmp_path):
         v = make_volume()
         path = tmp_path / "vol.raw"
