@@ -5,7 +5,8 @@ on every platform. JSON is written with sorted keys, a two-space indent
 and a trailing newline, so equal payloads give byte-identical files. A
 writer serialises its payload before it opens the file, so a payload that
 cannot be encoded leaves no truncated file behind. A failed read or write
-raises IoFailure; text that is not JSON raises the caller's input error.
+raises IoFailure; bytes that are not UTF-8, or text that is not JSON, raise
+the caller's input error.
 """
 
 from __future__ import annotations
@@ -18,16 +19,19 @@ from pathlib import Path
 from .errors import BadParams, IoFailure
 
 
-def read_text(path) -> str:
+def read_text(path, error: type[Exception] = BadParams) -> str:
+    """The text at path; bytes that are not UTF-8 raise ``error``."""
     try:
         return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
 def read_json(path, error: type[Exception] = BadParams):
-    """The JSON document at path; text that is not JSON raises ``error``."""
-    text = read_text(path)
+    """The JSON document at path; text that is not UTF-8 JSON raises ``error``."""
+    text = read_text(path, error)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -8,12 +8,18 @@ file.
 
 Trees are stored as flat parallel arrays (feature, threshold, left, right,
 class-probability rows); interior nodes route x[feature] <= threshold to
-the left child, and leaves carry feature == -1.
+the left child, and leaves carry feature == -1. Every child comes after its
+parent in the arrays, so a walk from the root ends within n_nodes steps.
+
+Prediction is exact through threshold bins: rows whose features fall in the
+same bin between the sorted distinct thresholds of the forest meet every
+split alike, so the trees walk one real input row per distinct bin code.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +33,8 @@ from .rng import SplitMix64
 from .volume import Volume
 
 MODEL_FORMAT_VERSION = 1
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -156,7 +164,7 @@ class _Tree:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict, n_classes: int) -> "_Tree":
+    def from_json_dict(cls, d: dict, n_classes: int, n_features: int) -> "_Tree":
         try:
             tree = cls(
                 feature=np.asarray(d["feature"], dtype=np.int32),
@@ -165,12 +173,26 @@ class _Tree:
                 right=np.asarray(d["right"], dtype=np.int32),
                 probs=np.asarray(d["probs"], dtype=np.float64),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadModelFile(f"malformed tree record: {exc}") from exc
-        n = tree.feature.shape[0]
-        same_len = all(a.shape[0] == n for a in (tree.threshold, tree.left, tree.right))
-        if n == 0 or not same_len or tree.probs.shape != (n, n_classes):
+        n = tree.feature.size
+        flat = (tree.feature, tree.threshold, tree.left, tree.right)
+        if (n == 0 or any(a.shape != (n,) for a in flat)
+                or tree.probs.shape != (n, n_classes)):
             raise BadModelFile("tree arrays have inconsistent lengths")
+        if ((tree.feature < -1) | (tree.feature >= n_features)).any():
+            raise BadModelFile(
+                f"tree feature index outside [-1, {n_features})")
+        inner = tree.feature >= 0
+        node = np.arange(n)[inner]
+        for child in (tree.left, tree.right):
+            if ((child[inner] <= node) | (child[inner] >= n)).any():
+                raise BadModelFile(
+                    "tree child index not after its parent or out of range")
+            if (child[~inner] != -1).any():
+                raise BadModelFile("tree leaf carries a child index")
+        if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.probs).all()):
+            raise BadModelFile("tree thresholds and probabilities must be finite")
         return tree
 
 
@@ -304,9 +326,54 @@ class ForestModel:
         """Class ids and mean leaf probabilities for a feature matrix.
 
         Ids are the argmax of the averaged probability rows; ties break to
-        the lowest class id.
+        the lowest class id. The trees walk the first row of each distinct
+        bin code and the results are gathered back to every row; as the
+        walked rows are input rows, the output is bit-identical to walking
+        all of them, which is what happens when the codes would not fit in
+        int64.
         """
         x = self._check_features(x)
+        groups = self._bin_groups(x)
+        if groups is None:
+            labels, probs = self._walk(x)
+        else:
+            first, inverse = groups
+            labels, probs = self._walk(x[first])
+            labels, probs = labels[inverse], probs[inverse]
+        log.debug("forest predict: %d trees, %d nodes, %d rows, %s bin codes, "
+                  "fallback %s", len(self.trees),
+                  sum(t.feature.size for t in self.trees), x.shape[0],
+                  "n/a" if groups is None else groups[0].size,
+                  "yes" if groups is None else "no")
+        return labels, probs
+
+    def _bin_groups(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """The first row of each distinct bin code, and each row's code index.
+
+        A row's bin on feature f is the number of the forest's distinct
+        thresholds on f that lie below x[f] (NaN counts all of them, and
+        goes right like a value above them all); rows with equal bins on
+        every feature meet every split alike. The bins are packed into one
+        int64 code in mixed radix; None when the code space exceeds int64.
+        The codes are dropped on return, before the caller gathers its
+        results, which keeps them out of the peak memory.
+        """
+        feature = np.concatenate([t.feature for t in self.trees])
+        threshold = np.concatenate([t.threshold for t in self.trees])
+        bins = [np.unique(threshold[feature == f]) for f in range(x.shape[1])]
+        if math.prod(u.size + 1 for u in bins) > 2 ** 63:
+            return None
+        codes = np.zeros(x.shape[0], dtype=np.int64)
+        for f, u in enumerate(bins):
+            if u.size:
+                codes *= u.size + 1
+                codes += np.searchsorted(u, x[:, f].astype(np.float64), "left")
+        _, first, inverse = np.unique(codes, return_index=True,
+                                      return_inverse=True)
+        return first, inverse
+
+    def _walk(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Class ids and mean leaf probabilities by walking every row."""
         probs = np.zeros((x.shape[0], self.n_classes), dtype=np.float64)
         for tree in self.trees:
             probs += tree.probs[tree.apply(x)]
@@ -426,7 +493,8 @@ def load_model(path) -> ForestModel:
         class_names = [str(c) for c in raw["class_names"]]
         seed = int(raw["rng_seed"])
         oob = raw.get("oob_accuracy")
-        trees = [_Tree.from_json_dict(t, len(class_names)) for t in raw["trees"]]
+        trees = [_Tree.from_json_dict(t, len(class_names), bank.feature_count)
+                 for t in raw["trees"]]
     except BadModelFile:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import logging
 import subprocess
 import sys
 
@@ -155,6 +156,46 @@ class TestSegment:
         rc = main(["segment", "--volume", str(workdir / "gray.raw"),
                    "--model", str(bad), "--out", str(tmp_path / "s.raw")])
         assert rc == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("left", 0),         # the root is its own child: the walk never ends
+        ("left", 10**6),     # child beyond the last node
+        ("feature", 99),     # feature beyond the bank
+    ])
+    def test_malformed_tree_exits_2(self, workdir, trained, tmp_path, field,
+                                    value):
+        doc = json.loads(trained.read_text())
+        doc["trees"][0][field][0] = value
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "drt.cli", "segment",
+             "--volume", str(workdir / "gray.raw"), "--model", str(bad),
+             "--out", str(tmp_path / "s.raw")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_verbose_logs_prediction_counts(self, workdir, trained, segmented,
+                                            tmp_path, capsys, caplog):
+        argv = ["segment", "--volume", str(workdir / "gray.raw"),
+                "--model", str(trained)]
+        main(argv + ["--out", str(tmp_path / "quiet.raw")])
+        quiet = capsys.readouterr().out
+        with caplog.at_level(logging.DEBUG, logger="drt"):
+            rc = main(["-v"] + argv + ["--out", str(tmp_path / "loud.raw")])
+        assert rc == 0
+        assert capsys.readouterr().out == quiet.replace("quiet", "loud")
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "drt.forest"]
+        assert len(lines) == 1
+        assert lines[0].startswith("forest predict: 8 trees, ")
+        assert f", {24 ** 3} rows, " in lines[0]
+        assert lines[0].endswith(" bin codes, fallback no")
+        for suffix in (".raw", "_confidence.raw"):
+            assert ((tmp_path / f"loud{suffix}").read_bytes()
+                    == (tmp_path / f"quiet{suffix}").read_bytes())
+        assert (tmp_path / "loud.raw").read_bytes() == segmented.read_bytes()
 
 
 class TestAnalyze:
@@ -344,6 +385,20 @@ class TestCommonFlags:
                    "--config", str(tmp_path / "cfg.json"),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag", ["--config", "--samples"])
+    def test_non_utf8_input_exits_2(self, tmp_path, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe{}\n")
+        source = (["--k", "80", "--pcd", "50", "--pcu", "300", "--swi", "0.1"]
+                  if flag == "--config" else [])
+        proc = subprocess.run(
+            [sys.executable, "-m", "drt.cli", "classify", *source, flag,
+             str(bad), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert str(bad) in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_invalid_config_json(self, workdir, tmp_path):
         (tmp_path / "cfg.json").write_text("{oops")

@@ -51,6 +51,17 @@ def test_bad_json_raises_the_callers_error(tmp_path):
         read_json(path, BadHeader)
 
 
+def test_non_utf8_text_raises_the_callers_error(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_bytes(b"x,y\n\xff,1\n")
+    with pytest.raises(BadParams, match="a.csv"):
+        read_text(path)
+    with pytest.raises(BadHeader):
+        read_text(path, BadHeader)
+    with pytest.raises(BadHeader):
+        read_json(path, BadHeader)
+
+
 def test_os_errors_become_io_failure(tmp_path):
     missing = tmp_path / "missing" / "a.json"
     with pytest.raises(IoFailure):

@@ -1,6 +1,7 @@
 """Random forest training, inference, and model serialization."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from drt import (
     EmptyClass,
     FeatureBankConfig,
     ForestHyperparameters,
+    ForestModel,
     SplitMix64,
     TrainingSet,
     VersionMismatch,
@@ -25,6 +27,7 @@ from drt import (
     segment_volume,
     train_forest,
 )
+from drt.forest import _Tree
 
 
 def bank_for(n_features):
@@ -271,6 +274,94 @@ class TestPrediction:
         np.testing.assert_array_equal(probs32, probs64)
 
 
+def chain_tree(f, thresholds):
+    """A two-class tree splitting feature f at each threshold in turn.
+
+    Interior node 2i tests thresholds[i]; its left child 2i + 1 is a leaf
+    and its right child is the next interior node, or the last leaf.
+    """
+    k = len(thresholds)
+    n = 2 * k + 1
+    feature = np.full(n, -1, dtype=np.int32)
+    threshold = np.zeros(n)
+    left = np.full(n, -1, dtype=np.int32)
+    right = np.full(n, -1, dtype=np.int32)
+    for i, t in enumerate(thresholds):
+        feature[2 * i], threshold[2 * i] = f, t
+        left[2 * i], right[2 * i] = 2 * i + 1, 2 * i + 2
+    p = (np.arange(n) + 1.0) / (n + 1.0)
+    return _Tree(feature=feature, threshold=threshold, left=left, right=right,
+                 probs=np.column_stack([p, 1.0 - p]))
+
+
+class TestBinnedPrediction:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(1, 5),
+           n_features=st.integers(1, 3), n_trees=st.integers(1, 5),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_equals_direct_walk(self, seed, n_classes, n_features, n_trees,
+                                dtype):
+        # rows at, just beside and at the float32 roundings of thresholds,
+        # plus NaN and the infinities, drawn from a small pool so that rows
+        # share bin codes
+        rng = np.random.default_rng(seed)
+        n = 12 * n_classes
+        ts = TrainingSet(features=rng.normal(size=(n, n_features)),
+                         labels=np.arange(n) % n_classes,
+                         class_names=[f"c{i}" for i in range(n_classes)])
+        model = train_forest(ts, ForestHyperparameters(n_trees=n_trees),
+                             bank_for(n_features), seed=seed)
+        thresholds = np.concatenate([t.threshold[t.feature >= 0]
+                                     for t in model.trees])
+        pool = np.concatenate([
+            thresholds, np.nextafter(thresholds, np.inf),
+            np.nextafter(thresholds, -np.inf), thresholds.astype(np.float32),
+            [np.nan, np.inf, -np.inf], rng.normal(size=4)])
+        x = rng.choice(pool, size=(300, n_features)).astype(dtype)
+        assert model._bin_groups(x) is not None
+        labels, probs = model.predict_batch(x)
+        direct_labels, direct_probs = model._walk(x)
+        assert np.array_equal(labels, direct_labels)
+        assert np.array_equal(probs, direct_probs)
+
+    @pytest.mark.parametrize("n_features, per_feature, fallback", [
+        (63, 1, False),  # 2**63 codes: the largest is int64 max
+        (64, 1, True),
+        (64, 2, True),
+    ])
+    def test_code_space_beyond_int64_walks_every_row(self, n_features,
+                                                     per_feature, fallback):
+        rng = np.random.default_rng(n_features + per_feature)
+        cuts = rng.normal(size=(n_features, per_feature))
+        cuts.sort(axis=1)
+        model = ForestModel(
+            hyperparameters=ForestHyperparameters(n_trees=n_features),
+            feature_bank=bank_for(n_features), class_names=["a", "b"],
+            rng_seed=0, trees=[chain_tree(f, c) for f, c in enumerate(cuts)])
+        pool = np.concatenate([cuts.ravel(), np.nextafter(cuts.ravel(), np.inf),
+                               [np.nan, np.inf, -np.inf]])
+        x = np.vstack([rng.choice(pool, size=(200, n_features)),
+                       np.full((1, n_features), np.inf)])
+        assert (model._bin_groups(x) is None) == fallback
+        labels, probs = model.predict_batch(x)
+        direct_labels, direct_probs = model._walk(x)
+        assert np.array_equal(labels, direct_labels)
+        assert np.array_equal(probs, direct_probs)
+
+    def test_logs_one_debug_line_per_batch(self, caplog):
+        ts = two_blob_training()
+        model = train_forest(ts, ForestHyperparameters(n_trees=3), bank_for(2),
+                             seed=0)
+        x = np.vstack([ts.features, ts.features])
+        with caplog.at_level(logging.DEBUG, logger="drt.forest"):
+            model.predict_batch(x)
+        n_codes = model._bin_groups(x)[0].size
+        nodes = sum(t.feature.size for t in model.trees)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"forest predict: 3 trees, {nodes} nodes, 160 rows, "
+            f"{n_codes} bin codes, fallback no"]
+
+
 class TestSegmentVolume:
     def _model_on_intensity(self):
         # train on the raw intensity channel of a two-level volume
@@ -374,6 +465,28 @@ class TestModelIo:
         save_model(model, path)
         doc = json.loads(path.read_text())
         doc["trees"] = []
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadModelFile):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, node, value", [
+        ("left", "root", 0),           # the root is its own child: a cycle
+        ("right", "root", 10**6),      # child beyond the last node
+        ("right", "root", 2**40),      # child beyond int32
+        ("feature", "root", 2),        # the bank has 2 features
+        ("feature", "root", -2),
+        ("left", "leaf", 0),           # a leaf with a child
+        ("threshold", "root", float("nan")),
+        ("probs", "leaf", [float("inf"), 0.0]),
+    ])
+    def test_rejects_malformed_tree(self, tmp_path, field, node, value):
+        model = train_forest(two_blob_training(), ForestHyperparameters(n_trees=2),
+                             bank_for(2), seed=0)
+        tree = model.to_json_dict()["trees"][0]
+        i = 0 if node == "root" else tree["feature"].index(-1)
+        tree[field][i] = value
+        doc = model.to_json_dict() | {"trees": [tree]}
+        path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(BadModelFile):
             load_model(path)
