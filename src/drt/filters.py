@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .errors import BadSigmaOrder, DegenerateHistogram, NoConvergence, SigmaTooLarge
 from .rng import SplitMix64
@@ -96,6 +95,9 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
 
 
 def _smooth_array(data: np.ndarray, sigma: float, boundary_mode: str) -> np.ndarray:
+    # imported here so that the stages without filtering do not load scipy
+    from scipy.ndimage import correlate1d
+
     kernel = gaussian_kernel_1d(sigma)
     mode = _BOUNDARY_TO_SCIPY[boundary_mode]
     out = np.asarray(data, dtype=np.float64)

@@ -13,7 +13,9 @@ parent in the arrays, so a walk from the root ends within n_nodes steps.
 
 Prediction is exact through threshold bins: rows whose features fall in the
 same bin between the sorted distinct thresholds of the forest meet every
-split alike, so the trees walk one real input row per distinct bin code.
+split alike, so only one real input row per distinct bin code is predicted.
+Each tree predicts it by one lookup in a table of its cells, the
+combinations of its own threshold intervals.
 """
 
 from __future__ import annotations
@@ -166,13 +168,14 @@ class _Tree:
     @classmethod
     def from_json_dict(cls, d: dict, n_classes: int, n_features: int) -> "_Tree":
         try:
-            tree = cls(
-                feature=np.asarray(d["feature"], dtype=np.int32),
-                threshold=np.asarray(d["threshold"], dtype=np.float64),
-                left=np.asarray(d["left"], dtype=np.int32),
-                right=np.asarray(d["right"], dtype=np.int32),
-                probs=np.asarray(d["probs"], dtype=np.float64),
-            )
+            ids = {}
+            for key in ("feature", "left", "right"):
+                # a cast to int32 would truncate 1.7, true and "1" to 1
+                if any(type(v) is not int for v in d[key]):
+                    raise BadModelFile(f"tree {key} ids must be JSON integers")
+                ids[key] = np.asarray(d[key], dtype=np.int32)
+            tree = cls(threshold=np.asarray(d["threshold"], dtype=np.float64),
+                       probs=np.asarray(d["probs"], dtype=np.float64), **ids)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadModelFile(f"malformed tree record: {exc}") from exc
         n = tree.feature.size
@@ -326,26 +329,32 @@ class ForestModel:
         """Class ids and mean leaf probabilities for a feature matrix.
 
         Ids are the argmax of the averaged probability rows; ties break to
-        the lowest class id. The trees walk the first row of each distinct
-        bin code and the results are gathered back to every row; as the
-        walked rows are input rows, the output is bit-identical to walking
-        all of them, which is what happens when the codes would not fit in
-        int64.
+        the lowest class id. Only the first row of each distinct bin code is
+        predicted, and the results are gathered back to every row; all rows
+        are predicted when the codes would not fit in int64. Each tree
+        predicts those rows by one lookup in its cell table (_tabulate). The
+        output is bit-identical to walking every row through every tree.
         """
         x = self._check_features(x)
         groups = self._bin_groups(x)
         if groups is None:
-            labels, probs = self._walk(x)
+            labels, probs, n_tables = self._tabulate(x)
         else:
             first, inverse = groups
-            labels, probs = self._walk(x[first])
+            labels, probs, n_tables = self._tabulate(x[first])
             labels, probs = labels[inverse], probs[inverse]
-        log.debug("forest predict: %d trees, %d nodes, %d rows, %s bin codes, "
-                  "fallback %s", len(self.trees),
+        log.debug("forest predict: %d trees, %d by table, %d nodes, %d rows, "
+                  "%s bin codes, fallback %s", len(self.trees), n_tables,
                   sum(t.feature.size for t in self.trees), x.shape[0],
                   "n/a" if groups is None else groups[0].size,
                   "yes" if groups is None else "no")
         return labels, probs
+
+    def _edges(self) -> list[np.ndarray]:
+        """Per feature, the sorted distinct thresholds of all trees."""
+        feature = np.concatenate([t.feature for t in self.trees])
+        threshold = np.concatenate([t.threshold for t in self.trees])
+        return [np.unique(threshold[feature == f]) for f in range(self.n_features)]
 
     def _bin_groups(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """The first row of each distinct bin code, and each row's code index.
@@ -358,13 +367,11 @@ class ForestModel:
         The codes are dropped on return, before the caller gathers its
         results, which keeps them out of the peak memory.
         """
-        feature = np.concatenate([t.feature for t in self.trees])
-        threshold = np.concatenate([t.threshold for t in self.trees])
-        bins = [np.unique(threshold[feature == f]) for f in range(x.shape[1])]
-        if math.prod(u.size + 1 for u in bins) > 2 ** 63:
+        edges = self._edges()
+        if math.prod(u.size + 1 for u in edges) > 2 ** 63:
             return None
         codes = np.zeros(x.shape[0], dtype=np.int64)
-        for f, u in enumerate(bins):
+        for f, u in enumerate(edges):
             if u.size:
                 codes *= u.size + 1
                 codes += np.searchsorted(u, x[:, f].astype(np.float64), "left")
@@ -372,8 +379,64 @@ class ForestModel:
                                       return_inverse=True)
         return first, inverse
 
+    def _tabulate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Class ids, mean leaf probabilities and the number of table trees.
+
+        A tree's own distinct thresholds cut each feature it splits on into
+        intervals, and a cell is one interval per feature: rows in one cell
+        reach the same leaf. Bin b on feature f (as in _bin_groups) lies in
+        the tree's interval searchsorted(pos, b, "left"), where pos are the
+        positions of the tree's thresholds among the forest's, because
+        x <= edges[f][j] exactly when b <= j. The cell table holds the leaf
+        probabilities of each cell, found by walking the tree on one value
+        per interval: its upper threshold, or +inf for the last. A tree with
+        more cells than rows walks the rows instead. The probabilities are
+        summed in tree order, as in _walk, so the sums are bit-identical.
+        The bins are held in their narrowest unsigned type and dropped on
+        return.
+        """
+        n = x.shape[0]
+        edges = self._edges()
+        bins = [np.searchsorted(u, x[:, f].astype(np.float64), "left")
+                .astype(np.min_scalar_type(u.size)) for f, u in enumerate(edges)]
+        probs = np.zeros((self.n_classes, n), dtype=np.float64)
+        n_tables = 0
+        for tree in self.trees:
+            inner = tree.feature >= 0
+            used = np.unique(tree.feature[inner])
+            cuts = [np.unique(tree.threshold[inner & (tree.feature == f)])
+                    for f in used]
+            n_cells = math.prod(c.size + 1 for c in cuts)
+            if n_cells > n:
+                leaf_probs, index = tree.probs.T, tree.apply(x)
+            else:
+                n_tables += 1
+                cell = np.zeros(n, dtype=np.min_scalar_type(n_cells))
+                reps = np.zeros((n_cells, self.n_features), dtype=np.float64)
+                stride = 1
+                for f, c in zip(used, cuts):
+                    pos = np.searchsorted(edges[f], c)
+                    local = np.searchsorted(pos, np.arange(edges[f].size + 1), "left")
+                    # np.take on narrow bins into a narrow cell type: fancy
+                    # indexing would convert the bins to intp on every gather
+                    cell += np.take((local * stride).astype(cell.dtype), bins[f])
+                    interval = np.arange(n_cells) // stride % (c.size + 1)
+                    reps[:, f] = np.append(c, np.inf)[interval]
+                    stride *= c.size + 1
+                leaf_probs = tree.probs[tree.apply(reps)].T
+                index = cell.astype(np.intp)
+            for k, row in enumerate(leaf_probs):
+                probs[k] += row[index]
+        probs = np.ascontiguousarray(probs.T)
+        probs /= len(self.trees)
+        labels = np.argmax(probs, axis=1).astype(np.int64)
+        return labels, probs, n_tables
+
     def _walk(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Class ids and mean leaf probabilities by walking every row."""
+        """Class ids and mean leaf probabilities by walking every row.
+
+        The reference that the tests hold predict_batch to.
+        """
         probs = np.zeros((x.shape[0], self.n_classes), dtype=np.float64)
         for tree in self.trees:
             probs += tree.probs[tree.apply(x)]

@@ -15,15 +15,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import BadParams, NoPoreVoxels, TooFewPoints
 from .fileio import write_csv, write_json
 from .volume import Volume
 
+# the face and the full 3x3x3 neighbourhood, equal to scipy's
+# generate_binary_structure(3, 1) and (3, 3); scipy.ndimage is imported only
+# inside the functions that call it, so a process that never calls them
+# does not load scipy
 _STRUCTS = {
-    6: ndimage.generate_binary_structure(3, 1),
-    26: ndimage.generate_binary_structure(3, 3),
+    6: np.abs(np.indices((3, 3, 3)) - 1).sum(axis=0) <= 1,
+    26: np.ones((3, 3, 3), dtype=bool),
 }
 
 # entries per local-thickness scatter batch: bounds the index array for
@@ -97,6 +100,8 @@ def connected_components(labels: Volume, foreground=frozenset({0}),
     """
     if connectivity not in _STRUCTS:
         raise BadParams(f"connectivity must be 6 or 26, got {connectivity}")
+    from scipy import ndimage
+
     classes = _as_class_set(foreground)
     mask = np.isin(labels.data, sorted(classes))
     raw, n_raw = ndimage.label(mask, structure=_STRUCTS[connectivity])
@@ -137,6 +142,8 @@ def euclidean_distance_transform(mask: Volume) -> Volume:
     if fg.all():
         out[:] = np.inf
     elif fg.any():
+        from scipy import ndimage
+
         out = ndimage.distance_transform_edt(fg).astype(np.float64)
     return mask.with_data(out, value_kind="distance", element_encoding="f32")
 
@@ -161,6 +168,8 @@ def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
     if fg.all():
         out[:] = np.inf
         return mask.with_data(out, value_kind="throat_size", element_encoding="f32")
+
+    from scipy import ndimage
 
     edt = ndimage.distance_transform_edt(fg)
     r2 = np.rint(edt * edt).astype(np.int32)  # exact on an integer grid

@@ -176,6 +176,19 @@ class TestSegment:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_non_integer_node_id_exits_2(self, workdir, trained, tmp_path):
+        doc = json.loads(trained.read_text())
+        doc["trees"][0]["feature"][0] = 1.7
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "drt.cli", "segment",
+             "--volume", str(workdir / "gray.raw"), "--model", str(bad),
+             "--out", str(tmp_path / "s.raw")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_verbose_logs_prediction_counts(self, workdir, trained, segmented,
                                             tmp_path, capsys, caplog):
         argv = ["segment", "--volume", str(workdir / "gray.raw"),
@@ -417,6 +430,19 @@ class TestConsoleScript:
             [sys.executable, "-c", code, "analyze",
              "--labels", str(workdir / "truth.raw"),
              "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("stage", ["classify", "report"])
+    def test_classify_and_report_do_not_load_scipy(self, analyzed, tmp_path,
+                                                   stage):
+        code = ("import sys; from drt.cli import main; "
+                "rc = main(sys.argv[1:]); "
+                "sys.exit(rc or 'scipy' in sys.modules)")
+        argv = (["classify", "--analysis", str(analyzed / "analysis.json")]
+                if stage == "classify" else ["report", "--run", str(analyzed)])
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--out", str(tmp_path / "out")],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -358,8 +359,130 @@ class TestBinnedPrediction:
         n_codes = model._bin_groups(x)[0].size
         nodes = sum(t.feature.size for t in model.trees)
         assert [r.getMessage() for r in caplog.records] == [
-            f"forest predict: 3 trees, {nodes} nodes, 160 rows, "
+            f"forest predict: 3 trees, 3 by table, {nodes} nodes, 160 rows, "
             f"{n_codes} bin codes, fallback no"]
+
+
+def spine_tree(features, thresholds):
+    """chain_tree with interior node 2i splitting features[i] at thresholds[i]."""
+    tree = chain_tree(0, thresholds)
+    tree.feature[0:-1:2] = features
+    return tree
+
+
+def cell_count(tree):
+    """The product over split features of the tree's distinct thresholds + 1."""
+    inner = tree.feature >= 0
+    return math.prod(np.unique(tree.threshold[inner & (tree.feature == f)]).size + 1
+                     for f in np.unique(tree.feature[inner]))
+
+
+def threshold_rows(trees, n_rows, n_features, rng):
+    """Rows at, one ulp beside and at the float32 roundings of the thresholds,
+    plus NaN and the infinities."""
+    t = np.concatenate([t.threshold[t.feature >= 0] for t in trees])
+    pool = np.concatenate([t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf),
+                           t.astype(np.float32), [np.nan, np.inf, -np.inf]])
+    return rng.choice(pool, size=(n_rows, n_features))
+
+
+class TestCellTables:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(1, 5),
+           n_features=st.integers(1, 3), n_trees=st.integers(1, 5),
+           n_rows=st.integers(1, 400),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_tables_equal_direct_walk(self, seed, n_classes, n_features,
+                                      n_trees, n_rows, dtype):
+        rng = np.random.default_rng(seed)
+        n = 12 * n_classes
+        ts = TrainingSet(features=rng.normal(size=(n, n_features)),
+                         labels=np.arange(n) % n_classes,
+                         class_names=[f"c{i}" for i in range(n_classes)])
+        model = train_forest(ts, ForestHyperparameters(n_trees=n_trees),
+                             bank_for(n_features), seed=seed)
+        x = threshold_rows(model.trees, n_rows, n_features, rng).astype(dtype)
+        labels, probs, n_tables = model._tabulate(x)
+        assert n_tables == sum(cell_count(t) <= n_rows for t in model.trees)
+        direct_labels, direct_probs = model._walk(x)
+        assert np.array_equal(labels, direct_labels)
+        assert np.array_equal(probs, direct_probs)
+
+    @pytest.mark.parametrize("n_rows, n_tables", [
+        (11, 3),  # the 11-cell tree fits: every tree has a table
+        (10, 2),  # it does not: it walks the rows, the others look up
+    ])
+    def test_mixes_tables_and_walks(self, n_rows, n_tables):
+        rng = np.random.default_rng(n_rows)
+        cuts = np.sort(rng.normal(size=(2, 10)), axis=1)
+        trees = [chain_tree(1, cuts[1, :2]), chain_tree(0, cuts[0]),
+                 spine_tree([0, 1], cuts[:, 5])]
+        model = ForestModel(
+            hyperparameters=ForestHyperparameters(n_trees=3),
+            feature_bank=bank_for(2), class_names=["a", "b"], rng_seed=0,
+            trees=trees)
+        assert [cell_count(t) for t in trees] == [3, 11, 4]
+        x = threshold_rows(trees, n_rows, 2, rng)
+        labels, probs, tables = model._tabulate(x)
+        assert tables == n_tables
+        direct_labels, direct_probs = model._walk(x)
+        assert np.array_equal(labels, direct_labels)
+        assert np.array_equal(probs, direct_probs)
+
+    def test_deep_trees_walk_without_a_table(self):
+        # 16 features with 9 thresholds each: 10**16 cells per tree
+        rng = np.random.default_rng(16)
+        cuts = np.sort(rng.normal(size=(16, 9)), axis=1)
+        trees = [spine_tree(np.repeat(np.arange(16), 9)[order], cuts.ravel()[order])
+                 for order in (np.arange(144), rng.permutation(144))]
+        model = ForestModel(
+            hyperparameters=ForestHyperparameters(n_trees=2),
+            feature_bank=bank_for(16), class_names=["a", "b"], rng_seed=0,
+            trees=trees)
+        assert [cell_count(t) for t in trees] == [10 ** 16] * 2
+        x = threshold_rows(trees, 3000, 16, rng)
+        assert model._tabulate(x)[2] == 0
+        labels, probs = model.predict_batch(x)
+        direct_labels, direct_probs = model._walk(x)
+        assert np.array_equal(labels, direct_labels)
+        assert np.array_equal(probs, direct_probs)
+
+    def test_narrow_bins_hold_the_last_bin(self):
+        # 256 thresholds make 257 bins, one more than uint8 holds
+        rng = np.random.default_rng(256)
+        tree = chain_tree(0, np.sort(rng.normal(size=256)))
+        model = ForestModel(
+            hyperparameters=ForestHyperparameters(n_trees=1),
+            feature_bank=bank_for(1), class_names=["a", "b"], rng_seed=0,
+            trees=[tree])
+        x = np.vstack([threshold_rows([tree], 400, 1, rng), [[np.inf]], [[np.nan]]])
+        labels, probs, n_tables = model._tabulate(x)
+        assert n_tables == 1
+        direct_labels, direct_probs = model._walk(x)
+        assert np.array_equal(labels, direct_labels)
+        assert np.array_equal(probs, direct_probs)
+
+    def test_code_space_beyond_int64_tabulates_every_row(self, caplog):
+        # 64 one-split trees overflow the codes; a 301-cell tree exceeds
+        # the 201 rows and walks them
+        rng = np.random.default_rng(64)
+        cuts = rng.normal(size=64)
+        trees = [chain_tree(f, [c]) for f, c in enumerate(cuts)]
+        trees.append(chain_tree(0, np.sort(rng.normal(size=300))))
+        model = ForestModel(
+            hyperparameters=ForestHyperparameters(n_trees=65),
+            feature_bank=bank_for(64), class_names=["a", "b"], rng_seed=0,
+            trees=trees)
+        x = np.vstack([threshold_rows(trees, 200, 64, rng), np.full((1, 64), np.inf)])
+        assert model._bin_groups(x) is None
+        with caplog.at_level(logging.DEBUG, logger="drt.forest"):
+            labels, probs = model.predict_batch(x)
+        message = caplog.records[0].getMessage()
+        assert message.startswith("forest predict: 65 trees, 64 by table, ")
+        assert message.endswith(", 201 rows, n/a bin codes, fallback yes")
+        direct_labels, direct_probs = model._walk(x)
+        assert np.array_equal(labels, direct_labels)
+        assert np.array_equal(probs, direct_probs)
 
 
 class TestSegmentVolume:
@@ -488,6 +611,26 @@ class TestModelIo:
         doc = model.to_json_dict() | {"trees": [tree]}
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
+        with pytest.raises(BadModelFile):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("feature", 1.7),
+        ("feature", True),
+        ("left", 1.9),
+        ("right", "1"),
+    ])
+    def test_rejects_non_integer_node_id(self, tmp_path, field, value):
+        # each value would load as 1, which is a valid id for its field
+        model = train_forest(two_blob_training(), ForestHyperparameters(n_trees=2),
+                             bank_for(2), seed=0)
+        tree = model.to_json_dict()["trees"][0]
+        tree[field][0] = 1
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model.to_json_dict() | {"trees": [tree]}))
+        load_model(path)
+        tree[field][0] = value
+        path.write_text(json.dumps(model.to_json_dict() | {"trees": [tree]}))
         with pytest.raises(BadModelFile):
             load_model(path)
 

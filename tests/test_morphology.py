@@ -27,7 +27,7 @@ from drt import (
     local_thickness,
     throat_distribution,
 )
-from drt.morphology import _prominent_peaks
+from drt.morphology import _prominent_peaks, _STRUCTS
 
 _OFFSETS_6 = [(0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0)]
 _OFFSETS_26 = [(dz, dy, dx)
@@ -179,6 +179,13 @@ class TestConnectedComponents:
     def test_rejects_bad_connectivity(self):
         with pytest.raises(BadParams):
             connected_components(label_volume(np.zeros((3, 3, 3))), {0}, 18)
+
+    @pytest.mark.parametrize("connectivity, rank", [(6, 1), (26, 3)])
+    def test_structures_equal_scipy(self, connectivity, rank):
+        from scipy import ndimage
+        expected = ndimage.generate_binary_structure(3, rank)
+        assert _STRUCTS[connectivity].dtype == expected.dtype
+        assert np.array_equal(_STRUCTS[connectivity], expected)
 
     def test_percolation_flags(self):
         data = np.ones((5, 5, 5), dtype=np.uint8)
