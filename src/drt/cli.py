@@ -23,7 +23,7 @@ from .capillary import (PFunction, build_pc_curve, export_pc_csv,
 from .errors import (BadParams, ConfigError, InputError, IoError, IoFailure,
                      MissingArtifacts, NumericError)
 from .fileio import read_json, read_text, write_json, write_text
-from .filters import build_feature_stack, FeatureBankConfig
+from .filters import FeatureBankConfig, sample_features
 from .forest import (ForestHyperparameters, load_labels_csv, load_model,
                      save_model, segment_volume, TrainingSet, train_forest)
 from .morphology import (binary_mask, connected_components, local_thickness,
@@ -216,8 +216,9 @@ def cmd_train(args) -> int:
     else:
         n_classes = int(labels.max()) + 1 if labels.size else 1
         class_names = [f"class_{i}" for i in range(n_classes)]
-    stack = build_feature_stack(volume, cfg.feature_bank)
-    training = TrainingSet(features=stack.sample_at(coords), labels=labels,
+    features = sample_features(volume, cfg.feature_bank, coords,
+                               threads=args.threads)
+    training = TrainingSet(features=features, labels=labels,
                            class_names=class_names)
     model = train_forest(training, cfg.forest, cfg.feature_bank, seed=args.seed)
     save_model(model, args.out)
@@ -230,7 +231,7 @@ def cmd_train(args) -> int:
 def cmd_segment(args) -> int:
     volume = load_volume(args.volume)
     model = load_model(args.model)
-    label_vol, conf_vol = segment_volume(model, volume)
+    label_vol, conf_vol = segment_volume(model, volume, threads=args.threads)
     out = Path(args.out)
     conf_out = out.with_name(out.stem + "_confidence" + (out.suffix or ".raw"))
     save_volume(label_vol, out)
@@ -465,7 +466,8 @@ def cmd_report(args) -> int:
 def _add_common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
     p.add_argument("--config", default=None, help="pipeline config JSON")
     p.add_argument("--threads", type=int, default=1,
-                   help="reserved; output is identical for any value")
+                   help="worker threads for the feature slabs of train and "
+                        "segment; output is byte-identical for any value")
     if seed:
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
 

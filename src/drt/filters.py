@@ -7,6 +7,10 @@ with a sampled Gaussian kernel truncated at radius ceil(3*sigma) and
 renormalized to sum 1; filter math runs in float64 and results are stored
 as float32.
 
+``map_slabs`` streams the bank in z-slabs on a thread pool: each slab's
+features equal the same planes of ``build_feature_stack``, which stays as
+the whole-volume reference.
+
 ``iroga_threshold`` segments a grayscale volume by fitting a 1-D Gaussian
 mixture to its 256-bin intensity histogram with EM and cutting at the
 intersections of adjacent weighted component densities.
@@ -14,6 +18,7 @@ intersections of adjacent weighted component densities.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +29,11 @@ from .rng import SplitMix64
 from .volume import Volume
 
 _BOUNDARY_TO_SCIPY = {"mirror": "reflect", "clamp": "nearest"}
+
+# voxels per slab before the halo floor; 24 planes at 96^3
+SLAB_VOXELS = 1 << 18
+
+log = logging.getLogger(__name__)
 
 
 def _format_sigma(sigma: float) -> str:
@@ -94,25 +104,36 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _smooth_array(data: np.ndarray, sigma: float, boundary_mode: str) -> np.ndarray:
+def _smooth_array(data: np.ndarray, sigma: float, boundary_mode: str,
+                  keep: slice = slice(None)) -> np.ndarray:
+    """Smooth along z, keep the planes `keep`, then smooth them along y and x.
+
+    The y and x passes act within planes, so cropping after the z pass
+    leaves the kept planes bit-identical to cropping at the end.
+    """
     # imported here so that the stages without filtering do not load scipy
     from scipy.ndimage import correlate1d
 
     kernel = gaussian_kernel_1d(sigma)
     mode = _BOUNDARY_TO_SCIPY[boundary_mode]
-    out = np.asarray(data, dtype=np.float64)
-    for axis in range(3):
+    # correlate1d filters every input type through float64 line buffers, so
+    # a float64 output needs no float64 copy of the input
+    out = correlate1d(data, kernel, axis=0, mode=mode, output=np.float64)[keep]
+    for axis in (1, 2):
         out = correlate1d(out, kernel, axis=axis, mode=mode)
     return out
 
 
+def _check_sigma(sigma: float, dims: tuple[int, int, int]) -> None:
+    if sigma <= 0:
+        raise SigmaTooLarge(f"sigma must be positive, got {sigma}")
+    if sigma > min(dims) / 2:
+        raise SigmaTooLarge(f"sigma {sigma} exceeds min(dims)/2 = {min(dims) / 2}")
+
+
 def gaussian_smooth(volume: Volume, sigma_vox: float, boundary_mode: str = "mirror") -> Volume:
     """Separable Gaussian smoothing; output dims equal input dims."""
-    if sigma_vox <= 0:
-        raise SigmaTooLarge(f"sigma must be positive, got {sigma_vox}")
-    if sigma_vox > min(volume.dims) / 2:
-        raise SigmaTooLarge(
-            f"sigma {sigma_vox} exceeds min(dims)/2 = {min(volume.dims) / 2}")
+    _check_sigma(sigma_vox, volume.dims)
     if boundary_mode not in _BOUNDARY_TO_SCIPY:
         raise ValueError(f"boundary_mode must be one of {tuple(_BOUNDARY_TO_SCIPY)}")
     smoothed = _smooth_array(volume.data, sigma_vox, boundary_mode)
@@ -157,7 +178,11 @@ class FeatureStack:
 
 
 def build_feature_stack(volume: Volume, cfg: FeatureBankConfig) -> FeatureStack:
-    """Raw, Gaussian, and consecutive-pair DoG channels in declared order."""
+    """Raw, Gaussian, and consecutive-pair DoG channels in declared order.
+
+    Builds the whole volume at once; the reference that slab_features is
+    tested against.
+    """
     channels: list[np.ndarray] = []
     if cfg.include_raw:
         channels.append(np.asarray(volume.data, dtype=np.float32))
@@ -166,6 +191,106 @@ def build_feature_stack(volume: Volume, cfg: FeatureBankConfig) -> FeatureStack:
     channels += [lo.data - hi.data for lo, hi in zip(smoothed, smoothed[1:])]
     data = np.stack(channels, axis=-1)
     return FeatureStack(dims=volume.dims, names=cfg.feature_names(), data=data)
+
+
+def slab_features(volume: Volume, cfg: FeatureBankConfig, z0: int, z1: int) -> np.ndarray:
+    """Features of planes [z0, z1), equal to build_feature_stack(...).data[z0:z1].
+
+    For each scale the z pass reads the planes within its kernel radius
+    ceil(3*sigma) of the slab, clipped to the volume, so it sees the real
+    neighbour planes inside and the whole volume's boundary extension at
+    its faces; the y and x passes run on the slab's planes only. The
+    channels are written in place into one (z1 - z0, ny, nx, F) float32
+    array. Sigmas are not checked here: map_slabs checks them against the
+    whole volume.
+    """
+    nz = volume.data.shape[0]
+    out = np.empty((z1 - z0, *volume.data.shape[1:], cfg.feature_count),
+                   dtype=np.float32)
+    g = 0
+    if cfg.include_raw:
+        out[..., 0] = volume.data[z0:z1]
+        g = 1
+    k = len(cfg.sigmas_vox)
+    for j, sigma in enumerate(cfg.sigmas_vox):
+        r = math.ceil(3.0 * sigma)
+        lo, hi = max(0, z0 - r), min(nz, z1 + r)
+        out[..., g + j] = _smooth_array(volume.data[lo:hi], sigma, cfg.boundary_mode,
+                                        keep=slice(z0 - lo, z1 - lo))
+    for j in range(k - 1):
+        np.subtract(out[..., g + j], out[..., g + j + 1], out=out[..., g + k + j])
+    return out
+
+
+def sample_features(volume: Volume, cfg: FeatureBankConfig, coords_xyz: np.ndarray,
+                    *, threads: int = 1) -> np.ndarray:
+    """Feature rows (N, F) at integer voxel coordinates (N, 3) as x,y,z.
+
+    Equal to build_feature_stack(volume, cfg).sample_at(coords_xyz), row for
+    row; only the slabs that hold one of the voxels are computed.
+    """
+    coords = np.asarray(coords_xyz, dtype=np.int64)
+    rows = np.empty((coords.shape[0], cfg.feature_count), dtype=np.float32)
+    x, y, z = coords.T
+
+    def take(z0: int, z1: int, features: np.ndarray) -> None:
+        hit = np.nonzero((z >= z0) & (z < z1))[0]
+        rows[hit] = features[z[hit] - z0, y[hit], x[hit]]
+
+    map_slabs(volume, cfg, take, threads=threads, planes=z)
+    return rows
+
+
+def slab_bounds(dims: tuple[int, int, int], cfg: FeatureBankConfig,
+                threads: int) -> list[tuple[int, int]]:
+    """The z ranges [z0, z1) that map_slabs splits a volume into.
+
+    The count is that of slabs of SLAB_VOXELS voxels, rounded up to a
+    multiple of threads, then cut so that no slab is thinner than the
+    widest halo ceil(3*sigma_max) unless the volume is. Heights differ by
+    at most one plane.
+    """
+    nx, ny, nz = dims
+    n = math.ceil(math.ceil(nx * ny * nz / SLAB_VOXELS) / threads) * threads
+    n = max(1, min(n, nz // math.ceil(3.0 * max(cfg.sigmas_vox))))
+    return [(i * nz // n, (i + 1) * nz // n) for i in range(n)]
+
+
+def map_slabs(volume: Volume, cfg: FeatureBankConfig, fn, *, threads: int = 1,
+              planes: np.ndarray | None = None) -> None:
+    """Call fn(z0, z1, slab_features(volume, cfg, z0, z1)) for each z-slab.
+
+    The slabs run on a pool of min(threads, slabs) threads; scipy's
+    correlate1d and the numpy kernels release the GIL, so they run in
+    parallel. fn is called from the pool and must write only what belongs
+    to its slab. With `planes`, only the slabs holding one of those z
+    indices are computed. The sigmas are checked against the whole volume
+    first, whichever slabs run. A worker's exception is raised here.
+    """
+    _check_sigma(max(cfg.sigmas_vox), volume.dims)
+    nz = volume.dims[2]
+    bounds = slab_bounds(volume.dims, cfg, threads)
+    if planes is not None:
+        hit = np.zeros(nz, dtype=bool)
+        hit[planes] = True
+        bounds = [(z0, z1) for z0, z1 in bounds if hit[z0:z1].any()]
+    workers = max(1, min(threads, len(bounds)))
+    halo = sum(min(nz, z1 + r) - max(0, z0 - r) - (z1 - z0)
+               for z0, z1 in bounds
+               for r in (math.ceil(3.0 * s) for s in cfg.sigmas_vox))
+    log.debug("feature slabs: %d slabs, height %d, %d workers, "
+              "%d halo planes recomputed", len(bounds),
+              max((z1 - z0 for z0, z1 in bounds), default=0), workers, halo)
+
+    def run(zs: tuple[int, int]) -> None:
+        fn(*zs, slab_features(volume, cfg, *zs))
+
+    # imported here so that the stages without slabs do not load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for _ in pool.map(run, bounds):
+            pass
 
 
 def _kmeanspp_init(centers: np.ndarray, weights: np.ndarray, k: int,

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (BadHyperparameters, BadModelFile, BadParams, DimensionMismatch,
                      EmptyClass, VersionMismatch)
 from .fileio import read_json, read_text, write_json
-from .filters import FeatureBankConfig, build_feature_stack
+from .filters import FeatureBankConfig, map_slabs, SLAB_VOXELS
 from .rng import SplitMix64
 from .volume import Volume
 
@@ -335,20 +335,33 @@ class ForestModel:
         predicts those rows by one lookup in its cell table (_tabulate). The
         output is bit-identical to walking every row through every tree.
         """
-        x = self._check_features(x)
+        labels, probs, inverse = self._predict_distinct(self._check_features(x))
+        if inverse is None:
+            return labels, probs
+        return labels[inverse], probs[inverse]
+
+    def _predict_distinct(self, x: np.ndarray, tables: list | None = None
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Class ids and mean leaf probabilities of the distinct bin codes of
+        x, and each row's index into them (_bin_groups); None in place of the
+        index when the codes would not fit in int64 and every row was
+        predicted. Callers gather only what they keep through the index.
+        `tables` are cell tables built ahead (_cell_tables), for callers
+        that predict many batches.
+        """
         groups = self._bin_groups(x)
         if groups is None:
-            labels, probs, n_tables = self._tabulate(x)
+            labels, probs, n_tables = self._tabulate(x, tables)
+            inverse = None
         else:
             first, inverse = groups
-            labels, probs, n_tables = self._tabulate(x[first])
-            labels, probs = labels[inverse], probs[inverse]
+            labels, probs, n_tables = self._tabulate(x[first], tables)
         log.debug("forest predict: %d trees, %d by table, %d nodes, %d rows, "
                   "%s bin codes, fallback %s", len(self.trees), n_tables,
                   sum(t.feature.size for t in self.trees), x.shape[0],
-                  "n/a" if groups is None else groups[0].size,
+                  "n/a" if groups is None else labels.size,
                   "yes" if groups is None else "no")
-        return labels, probs
+        return labels, probs, inverse
 
     def _edges(self) -> list[np.ndarray]:
         """Per feature, the sorted distinct thresholds of all trees."""
@@ -379,21 +392,53 @@ class ForestModel:
                                       return_inverse=True)
         return first, inverse
 
-    def _tabulate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        """Class ids, mean leaf probabilities and the number of table trees.
+    def _cell_table(self, tree: _Tree, edges: list[np.ndarray], max_cells: int):
+        """The tree's cell table, or None when it has more than max_cells cells.
 
         A tree's own distinct thresholds cut each feature it splits on into
         intervals, and a cell is one interval per feature: rows in one cell
         reach the same leaf. Bin b on feature f (as in _bin_groups) lies in
         the tree's interval searchsorted(pos, b, "left"), where pos are the
         positions of the tree's thresholds among the forest's, because
-        x <= edges[f][j] exactly when b <= j. The cell table holds the leaf
-        probabilities of each cell, found by walking the tree on one value
-        per interval: its upper threshold, or +inf for the last. A tree with
-        more cells than rows walks the rows instead. The probabilities are
-        summed in tree order, as in _walk, so the sums are bit-identical.
-        The bins are held in their narrowest unsigned type and dropped on
-        return.
+        x <= edges[f][j] exactly when b <= j. The table is a pair: per split
+        feature, the cell offset of each of its bins, in the narrowest type
+        that holds the cell count; and the leaf probabilities of each cell,
+        shaped (n_classes, n_cells), found by walking the tree on one value
+        per interval: its upper threshold, or +inf for the last.
+        """
+        inner = tree.feature >= 0
+        used = np.unique(tree.feature[inner])
+        cuts = [np.unique(tree.threshold[inner & (tree.feature == f)]) for f in used]
+        n_cells = math.prod(c.size + 1 for c in cuts)
+        if n_cells > max_cells:
+            return None
+        offsets = []
+        reps = np.zeros((n_cells, self.n_features), dtype=np.float64)
+        stride = 1
+        for f, c in zip(used, cuts):
+            pos = np.searchsorted(edges[f], c)
+            local = np.searchsorted(pos, np.arange(edges[f].size + 1), "left")
+            offsets.append((f, (local * stride).astype(np.min_scalar_type(n_cells))))
+            interval = np.arange(n_cells) // stride % (c.size + 1)
+            reps[:, f] = np.append(c, np.inf)[interval]
+            stride *= c.size + 1
+        return offsets, tree.probs[tree.apply(reps)].T
+
+    def _cell_tables(self, max_cells: int) -> list:
+        """Per tree, its cell table, or None when it has more than max_cells."""
+        edges = self._edges()
+        return [self._cell_table(tree, edges, max_cells) for tree in self.trees]
+
+    def _tabulate(self, x: np.ndarray, tables: list | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Class ids, mean leaf probabilities and the number of table trees.
+
+        Each tree predicts the rows by one lookup in its cell table
+        (_cell_table): from `tables`, built ahead for many calls, or else
+        built here when the tree has no more cells than there are rows. A
+        tree without a table walks the rows. The probabilities are summed in
+        tree order, as in _walk, so the sums are bit-identical. The bins are
+        held in their narrowest unsigned type and dropped on return.
         """
         n = x.shape[0]
         edges = self._edges()
@@ -401,29 +446,20 @@ class ForestModel:
                 .astype(np.min_scalar_type(u.size)) for f, u in enumerate(edges)]
         probs = np.zeros((self.n_classes, n), dtype=np.float64)
         n_tables = 0
-        for tree in self.trees:
-            inner = tree.feature >= 0
-            used = np.unique(tree.feature[inner])
-            cuts = [np.unique(tree.threshold[inner & (tree.feature == f)])
-                    for f in used]
-            n_cells = math.prod(c.size + 1 for c in cuts)
-            if n_cells > n:
+        for t, tree in enumerate(self.trees):
+            table = None if tables is None else tables[t]
+            if table is None:
+                table = self._cell_table(tree, edges, n)
+            if table is None:
                 leaf_probs, index = tree.probs.T, tree.apply(x)
             else:
                 n_tables += 1
-                cell = np.zeros(n, dtype=np.min_scalar_type(n_cells))
-                reps = np.zeros((n_cells, self.n_features), dtype=np.float64)
-                stride = 1
-                for f, c in zip(used, cuts):
-                    pos = np.searchsorted(edges[f], c)
-                    local = np.searchsorted(pos, np.arange(edges[f].size + 1), "left")
+                offsets, leaf_probs = table
+                cell = np.zeros(n, dtype=np.min_scalar_type(leaf_probs.shape[1]))
+                for f, offset in offsets:
                     # np.take on narrow bins into a narrow cell type: fancy
                     # indexing would convert the bins to intp on every gather
-                    cell += np.take((local * stride).astype(cell.dtype), bins[f])
-                    interval = np.arange(n_cells) // stride % (c.size + 1)
-                    reps[:, f] = np.append(c, np.inf)[interval]
-                    stride *= c.size + 1
-                leaf_probs = tree.probs[tree.apply(reps)].T
+                    cell += np.take(offset, bins[f])
                 index = cell.astype(np.intp)
             for k, row in enumerate(leaf_probs):
                 probs[k] += row[index]
@@ -514,22 +550,36 @@ def train_forest(training: TrainingSet, hp: ForestHyperparameters,
 
 
 def segment_volume(model: ForestModel, volume: Volume, *,
-                   chunk_voxels: int = 1 << 20) -> tuple[Volume, Volume]:
+                   threads: int = 1) -> tuple[Volume, Volume]:
     """Per-voxel classification of a grayscale volume.
 
     Returns the label volume and a confidence volume holding each voxel's
-    maximum class probability.
+    maximum class probability. The features are streamed in z-slabs on
+    `threads` threads (map_slabs); each slab predicts its distinct bin
+    codes once and gathers only the uint8 label and float32 confidence
+    back to its voxels. The cell tables are built once for all slabs, for
+    the trees with at most SLAB_VOXELS / n_trees cells, so that together
+    they hold no more cells than a slab has voxels; a tree with more is
+    handled per slab, as by predict_batch. The output does not depend on
+    the thread count or the slab height.
     """
-    stack = build_feature_stack(volume, model.feature_bank)
-    x = stack.as_matrix()
-    labels = np.empty(x.shape[0], dtype=np.uint8)
-    confidence = np.empty(x.shape[0], dtype=np.float32)
-    for start in range(0, x.shape[0], chunk_voxels):
-        block = x[start:start + chunk_voxels]
-        ids, probs = model.predict_batch(block)
-        labels[start:start + chunk_voxels] = ids.astype(np.uint8)
-        confidence[start:start + chunk_voxels] = probs.max(axis=1)
     nz, ny, nx = volume.data.shape
+    plane = ny * nx
+    labels = np.empty(nz * plane, dtype=np.uint8)
+    confidence = np.empty(nz * plane, dtype=np.float32)
+    tables = model._cell_tables(SLAB_VOXELS // len(model.trees))
+
+    def predict(z0: int, z1: int, features: np.ndarray) -> None:
+        ids, probs, inverse = model._predict_distinct(
+            features.reshape(-1, features.shape[-1]), tables)
+        ids = ids.astype(np.uint8)
+        conf = probs.max(axis=1).astype(np.float32)
+        if inverse is not None:
+            ids, conf = ids[inverse], conf[inverse]
+        labels[z0 * plane:z1 * plane] = ids
+        confidence[z0 * plane:z1 * plane] = conf
+
+    map_slabs(volume, model.feature_bank, predict, threads=threads)
     label_vol = volume.with_data(labels.reshape(nz, ny, nx), value_kind="label",
                                  element_encoding="u8")
     conf_vol = volume.with_data(confidence.reshape(nz, ny, nx),

@@ -5,6 +5,7 @@ import json
 import logging
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -210,6 +211,36 @@ class TestSegment:
                     == (tmp_path / f"quiet{suffix}").read_bytes())
         assert (tmp_path / "loud.raw").read_bytes() == segmented.read_bytes()
 
+    def test_verbose_logs_one_slab_line_per_stage(self, workdir, trained, tmp_path,
+                                                  capsys, caplog):
+        common = ["--config", str(workdir / "config.json"), "--threads", "2"]
+        train = ["train", "--volume", str(workdir / "gray.raw"),
+                 "--labels", str(workdir / "labels.csv"), *common]
+        segment = ["segment", "--volume", str(workdir / "gray.raw"),
+                   "--model", str(trained), *common]
+        (tmp_path / "quiet").mkdir()
+        (tmp_path / "loud").mkdir()
+        quiet = []
+        for argv, out in ((train, "m.json"), (segment, "s.raw")):
+            main(argv + ["--out", str(tmp_path / "quiet" / out)])
+            quiet.append(capsys.readouterr().out)
+        for (argv, out), expected in zip(((train, "m.json"), (segment, "s.raw")), quiet):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="drt"):
+                assert main(["-v"] + argv + ["--out", str(tmp_path / "loud" / out)]) == 0
+            assert capsys.readouterr().out == expected.replace("quiet", "loud")
+            slab_lines = [r.getMessage() for r in caplog.records
+                          if r.name == "drt.filters"]
+            predict_lines = [r for r in caplog.records if r.name == "drt.forest"]
+            # 24 planes, a halo of 6: 2 slabs of 12, halos of 3 and 6 planes
+            # each way, cut at the volume's faces
+            assert slab_lines == ["feature slabs: 2 slabs, height 12, 2 workers, "
+                                  "18 halo planes recomputed"]
+            assert len(predict_lines) == (2 if argv is segment else 0)
+        for name in ("m.json", "s.raw", "s_confidence.raw"):
+            assert ((tmp_path / "loud" / name).read_bytes()
+                    == (tmp_path / "quiet" / name).read_bytes())
+
 
 class TestAnalyze:
     def test_artifacts(self, analyzed):
@@ -370,19 +401,96 @@ class TestCommonFlags:
                    "--out", str(tmp_path / "out"), "--threads", "0"])
         assert rc == 2
 
-    def test_thread_count_does_not_change_output(self, workdir, segmented,
-                                                 tmp_path):
+    def test_thread_count_does_not_change_output(self, workdir, tmp_path):
+        # 24 planes and a halo of 6: 1, 2 and 4 slabs
         dirs = []
-        for threads in ("1", "4"):
+        for threads in ("1", "2", "4"):
             out = tmp_path / f"t{threads}"
-            main(["analyze", "--labels", str(segmented),
-                  "--config", str(workdir / "config.json"),
-                  "--out", str(out), "--threads", threads])
+            out.mkdir()
+            common = ["--config", str(workdir / "config.json"), "--threads", threads]
+            assert main(["train", "--volume", str(workdir / "gray.raw"),
+                         "--labels", str(workdir / "labels.csv"),
+                         "--out", str(out / "model.json"), *common]) == 0
+            assert main(["segment", "--volume", str(workdir / "gray.raw"),
+                         "--model", str(out / "model.json"),
+                         "--out", str(out / "seg.raw"), *common]) == 0
+            assert main(["analyze", "--labels", str(out / "seg.raw"),
+                         "--out", str(out / "run"), *common]) == 0
             dirs.append(out)
-        names = [p.name for p in dirs[0].iterdir()]
-        match, mismatch, errors = filecmp.cmpfiles(dirs[0], dirs[1], names,
-                                                   shallow=False)
-        assert not mismatch and not errors
+        for sub in (".", "run"):
+            names = [p.name for p in (dirs[0] / sub).iterdir() if p.is_file()]
+            for other in dirs[1:]:
+                match, mismatch, errors = filecmp.cmpfiles(
+                    dirs[0] / sub, other / sub, names, shallow=False)
+                assert not mismatch and not errors
+
+    def test_threads_beyond_planes_cap_the_pool(self, tmp_path, monkeypatch, caplog):
+        gray, truth = make_phantom("sphere_pack", (16, 16, 8), seed=3,
+                                   n_spheres=4, radius_range=(2.0, 3.5),
+                                   noise_sigma=8.0)
+        save_volume(gray, tmp_path / "gray.raw")
+        zyx = np.argwhere(np.ones(truth.data.shape, dtype=bool))[::7]
+        (tmp_path / "labels.csv").write_text("".join(
+            f"{x},{y},{z},{truth.data[z, y, x]}\n" for z, y, x in zyx))
+        # a halo of one plane allows one slab per plane
+        (tmp_path / "config.json").write_text(json.dumps({
+            "feature_bank": {"sigmas_vox": [0.25, 0.3]},
+            "forest": {"n_trees": 4}}))
+        pools = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Recording)
+        for threads in ("1", "64"):
+            out = tmp_path / f"t{threads}"
+            out.mkdir()
+            common = ["--config", str(tmp_path / "config.json"), "--threads", threads]
+            with caplog.at_level(logging.DEBUG, logger="drt"):
+                assert main(["train", "--volume", str(tmp_path / "gray.raw"),
+                             "--labels", str(tmp_path / "labels.csv"),
+                             "--out", str(out / "model.json"), *common]) == 0
+                assert main(["segment", "--volume", str(tmp_path / "gray.raw"),
+                             "--model", str(out / "model.json"),
+                             "--out", str(out / "seg.raw"), *common]) == 0
+        assert pools == [1, 1, 8, 8]
+        assert [r.getMessage().split(", ")[2] for r in caplog.records
+                if r.name == "drt.filters"] == ["1 workers"] * 2 + ["8 workers"] * 2
+        for name in ("model.json", "seg.raw", "seg_confidence.raw"):
+            assert ((tmp_path / "t1" / name).read_bytes()
+                    == (tmp_path / "t64" / name).read_bytes())
+
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_sigma_above_min_dims_half_exits_2(self, workdir, trained, tmp_path,
+                                               threads):
+        # 13 > 24 / 2: the whole volume is too thin, whatever the slabs
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"feature_bank": {"sigmas_vox": [1.0, 13.0]}}))
+        assert main(["train", "--volume", str(workdir / "gray.raw"),
+                     "--labels", str(workdir / "labels.csv"),
+                     "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "m.json"), "--threads", threads]) == 2
+        doc = json.loads(trained.read_text())
+        doc["feature_bank"]["sigmas_vox"] = [1.0, 13.0]
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        assert main(["segment", "--volume", str(workdir / "gray.raw"),
+                     "--model", str(tmp_path / "model.json"),
+                     "--out", str(tmp_path / "s.raw"), "--threads", threads]) == 2
+
+    def test_sigma_of_half_the_thinnest_axis_is_accepted(self, workdir, tmp_path):
+        # 12 = 24 / 2 reaches 36 planes each way, past the whole volume
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "feature_bank": {"sigmas_vox": [1.0, 12.0]},
+            "forest": {"n_trees": 2}}))
+        common = ["--config", str(tmp_path / "cfg.json"), "--threads", "4"]
+        assert main(["train", "--volume", str(workdir / "gray.raw"),
+                     "--labels", str(workdir / "labels.csv"),
+                     "--out", str(tmp_path / "m.json"), *common]) == 0
+        assert main(["segment", "--volume", str(workdir / "gray.raw"),
+                     "--model", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "s.raw"), *common]) == 0
 
     def test_unknown_config_section(self, workdir, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps({"mystery": {}}))

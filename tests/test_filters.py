@@ -5,8 +5,12 @@ built from the outer product of the 1-D kernels, applied over an
 explicitly padded array. It shares no code path with the implementation.
 """
 
+import logging
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drt import (
     BadSigmaOrder,
@@ -22,6 +26,7 @@ from drt import (
     gaussian_smooth,
     iroga_threshold,
 )
+from drt.filters import map_slabs, sample_features, slab_bounds, slab_features
 
 _PAD_MODE = {"mirror": "symmetric", "clamp": "edge"}
 
@@ -192,6 +197,115 @@ class TestFeatureStack:
         mat = stack.as_matrix()
         assert mat.shape == (64, 4)
         np.testing.assert_array_equal(mat[:, 0], vol.flat)
+
+
+@st.composite
+def slab_cases(draw):
+    """A volume, a bank with sigmas up to min(dims)/2, and one slab of it."""
+    dims = tuple(draw(st.integers(1, 12)) for _ in range(3))
+    nx, ny, nz = dims
+    top = min(dims) / 2
+    fractions = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3,
+                              unique=True))
+    sigmas = sorted({max(0.1, round(f * top, 3)) for f in fractions})
+    cfg = FeatureBankConfig(sigmas_vox=tuple(sigmas),
+                            include_raw=draw(st.booleans()),
+                            boundary_mode=draw(st.sampled_from(["mirror", "clamp"])))
+    # heights 1, 7, the widest halo and the whole volume, where they fit
+    halo = math.ceil(3.0 * max(sigmas))
+    height = min(nz, draw(st.sampled_from([1, 7, halo, nz])))
+    z0 = draw(st.integers(0, nz - height))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    data = np.random.default_rng(seed).normal(size=(nz, ny, nx))
+    return gray_volume(data.astype(np.float32)), cfg, z0, z0 + height
+
+
+class TestSlabFeatures:
+    @settings(max_examples=150, deadline=None)
+    @given(case=slab_cases())
+    def test_slab_equals_whole_volume_stack(self, case):
+        vol, cfg, z0, z1 = case
+        whole = build_feature_stack(vol, cfg).data
+        np.testing.assert_array_equal(slab_features(vol, cfg, z0, z1), whole[z0:z1])
+
+    @pytest.mark.parametrize("mode", ["mirror", "clamp"])
+    def test_volume_thinner_than_the_halo(self, mode):
+        # sigma 4 reaches 12 planes each way, past both faces of 8 planes
+        vol = gray_volume(np.random.default_rng(9).random((8, 9, 10)))
+        cfg = FeatureBankConfig(sigmas_vox=(1.0, 4.0), boundary_mode=mode)
+        whole = build_feature_stack(vol, cfg).data
+        for z0 in range(8):
+            np.testing.assert_array_equal(slab_features(vol, cfg, z0, z0 + 1),
+                                          whole[z0:z0 + 1])
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_samples_equal_stack_rows_in_input_order(self, threads):
+        rng = np.random.default_rng(10)
+        vol = gray_volume(rng.random((30, 6, 7)))
+        cfg = FeatureBankConfig(sigmas_vox=(0.5, 1.0))
+        # unsorted, repeated, and no voxel in planes 10-19
+        z = np.concatenate([rng.integers(0, 10, 20), rng.integers(20, 30, 20), [3, 3]])
+        coords = np.column_stack([rng.integers(0, 7, z.size),
+                                  rng.integers(0, 6, z.size), z])
+        expected = build_feature_stack(vol, cfg).sample_at(coords)
+        rows = sample_features(vol, cfg, coords, threads=threads)
+        assert rows.dtype == np.float32
+        np.testing.assert_array_equal(rows, expected)
+
+    def test_only_labelled_slabs_are_computed(self, monkeypatch):
+        vol = gray_volume(np.random.default_rng(11).random((30, 4, 4)))
+        cfg = FeatureBankConfig(sigmas_vox=(0.5, 1.0))
+        monkeypatch.setattr("drt.filters.SLAB_VOXELS", 5 * 16)
+        assert slab_bounds(vol.dims, cfg, 1) == [(i, i + 5) for i in range(0, 30, 5)]
+        seen = []
+        map_slabs(vol, cfg, lambda z0, z1, f: seen.append((z0, z1)),
+                  planes=np.array([27, 2, 4, 26]))
+        assert sorted(seen) == [(0, 5), (25, 30)]
+
+    @pytest.mark.parametrize("dims, sigmas, threads, heights", [
+        ((96, 96, 96), (1.0, 2.0, 4.0, 8.0), 1, [24] * 4),
+        ((96, 96, 96), (1.0, 2.0, 4.0, 8.0), 2, [24] * 4),
+        ((96, 96, 96), (1.0, 2.0, 4.0, 8.0), 3, [24] * 4),  # 6 cut to the halo
+        ((128, 128, 128), (1.0, 2.0, 4.0, 8.0), 2, [25, 26, 25, 26, 26]),
+        ((96, 96, 20), (1.0, 2.0, 4.0, 8.0), 2, [20]),      # thinner than the halo
+        ((512, 512, 40), (0.5,), 4, [2] * 20),              # one plane is the budget
+        ((8, 8, 8), (0.25,), 64, [1] * 8),
+    ])
+    def test_slab_heights(self, dims, sigmas, threads, heights):
+        bounds = slab_bounds(dims, FeatureBankConfig(sigmas_vox=sigmas), threads)
+        assert [z1 - z0 for z0, z1 in bounds] == heights
+        assert bounds[0][0] == 0 and bounds[-1][1] == dims[2]
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_sigma_is_checked_against_the_whole_volume(self, threads):
+        vol = gray_volume(np.zeros((40, 12, 12)))
+        too_large = FeatureBankConfig(sigmas_vox=(1.0, 6.5))
+        with pytest.raises(SigmaTooLarge):
+            map_slabs(vol, too_large, lambda *a: None, threads=threads)
+        # also when no slab would be computed
+        with pytest.raises(SigmaTooLarge):
+            sample_features(vol, too_large, np.zeros((0, 3)), threads=threads)
+
+    def test_worker_exception_is_raised(self):
+        vol = gray_volume(np.zeros((8, 4, 4)))
+
+        def fail(z0, z1, features):
+            if z0 == 4:
+                raise ValueError("slab 4")
+
+        with pytest.raises(ValueError, match="slab 4"):
+            map_slabs(vol, FeatureBankConfig(sigmas_vox=(0.25,)), fail, threads=8)
+
+    def test_logs_the_slab_plan(self, caplog):
+        vol = gray_volume(np.zeros((30, 4, 4)))
+        # halos of 2 and 3 planes around 3 slabs of 10, clipped at the faces
+        cfg = FeatureBankConfig(sigmas_vox=(0.5, 1.0))
+        with caplog.at_level(logging.DEBUG, logger="drt.filters"):
+            map_slabs(vol, cfg, lambda *a: None, threads=3)
+        assert [r.getMessage() for r in caplog.records] == [
+            "feature slabs: 3 slabs, height 10, 3 workers, "
+            "20 halo planes recomputed"]
 
 
 class TestHistogramGmm:

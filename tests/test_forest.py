@@ -17,17 +17,20 @@ from drt import (
     FeatureBankConfig,
     ForestHyperparameters,
     ForestModel,
+    SigmaTooLarge,
     SplitMix64,
     TrainingSet,
     VersionMismatch,
     Volume,
     VolumeHeader,
+    build_feature_stack,
     load_labels_csv,
     load_model,
     save_model,
     segment_volume,
     train_forest,
 )
+from drt.filters import slab_bounds
 from drt.forest import _Tree
 
 
@@ -408,6 +411,27 @@ class TestCellTables:
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_features=st.integers(1, 3),
+           n_rows=st.integers(1, 60), max_cells=st.integers(0, 200))
+    def test_tables_built_ahead_equal_direct_walk(self, seed, n_features, n_rows,
+                                                  max_cells):
+        # tables built ahead serve even trees with more cells than rows
+        rng = np.random.default_rng(seed)
+        ts = TrainingSet(features=rng.normal(size=(60, n_features)),
+                         labels=np.arange(60) % 3, class_names=["a", "b", "c"])
+        model = train_forest(ts, ForestHyperparameters(n_trees=5),
+                             bank_for(n_features), seed=seed)
+        tables = model._cell_tables(max_cells)
+        cells = [cell_count(t) for t in model.trees]
+        assert [t is not None for t in tables] == [c <= max_cells for c in cells]
+        x = threshold_rows(model.trees, n_rows, n_features, rng)
+        labels, probs, n_tables = model._tabulate(x, tables)
+        assert n_tables == sum(c <= max(max_cells, n_rows) for c in cells)
+        direct_labels, direct_probs = model._walk(x)
+        assert np.array_equal(labels, direct_labels)
+        assert np.array_equal(probs, direct_probs)
+
     @pytest.mark.parametrize("n_rows, n_tables", [
         (11, 3),  # the 11-cell tree fits: every tree has a table
         (10, 2),  # it does not: it walks the rows, the others look up
@@ -526,11 +550,41 @@ class TestSegmentVolume:
         acc = float((seg.data.reshape(-1) == truth.reshape(-1)).mean())
         assert acc > 0.98
 
-    def test_chunking_does_not_change_result(self):
+    @pytest.mark.parametrize("sigmas, slab_voxels, threads, heights", [
+        ((0.2, 0.3), 144, 1, [1] * 14),
+        ((0.2, 0.3), 144, 2, [1] * 14),
+        ((0.2, 0.3), 7 * 144, 1, [7, 7]),
+        ((1.0, 2.0), 144, 2, [7, 7]),  # 14 slabs cut to the halo of 6 planes
+        ((1.0, 2.0), 1 << 18, 1, [14]),
+    ])
+    def test_slab_height_does_not_change_result(self, monkeypatch, sigmas,
+                                                slab_voxels, threads, heights):
+        rng = np.random.default_rng(1)
+        gray = np.where(rng.random((14, 12, 12)) < 0.5, 50.0, 200.0)
+        gray += rng.normal(0, 40, gray.shape)
+        vol = Volume(header=VolumeHeader(dims=(12, 12, 14), voxel_size_um=1.0),
+                     data=gray.astype(np.float32))
+        bank = FeatureBankConfig(sigmas_vox=sigmas)
+        x = build_feature_stack(vol, bank).as_matrix()
+        pick = rng.choice(x.shape[0], 300, replace=False)
+        ts = TrainingSet(features=x[pick], labels=(gray.ravel()[pick] > 125),
+                         class_names=["dark", "bright"])
+        model = train_forest(ts, ForestHyperparameters(n_trees=9), bank, seed=0)
+        monkeypatch.setattr("drt.filters.SLAB_VOXELS", slab_voxels)
+        assert [b - a for a, b in slab_bounds(vol.dims, bank, threads)] == heights
+        ids, probs = model.predict_batch(x)
+        seg, conf = segment_volume(model, vol, threads=threads)
+        np.testing.assert_array_equal(seg.data.ravel(), ids.astype(np.uint8))
+        np.testing.assert_array_equal(conf.data.ravel(),
+                                      probs.max(axis=1).astype(np.float32))
+
+    def test_sigma_above_min_dims_half_is_rejected(self):
         model, vol, _ = self._model_on_intensity()
-        a, _ = segment_volume(model, vol)
-        b, _ = segment_volume(model, vol, chunk_voxels=97)
-        np.testing.assert_array_equal(a.data, b.data)
+        thin = Volume(header=VolumeHeader(dims=(12, 12, 3), voxel_size_um=1.0),
+                      data=vol.data[:3])
+        for threads in (1, 4):
+            with pytest.raises(SigmaTooLarge):
+                segment_volume(model, thin, threads=threads)
 
 
 class TestModelIo:
