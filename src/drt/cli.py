@@ -113,69 +113,53 @@ class PipelineConfig:
         return min(self.s_wi + 0.05, 0.5 * (self.s_wi + 1.0))
 
 
-_SECTION_KEYS = {
-    "feature_bank": {"sigmas_vox", "include_raw", "boundary_mode"},
-    "forest": {"n_trees", "max_depth", "min_samples_split", "features_per_split",
-               "bag_fraction"},
-    "segmentation": {"class_names", "pore_classes", "micropore_classes",
-                     "connectivity"},
-    "throat": {"n_bins", "cutoffs_um"},
-    "petro": {"micro_weight", "epsilon"},
-    "camo": {"relations_path", "catalog_path"},
-    "capillary": {"c", "e", "s_wi", "p_cu_psi", "p_cu_ratio", "s_w_anchor"},
+# sections read whole into the PipelineConfig field of the same name
+_NESTED = {"feature_bank": FeatureBankConfig, "forest": ForestHyperparameters}
+
+# per config section, the PipelineConfig field that each key sets
+_CONFIG_FIELDS = {
+    **{section: dict.fromkeys(cls().to_json_dict(), section)
+       for section, cls in _NESTED.items()},
+    "segmentation": {"class_names": "class_names", "pore_classes": "pore_classes",
+                     "micropore_classes": "micropore_classes",
+                     "connectivity": "connectivity"},
+    "throat": {"n_bins": "n_bins", "cutoffs_um": "cutoffs_um"},
+    "petro": {"micro_weight": "micro_weight", "epsilon": "epsilon"},
+    "camo": {"relations_path": "camo_relations_path",
+             "catalog_path": "catalog_path"},
+    "capillary": {"c": "pfunction_c", "e": "pfunction_e", "s_wi": "s_wi",
+                  "p_cu_psi": "p_cu_psi", "p_cu_ratio": "p_cu_ratio",
+                  "s_w_anchor": "s_w_anchor"},
 }
 
 
 def config_from_json_dict(raw: dict) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - set(_SECTION_KEYS)
+    unknown = set(raw) - set(_CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    for section, allowed in _SECTION_KEYS.items():
+    kwargs: dict = {}
+    for section, fields in _CONFIG_FIELDS.items():
         entry = raw.get(section, {})
         if not isinstance(entry, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        bad = set(entry) - allowed
+        bad = set(entry) - set(fields)
         if bad:
             raise ConfigError(f"unknown keys in config section {section!r}: "
                               f"{sorted(bad)}")
-    kwargs: dict = {}
+        if section not in _NESTED:
+            kwargs.update((fields[key], value) for key, value in entry.items())
     try:
-        fb = raw.get("feature_bank", {})
-        merged = FeatureBankConfig().to_json_dict() | fb
-        kwargs["feature_bank"] = FeatureBankConfig.from_json_dict(merged)
-        fo = raw.get("forest", {})
-        merged = ForestHyperparameters().to_json_dict() | fo
-        kwargs["forest"] = ForestHyperparameters.from_json_dict(merged)
+        for section, cls in _NESTED.items():
+            merged = cls().to_json_dict() | raw.get(section, {})
+            kwargs[section] = cls.from_json_dict(merged)
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-    seg = raw.get("segmentation", {})
-    if "class_names" in seg and seg["class_names"] is not None:
-        names = seg["class_names"]
-        if (not isinstance(names, list) or not names
-                or not all(isinstance(n, str) for n in names)):
-            raise ConfigError("class_names must be a non-empty list of strings")
-        kwargs["class_names"] = names
-    for key, source, name in (
-        ("pore_classes", seg, "pore_classes"),
-        ("micropore_classes", seg, "micropore_classes"),
-        ("connectivity", seg, "connectivity"),
-        ("n_bins", raw.get("throat", {}), "n_bins"),
-        ("cutoffs_um", raw.get("throat", {}), "cutoffs_um"),
-        ("micro_weight", raw.get("petro", {}), "micro_weight"),
-        ("epsilon", raw.get("petro", {}), "epsilon"),
-        ("camo_relations_path", raw.get("camo", {}), "relations_path"),
-        ("catalog_path", raw.get("camo", {}), "catalog_path"),
-        ("pfunction_c", raw.get("capillary", {}), "c"),
-        ("pfunction_e", raw.get("capillary", {}), "e"),
-        ("s_wi", raw.get("capillary", {}), "s_wi"),
-        ("p_cu_psi", raw.get("capillary", {}), "p_cu_psi"),
-        ("p_cu_ratio", raw.get("capillary", {}), "p_cu_ratio"),
-        ("s_w_anchor", raw.get("capillary", {}), "s_w_anchor"),
-    ):
-        if name in source:
-            kwargs[key] = source[name]
+    names = kwargs.get("class_names")
+    if names is not None and (not isinstance(names, list) or not names
+                              or not all(isinstance(n, str) for n in names)):
+        raise ConfigError("class_names must be a non-empty list of strings")
     try:
         return PipelineConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -463,13 +447,12 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="pipeline config JSON")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for the feature slabs of train and "
                         "segment; output is byte-identical for any value")
-    if seed:
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
 def build_parser() -> argparse.ArgumentParser:

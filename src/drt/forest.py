@@ -13,9 +13,10 @@ parent in the arrays, so a walk from the root ends within n_nodes steps.
 
 Prediction is exact through threshold bins: rows whose features fall in the
 same bin between the sorted distinct thresholds of the forest meet every
-split alike, so only one real input row per distinct bin code is predicted.
-Each tree predicts it by one lookup in a table of its cells, the
-combinations of its own threshold intervals.
+split alike. Each feature is binned once per batch, the rows are grouped by
+their bins, and only the first row of each group is predicted. Each tree
+predicts it by one lookup in a table of its cells, the combinations of its
+own threshold intervals.
 """
 
 from __future__ import annotations
@@ -330,37 +331,63 @@ class ForestModel:
 
         Ids are the argmax of the averaged probability rows; ties break to
         the lowest class id. Only the first row of each distinct bin code is
-        predicted, and the results are gathered back to every row; all rows
-        are predicted when the codes would not fit in int64. Each tree
-        predicts those rows by one lookup in its cell table (_tabulate). The
-        output is bit-identical to walking every row through every tree.
+        predicted (_predict_distinct), and the results are gathered back to
+        every row. The output is bit-identical to walking every row through
+        every tree.
         """
         labels, probs, inverse = self._predict_distinct(self._check_features(x))
-        if inverse is None:
-            return labels, probs
         return labels[inverse], probs[inverse]
 
     def _predict_distinct(self, x: np.ndarray, tables: list | None = None
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Class ids and mean leaf probabilities of the distinct bin codes of
-        x, and each row's index into them (_bin_groups); None in place of the
-        index when the codes would not fit in int64 and every row was
-        predicted. Callers gather only what they keep through the index.
-        `tables` are cell tables built ahead (_cell_tables), for callers
-        that predict many batches.
+        x, and each row's index into them. Callers gather only what they
+        keep through the index.
+
+        A row's bin on feature f is the number of the forest's distinct
+        thresholds on f that lie below x[f] (NaN counts all of them, and
+        goes right like a value above them all); rows with equal bins on
+        every feature meet every split alike. The bins are searched once,
+        held in their narrowest unsigned type and grouped by _distinct.
+        Each tree predicts the first row of each group by one lookup in its
+        cell table (_cell_table): from `tables`, built ahead (_cell_tables)
+        for callers that predict many batches, or else built here when the
+        tree has no more cells than there are groups. A tree without a
+        table walks the rows. The probabilities are summed in tree order,
+        as in _walk, so the sums are bit-identical.
         """
-        groups = self._bin_groups(x)
-        if groups is None:
-            labels, probs, n_tables = self._tabulate(x, tables)
-            inverse = None
-        else:
-            first, inverse = groups
-            labels, probs, n_tables = self._tabulate(x[first], tables)
+        edges = self._edges()
+        bins = [np.searchsorted(u, x[:, f].astype(np.float64), "left")
+                .astype(np.min_scalar_type(u.size)) for f, u in enumerate(edges)]
+        first, inverse = _distinct(bins, [u.size + 1 for u in edges])
+        bins = [b[first] for b in bins]
+        x = x[first]
+        n = first.size
+        probs = np.zeros((self.n_classes, n), dtype=np.float64)
+        n_tables = 0
+        for t, tree in enumerate(self.trees):
+            table = None if tables is None else tables[t]
+            if table is None:
+                table = self._cell_table(tree, edges, n)
+            if table is None:
+                leaf_probs, index = tree.probs.T, tree.apply(x)
+            else:
+                n_tables += 1
+                offsets, leaf_probs = table
+                cell = np.zeros(n, dtype=np.min_scalar_type(leaf_probs.shape[1]))
+                for f, offset in offsets:
+                    # np.take on narrow bins into a narrow cell type: fancy
+                    # indexing would convert the bins to intp on every gather
+                    cell += np.take(offset, bins[f])
+                index = cell.astype(np.intp)
+            for k, row in enumerate(leaf_probs):
+                probs[k] += row[index]
+        probs = np.ascontiguousarray(probs.T)
+        probs /= len(self.trees)
+        labels = np.argmax(probs, axis=1).astype(np.int64)
         log.debug("forest predict: %d trees, %d by table, %d nodes, %d rows, "
-                  "%s bin codes, fallback %s", len(self.trees), n_tables,
-                  sum(t.feature.size for t in self.trees), x.shape[0],
-                  "n/a" if groups is None else labels.size,
-                  "yes" if groups is None else "no")
+                  "%d bin codes", len(self.trees), n_tables,
+                  sum(t.feature.size for t in self.trees), inverse.size, n)
         return labels, probs, inverse
 
     def _edges(self) -> list[np.ndarray]:
@@ -369,38 +396,15 @@ class ForestModel:
         threshold = np.concatenate([t.threshold for t in self.trees])
         return [np.unique(threshold[feature == f]) for f in range(self.n_features)]
 
-    def _bin_groups(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """The first row of each distinct bin code, and each row's code index.
-
-        A row's bin on feature f is the number of the forest's distinct
-        thresholds on f that lie below x[f] (NaN counts all of them, and
-        goes right like a value above them all); rows with equal bins on
-        every feature meet every split alike. The bins are packed into one
-        int64 code in mixed radix; None when the code space exceeds int64.
-        The codes are dropped on return, before the caller gathers its
-        results, which keeps them out of the peak memory.
-        """
-        edges = self._edges()
-        if math.prod(u.size + 1 for u in edges) > 2 ** 63:
-            return None
-        codes = np.zeros(x.shape[0], dtype=np.int64)
-        for f, u in enumerate(edges):
-            if u.size:
-                codes *= u.size + 1
-                codes += np.searchsorted(u, x[:, f].astype(np.float64), "left")
-        _, first, inverse = np.unique(codes, return_index=True,
-                                      return_inverse=True)
-        return first, inverse
-
     def _cell_table(self, tree: _Tree, edges: list[np.ndarray], max_cells: int):
         """The tree's cell table, or None when it has more than max_cells cells.
 
         A tree's own distinct thresholds cut each feature it splits on into
         intervals, and a cell is one interval per feature: rows in one cell
-        reach the same leaf. Bin b on feature f (as in _bin_groups) lies in
-        the tree's interval searchsorted(pos, b, "left"), where pos are the
-        positions of the tree's thresholds among the forest's, because
-        x <= edges[f][j] exactly when b <= j. The table is a pair: per split
+        reach the same leaf. Bin b on feature f (as in _predict_distinct)
+        lies in the tree's interval searchsorted(pos, b, "left"), where pos
+        are the positions of the tree's thresholds among the forest's,
+        because x <= edges[f][j] exactly when b <= j. The table is a pair: per split
         feature, the cell offset of each of its bins, in the narrowest type
         that holds the cell count; and the leaf probabilities of each cell,
         shaped (n_classes, n_cells), found by walking the tree on one value
@@ -428,45 +432,6 @@ class ForestModel:
         """Per tree, its cell table, or None when it has more than max_cells."""
         edges = self._edges()
         return [self._cell_table(tree, edges, max_cells) for tree in self.trees]
-
-    def _tabulate(self, x: np.ndarray, tables: list | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Class ids, mean leaf probabilities and the number of table trees.
-
-        Each tree predicts the rows by one lookup in its cell table
-        (_cell_table): from `tables`, built ahead for many calls, or else
-        built here when the tree has no more cells than there are rows. A
-        tree without a table walks the rows. The probabilities are summed in
-        tree order, as in _walk, so the sums are bit-identical. The bins are
-        held in their narrowest unsigned type and dropped on return.
-        """
-        n = x.shape[0]
-        edges = self._edges()
-        bins = [np.searchsorted(u, x[:, f].astype(np.float64), "left")
-                .astype(np.min_scalar_type(u.size)) for f, u in enumerate(edges)]
-        probs = np.zeros((self.n_classes, n), dtype=np.float64)
-        n_tables = 0
-        for t, tree in enumerate(self.trees):
-            table = None if tables is None else tables[t]
-            if table is None:
-                table = self._cell_table(tree, edges, n)
-            if table is None:
-                leaf_probs, index = tree.probs.T, tree.apply(x)
-            else:
-                n_tables += 1
-                offsets, leaf_probs = table
-                cell = np.zeros(n, dtype=np.min_scalar_type(leaf_probs.shape[1]))
-                for f, offset in offsets:
-                    # np.take on narrow bins into a narrow cell type: fancy
-                    # indexing would convert the bins to intp on every gather
-                    cell += np.take(offset, bins[f])
-                index = cell.astype(np.intp)
-            for k, row in enumerate(leaf_probs):
-                probs[k] += row[index]
-        probs = np.ascontiguousarray(probs.T)
-        probs /= len(self.trees)
-        labels = np.argmax(probs, axis=1).astype(np.int64)
-        return labels, probs, n_tables
 
     def _walk(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Class ids and mean leaf probabilities by walking every row.
@@ -549,6 +514,30 @@ def train_forest(training: TrainingSet, hp: ForestHyperparameters,
                        trees=trees, oob_accuracy=oob_accuracy)
 
 
+def _distinct(bins: list[np.ndarray], radices: list[int]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct combination of bins, and each row's
+    index among those combinations, in lexicographic order.
+
+    bins[f] holds column f of every row, each below radices[f]. The columns
+    are packed into one int64 code in mixed radix. Where the next radix would
+    overflow int64, the code is first replaced by its index among the
+    distinct codes so far: that index is below the row count, and it keeps
+    the order of the codes.
+    """
+    code = np.zeros(bins[0].size, dtype=np.int64)
+    size = 1  # every code so far is below size
+    for b, radix in zip(bins, radices):
+        if size * radix > 2 ** 63:
+            seen, code = np.unique(code, return_inverse=True)
+            size = seen.size
+        code *= radix
+        code += b
+        size *= radix
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def segment_volume(model: ForestModel, volume: Volume, *,
                    threads: int = 1) -> tuple[Volume, Volume]:
     """Per-voxel classification of a grayscale volume.
@@ -561,8 +550,12 @@ def segment_volume(model: ForestModel, volume: Volume, *,
     the trees with at most SLAB_VOXELS / n_trees cells, so that together
     they hold no more cells than a slab has voxels; a tree with more is
     handled per slab, as by predict_batch. The output does not depend on
-    the thread count or the slab height.
+    the thread count or the slab height. A model with more than 256 classes
+    is refused, as its ids do not fit the uint8 labels.
     """
+    if model.n_classes > 256:
+        raise BadParams(f"the model has {model.n_classes} classes, but a u8 "
+                        f"label volume holds at most 256")
     nz, ny, nx = volume.data.shape
     plane = ny * nx
     labels = np.empty(nz * plane, dtype=np.uint8)
@@ -572,12 +565,9 @@ def segment_volume(model: ForestModel, volume: Volume, *,
     def predict(z0: int, z1: int, features: np.ndarray) -> None:
         ids, probs, inverse = model._predict_distinct(
             features.reshape(-1, features.shape[-1]), tables)
-        ids = ids.astype(np.uint8)
         conf = probs.max(axis=1).astype(np.float32)
-        if inverse is not None:
-            ids, conf = ids[inverse], conf[inverse]
-        labels[z0 * plane:z1 * plane] = ids
-        confidence[z0 * plane:z1 * plane] = conf
+        labels[z0 * plane:z1 * plane] = ids.astype(np.uint8)[inverse]
+        confidence[z0 * plane:z1 * plane] = conf[inverse]
 
     map_slabs(volume, model.feature_bank, predict, threads=threads)
     label_vol = volume.with_data(labels.reshape(nz, ny, nx), value_kind="label",

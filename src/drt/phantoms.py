@@ -21,17 +21,6 @@ log = logging.getLogger(__name__)
 DEFAULT_INTENSITIES = (50.0, 200.0, 120.0, 230.0)  # pore, matrix, extra phases
 
 
-def _coordinate_grids(dims):
-    nx, ny, nz = dims
-    z, y, x = np.meshgrid(
-        np.arange(nz, dtype=np.float64),
-        np.arange(ny, dtype=np.float64),
-        np.arange(nx, dtype=np.float64),
-        indexing="ij",
-    )
-    return x, y, z
-
-
 def _paint_sphere(labels: np.ndarray, center, radius: float) -> None:
     cx, cy, cz = center
     nz, ny, nx = labels.shape

@@ -1,8 +1,10 @@
 """Command line pipeline: train, segment, analyze, classify, report."""
 
+import dataclasses
 import filecmp
 import json
 import logging
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -11,7 +13,8 @@ import numpy as np
 import pytest
 
 from drt import load_volume, make_phantom, save_volume
-from drt.cli import main
+from drt.cli import config_from_json_dict, main, PipelineConfig
+from drt.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +161,24 @@ class TestSegment:
                    "--model", str(bad), "--out", str(tmp_path / "s.raw")])
         assert rc == 2
 
+    def test_class_ids_above_uint8_exit_2(self, workdir, trained, tmp_path):
+        # every leaf says class 299, which a u8 label would wrap to 43
+        doc = json.loads(trained.read_text())
+        doc["class_names"] = [f"c{i}" for i in range(300)]
+        for tree in doc["trees"]:
+            tree["probs"] = [[0.0] * 299 + [1.0] for _ in tree["probs"]]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "drt.cli", "segment",
+             "--volume", str(workdir / "gray.raw"), "--model", str(model),
+             "--out", str(tmp_path / "s.raw")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "300 classes" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "s.raw").exists()
+
     @pytest.mark.parametrize("field, value", [
         ("left", 0),         # the root is its own child: the walk never ends
         ("left", 10**6),     # child beyond the last node
@@ -205,7 +226,7 @@ class TestSegment:
         assert len(lines) == 1
         assert lines[0].startswith("forest predict: 8 trees, ")
         assert f", {24 ** 3} rows, " in lines[0]
-        assert lines[0].endswith(" bin codes, fallback no")
+        assert lines[0].endswith(" bin codes")
         for suffix in (".raw", "_confidence.raw"):
             assert ((tmp_path / f"loud{suffix}").read_bytes()
                     == (tmp_path / f"quiet{suffix}").read_bytes())
@@ -527,6 +548,59 @@ class TestCommonFlags:
                    "--config", str(tmp_path / "cfg.json"),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
+
+
+
+# every config key: its section, a value other than the default, and the
+# PipelineConfig field (dotted into feature_bank and forest) it sets
+CONFIG_KEYS = [
+    ("feature_bank", "sigmas_vox", [1.0, 3.0], "feature_bank.sigmas_vox", (1.0, 3.0)),
+    ("feature_bank", "include_raw", False, "feature_bank.include_raw", False),
+    ("feature_bank", "boundary_mode", "clamp", "feature_bank.boundary_mode", "clamp"),
+    ("forest", "n_trees", 7, "forest.n_trees", 7),
+    ("forest", "max_depth", 5, "forest.max_depth", 5),
+    ("forest", "min_samples_split", 3, "forest.min_samples_split", 3),
+    ("forest", "features_per_split", 2, "forest.features_per_split", 2),
+    ("forest", "bag_fraction", 0.5, "forest.bag_fraction", 0.5),
+    ("segmentation", "class_names", ["a", "b"], "class_names", ["a", "b"]),
+    ("segmentation", "pore_classes", [1], "pore_classes", (1,)),
+    ("segmentation", "micropore_classes", [2], "micropore_classes", (2,)),
+    ("segmentation", "connectivity", 6, "connectivity", 6),
+    ("throat", "n_bins", 8, "n_bins", 8),
+    ("throat", "cutoffs_um", [5.0, 50.0], "cutoffs_um", (5.0, 50.0)),
+    ("petro", "micro_weight", 0.25, "micro_weight", 0.25),
+    ("petro", "epsilon", 0.2, "epsilon", 0.2),
+    ("camo", "relations_path", "r.json", "camo_relations_path", "r.json"),
+    ("camo", "catalog_path", "c.json", "catalog_path", "c.json"),
+    ("capillary", "c", 2.0, "pfunction_c", 2.0),
+    ("capillary", "e", 0.7, "pfunction_e", 0.7),
+    ("capillary", "s_wi", 0.2, "s_wi", 0.2),
+    ("capillary", "p_cu_psi", 100.0, "p_cu_psi", 100.0),
+    ("capillary", "p_cu_ratio", 4.0, "p_cu_ratio", 4.0),
+    ("capillary", "s_w_anchor", 0.5, "s_w_anchor", 0.5),
+]
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("section, key, value, field, parsed", CONFIG_KEYS)
+    def test_each_key_sets_its_own_field(self, section, key, value, field,
+                                         parsed):
+        want = PipelineConfig()
+        name, _, sub = field.partition(".")
+        if sub:
+            parsed = dataclasses.replace(getattr(want, name), **{sub: parsed})
+        assert getattr(want, name) != parsed  # the value is not the default
+        want = dataclasses.replace(want, **{name: parsed})
+        assert config_from_json_dict({section: {key: value}}) == want
+
+    @pytest.mark.parametrize("section", dict.fromkeys(s for s, *_ in CONFIG_KEYS))
+    def test_unknown_key_names_its_section(self, section):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"unknown keys in config section {section!r}: ['zz']")):
+            config_from_json_dict({section: {"zz": 1}})
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config section {section!r} must be an object")):
+            config_from_json_dict({section: []})
 
 
 class TestConsoleScript:

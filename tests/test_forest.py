@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from drt import (
     train_forest,
 )
 from drt.filters import slab_bounds
-from drt.forest import _Tree
+from drt.forest import _distinct, _Tree
 
 
 def bank_for(n_features):
@@ -298,6 +299,39 @@ def chain_tree(f, thresholds):
                  probs=np.column_stack([p, 1.0 - p]))
 
 
+def bin_groups(model, x):
+    """The first row of each distinct bin code and each row's index among
+    them, from the forest's bins stacked into one row per input row."""
+    bins = np.stack([np.searchsorted(u, x[:, f].astype(np.float64), "left")
+                     for f, u in enumerate(model._edges())], axis=1)
+    _, first, inverse = np.unique(bins, axis=0, return_index=True,
+                                  return_inverse=True)
+    return first, inverse.ravel()
+
+
+def predict_distinct(model, x, tables=None):
+    """_predict_distinct gathered back to the rows, its index, and the
+    numbers of table trees and of bin codes that its debug line reports."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("drt.forest")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        labels, probs, inverse = model._predict_distinct(x, tables)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    [message] = messages
+    n_tables, n_codes = re.fullmatch(
+        r"forest predict: \d+ trees, (\d+) by table, \d+ nodes, \d+ rows, "
+        r"(\d+) bin codes", message).groups()
+    assert int(n_codes) == labels.size
+    return labels[inverse], probs[inverse], inverse, int(n_tables), int(n_codes)
+
+
 class TestBinnedPrediction:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(1, 5),
@@ -322,19 +356,19 @@ class TestBinnedPrediction:
             np.nextafter(thresholds, -np.inf), thresholds.astype(np.float32),
             [np.nan, np.inf, -np.inf], rng.normal(size=4)])
         x = rng.choice(pool, size=(300, n_features)).astype(dtype)
-        assert model._bin_groups(x) is not None
+        assert np.array_equal(model._predict_distinct(x)[2], bin_groups(model, x)[1])
         labels, probs = model.predict_batch(x)
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)
 
-    @pytest.mark.parametrize("n_features, per_feature, fallback", [
+    @pytest.mark.parametrize("n_features, per_feature, overflow", [
         (63, 1, False),  # 2**63 codes: the largest is int64 max
         (64, 1, True),
         (64, 2, True),
     ])
-    def test_code_space_beyond_int64_walks_every_row(self, n_features,
-                                                     per_feature, fallback):
+    def test_code_space_beyond_int64_groups_rows(self, n_features, per_feature,
+                                                 overflow):
         rng = np.random.default_rng(n_features + per_feature)
         cuts = rng.normal(size=(n_features, per_feature))
         cuts.sort(axis=1)
@@ -346,8 +380,10 @@ class TestBinnedPrediction:
                                [np.nan, np.inf, -np.inf]])
         x = np.vstack([rng.choice(pool, size=(200, n_features)),
                        np.full((1, n_features), np.inf)])
-        assert (model._bin_groups(x) is None) == fallback
-        labels, probs = model.predict_batch(x)
+        assert (math.prod(u.size + 1 for u in model._edges()) > 2 ** 63) == overflow
+        labels, probs, inverse, _, n_codes = predict_distinct(model, x)
+        assert n_codes <= 201
+        assert np.array_equal(inverse, bin_groups(model, x)[1])
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)
@@ -359,11 +395,31 @@ class TestBinnedPrediction:
         x = np.vstack([ts.features, ts.features])
         with caplog.at_level(logging.DEBUG, logger="drt.forest"):
             model.predict_batch(x)
-        n_codes = model._bin_groups(x)[0].size
+        n_codes = bin_groups(model, x)[0].size
         nodes = sum(t.feature.size for t in model.trees)
         assert [r.getMessage() for r in caplog.records] == [
             f"forest predict: 3 trees, 3 by table, {nodes} nodes, 160 rows, "
-            f"{n_codes} bin codes, fallback no"]
+            f"{n_codes} bin codes"]
+
+
+class TestDistinct:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 60),
+           radices=st.lists(st.one_of(st.just(1), st.integers(2, 5),
+                                      st.integers(2 ** 31, 2 ** 32)),
+                            min_size=1, max_size=8))
+    def test_equals_unique_rows(self, seed, n_rows, radices):
+        # radices up to 2**32 overflow int64 after two or three columns, so
+        # the codes are re-densified zero, one or several times
+        rng = np.random.default_rng(seed)
+        # few values per column, so that rows repeat
+        bins = [rng.choice(rng.integers(0, r, size=3, dtype=np.uint64), n_rows)
+                .astype(np.min_scalar_type(r - 1)) for r in radices]
+        first, inverse = _distinct(bins, radices)
+        _, want_first, want_inverse = np.unique(
+            np.stack(bins, axis=1), axis=0, return_index=True, return_inverse=True)
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(inverse, want_inverse.ravel())
 
 
 def spine_tree(features, thresholds):
@@ -405,8 +461,9 @@ class TestCellTables:
         model = train_forest(ts, ForestHyperparameters(n_trees=n_trees),
                              bank_for(n_features), seed=seed)
         x = threshold_rows(model.trees, n_rows, n_features, rng).astype(dtype)
-        labels, probs, n_tables = model._tabulate(x)
-        assert n_tables == sum(cell_count(t) <= n_rows for t in model.trees)
+        labels, probs, inverse, n_tables, n_codes = predict_distinct(model, x)
+        assert np.array_equal(inverse, bin_groups(model, x)[1])
+        assert n_tables == sum(cell_count(t) <= n_codes for t in model.trees)
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)
@@ -426,8 +483,9 @@ class TestCellTables:
         cells = [cell_count(t) for t in model.trees]
         assert [t is not None for t in tables] == [c <= max_cells for c in cells]
         x = threshold_rows(model.trees, n_rows, n_features, rng)
-        labels, probs, n_tables = model._tabulate(x, tables)
-        assert n_tables == sum(c <= max(max_cells, n_rows) for c in cells)
+        labels, probs, inverse, n_tables, n_codes = predict_distinct(model, x, tables)
+        assert np.array_equal(inverse, bin_groups(model, x)[1])
+        assert n_tables == sum(c <= max(max_cells, n_codes) for c in cells)
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)
@@ -446,8 +504,12 @@ class TestCellTables:
             feature_bank=bank_for(2), class_names=["a", "b"], rng_seed=0,
             trees=trees)
         assert [cell_count(t) for t in trees] == [3, 11, 4]
-        x = threshold_rows(trees, n_rows, 2, rng)
-        labels, probs, tables = model._tabulate(x)
+        # the first n_rows rows with distinct bin codes: a tree is tabulated
+        # when it has no more cells than there are distinct codes
+        x = threshold_rows(trees, 100, 2, rng)
+        x = x[np.sort(bin_groups(model, x)[0])[:n_rows]]
+        assert bin_groups(model, x)[0].size == n_rows
+        labels, probs, _, tables, _ = predict_distinct(model, x)
         assert tables == n_tables
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
@@ -465,8 +527,8 @@ class TestCellTables:
             trees=trees)
         assert [cell_count(t) for t in trees] == [10 ** 16] * 2
         x = threshold_rows(trees, 3000, 16, rng)
-        assert model._tabulate(x)[2] == 0
-        labels, probs = model.predict_batch(x)
+        labels, probs, _, n_tables, _ = predict_distinct(model, x)
+        assert n_tables == 0
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)
@@ -480,15 +542,17 @@ class TestCellTables:
             feature_bank=bank_for(1), class_names=["a", "b"], rng_seed=0,
             trees=[tree])
         x = np.vstack([threshold_rows([tree], 400, 1, rng), [[np.inf]], [[np.nan]]])
-        labels, probs, n_tables = model._tabulate(x)
+        # a table built ahead: the rows hold fewer than 257 distinct bins
+        labels, probs, _, n_tables, _ = predict_distinct(model, x,
+                                                          model._cell_tables(257))
         assert n_tables == 1
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)
 
-    def test_code_space_beyond_int64_tabulates_every_row(self, caplog):
-        # 64 one-split trees overflow the codes; a 301-cell tree exceeds
-        # the 201 rows and walks them
+    def test_code_space_beyond_int64_tabulates_distinct_rows(self, caplog):
+        # 64 one-split trees overflow the codes, which are re-densified; a
+        # 301-cell tree exceeds the at most 201 distinct rows and walks them
         rng = np.random.default_rng(64)
         cuts = rng.normal(size=64)
         trees = [chain_tree(f, [c]) for f, c in enumerate(cuts)]
@@ -498,12 +562,14 @@ class TestCellTables:
             feature_bank=bank_for(64), class_names=["a", "b"], rng_seed=0,
             trees=trees)
         x = np.vstack([threshold_rows(trees, 200, 64, rng), np.full((1, 64), np.inf)])
-        assert model._bin_groups(x) is None
+        assert math.prod(u.size + 1 for u in model._edges()) > 2 ** 63
         with caplog.at_level(logging.DEBUG, logger="drt.forest"):
             labels, probs = model.predict_batch(x)
         message = caplog.records[0].getMessage()
         assert message.startswith("forest predict: 65 trees, 64 by table, ")
-        assert message.endswith(", 201 rows, n/a bin codes, fallback yes")
+        n_codes = bin_groups(model, x)[0].size
+        assert n_codes <= 201
+        assert message.endswith(f", 201 rows, {n_codes} bin codes")
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)
@@ -585,6 +651,34 @@ class TestSegmentVolume:
         for threads in (1, 4):
             with pytest.raises(SigmaTooLarge):
                 segment_volume(model, thin, threads=threads)
+
+    @pytest.mark.parametrize("n_classes, rejected", [(256, False), (300, True)])
+    def test_class_ids_above_uint8_are_rejected(self, monkeypatch, n_classes,
+                                                rejected):
+        model = leaf_model(n_classes, FeatureBankConfig(sigmas_vox=(1.0,)))
+        vol = Volume(header=VolumeHeader(dims=(4, 4, 4), voxel_size_um=1.0),
+                     data=np.zeros((4, 4, 4), dtype=np.float32))
+        if not rejected:
+            seg, _ = segment_volume(model, vol)
+            assert (seg.data == n_classes - 1).all()
+            return
+        monkeypatch.setattr("drt.forest.map_slabs",
+                            lambda *args, **kwargs: pytest.fail("a slab ran"))
+        with pytest.raises(BadParams, match=f"{n_classes} classes"):
+            segment_volume(model, vol)
+
+
+def leaf_model(n_classes, bank):
+    """A one-tree model whose single leaf says the last class."""
+    probs = np.zeros((1, n_classes))
+    probs[0, -1] = 1.0
+    tree = _Tree(feature=np.array([-1], dtype=np.int32), threshold=np.zeros(1),
+                 left=np.array([-1], dtype=np.int32),
+                 right=np.array([-1], dtype=np.int32), probs=probs)
+    return ForestModel(hyperparameters=ForestHyperparameters(n_trees=1),
+                       feature_bank=bank,
+                       class_names=[f"c{i}" for i in range(n_classes)],
+                       rng_seed=0, trees=[tree])
 
 
 class TestModelIo:
