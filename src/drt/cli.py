@@ -3,6 +3,10 @@
 Each stage reads and writes plain files so runs can be resumed and
 inspected. Exit codes: 0 on success, 2 for bad inputs or configuration,
 3 for numeric failures, 4 for file-system failures.
+
+Each ``cmd_*`` imports the layers it runs when it starts, so a process
+loads only its own stage's code: ``classify`` and ``report`` load neither
+numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -15,24 +19,10 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from .capillary import (PFunction, build_pc_curve, export_pc_csv,
-                        pc_shape_features, pcd_from_permeability,
-                        save_pc_curve_json)
+from .config import FeatureBankConfig, ForestHyperparameters
 from .errors import (BadParams, ConfigError, InputError, IoError, IoFailure,
                      MissingArtifacts, NumericError)
 from .fileio import read_json, read_text, write_json, write_text
-from .filters import FeatureBankConfig, sample_features
-from .forest import (ForestHyperparameters, load_labels_csv, load_model,
-                     save_model, segment_volume, TrainingSet, train_forest)
-from .morphology import (binary_mask, connected_components, local_thickness,
-                         throat_distribution)
-from .petro import (classify_modality, DEFAULT_CAMO, estimate_permeability,
-                    load_camo, porosity_from_labels)
-from .rocktype import (camo_check, ChartSample, classify, decode_code,
-                       default_catalog, emit_camo_chart, load_catalog)
-from .volume import load_volume, save_volume
 
 log = logging.getLogger("drt")
 
@@ -188,6 +178,10 @@ def _ensure_dir(path: Path) -> Path:
 
 
 def cmd_train(args) -> int:
+    from .filters import sample_features
+    from .forest import load_labels_csv, save_model, train_forest, TrainingSet
+    from .volume import load_volume
+
     cfg = load_config(args.config)
     volume = load_volume(args.volume)
     coords, labels = load_labels_csv(args.labels, dims=volume.dims)
@@ -213,6 +207,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_segment(args) -> int:
+    import numpy as np
+
+    from .forest import load_model, segment_volume
+    from .volume import load_volume, save_volume
+
     volume = load_volume(args.volume)
     model = load_model(args.model)
     label_vol, conf_vol = segment_volume(model, volume, threads=args.threads)
@@ -229,6 +228,17 @@ def cmd_segment(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .capillary import (build_pc_curve, export_pc_csv, pc_shape_features,
+                            pcd_from_permeability, PFunction,
+                            save_pc_curve_json)
+    from .morphology import (binary_mask, connected_components,
+                             local_thickness, throat_distribution)
+    from .petro import (classify_modality, DEFAULT_CAMO,
+                        estimate_permeability, load_camo,
+                        porosity_from_labels)
+    from .rocktype import classify, default_catalog, load_catalog
+    from .volume import load_volume
+
     cfg = load_config(args.config)
     labels = load_volume(args.labels)
     out_dir = _ensure_dir(Path(args.out))
@@ -337,6 +347,10 @@ def _rows_from_csv(path: Path) -> list[dict]:
 
 
 def cmd_classify(args) -> int:
+    from .petro import DEFAULT_CAMO, load_camo
+    from .rocktype import (camo_check, ChartSample, classify, decode_code,
+                           default_catalog, emit_camo_chart, load_catalog)
+
     cfg = load_config(args.config)
     direct = [args.k, args.pcd, args.pcu, args.swi]
     sources = [args.analysis is not None, args.samples is not None,

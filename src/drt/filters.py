@@ -24,76 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import _BOUNDARY_TO_SCIPY, FeatureBankConfig
 from .errors import BadSigmaOrder, DegenerateHistogram, NoConvergence, SigmaTooLarge
 from .rng import SplitMix64
 from .volume import Volume
-
-_BOUNDARY_TO_SCIPY = {"mirror": "reflect", "clamp": "nearest"}
 
 # voxels per slab before the halo floor; 24 planes at 96^3
 SLAB_VOXELS = 1 << 18
 
 log = logging.getLogger(__name__)
-
-
-def _format_sigma(sigma: float) -> str:
-    if float(sigma).is_integer():
-        return str(int(sigma))
-    return repr(float(sigma))
-
-
-@dataclass(frozen=True)
-class FeatureBankConfig:
-    """Scales and switches defining the per-voxel feature vector.
-
-    Features are ordered [raw?, G(s1)..G(sk), DoG(s1,s2)..DoG(s{k-1},sk)],
-    so the count is (1 if include_raw) + k + (k - 1).
-    """
-
-    sigmas_vox: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
-    include_raw: bool = True
-    boundary_mode: str = "mirror"
-
-    def __post_init__(self):
-        sigmas = tuple(float(s) for s in self.sigmas_vox)
-        if not sigmas:
-            raise ValueError("sigmas_vox must not be empty")
-        if any(s <= 0 for s in sigmas):
-            raise ValueError(f"sigmas must be positive, got {sigmas}")
-        if any(b >= a for a, b in zip(sigmas[1:], sigmas)):
-            raise ValueError(f"sigmas must be strictly ascending, got {sigmas}")
-        if self.boundary_mode not in _BOUNDARY_TO_SCIPY:
-            raise ValueError(f"boundary_mode must be one of {tuple(_BOUNDARY_TO_SCIPY)}")
-        object.__setattr__(self, "sigmas_vox", sigmas)
-
-    @property
-    def feature_count(self) -> int:
-        k = len(self.sigmas_vox)
-        return (1 if self.include_raw else 0) + k + (k - 1)
-
-    def feature_names(self) -> list[str]:
-        names = ["raw"] if self.include_raw else []
-        names += [f"gauss_{_format_sigma(s)}" for s in self.sigmas_vox]
-        names += [
-            f"dog_{_format_sigma(a)}_{_format_sigma(b)}"
-            for a, b in zip(self.sigmas_vox, self.sigmas_vox[1:])
-        ]
-        return names
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sigmas_vox": list(self.sigmas_vox),
-            "include_raw": self.include_raw,
-            "boundary_mode": self.boundary_mode,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FeatureBankConfig":
-        return cls(
-            sigmas_vox=tuple(d["sigmas_vox"]),
-            include_raw=bool(d["include_raw"]),
-            boundary_mode=d["boundary_mode"],
-        )
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:

@@ -28,69 +28,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadHyperparameters, BadModelFile, BadParams, DimensionMismatch,
+from .config import FeatureBankConfig, ForestHyperparameters
+from .errors import (BadModelFile, BadParams, DimensionMismatch,
                      EmptyClass, VersionMismatch)
 from .fileio import read_json, read_text, write_json
-from .filters import FeatureBankConfig, map_slabs, SLAB_VOXELS
+from .filters import map_slabs, SLAB_VOXELS
 from .rng import SplitMix64
 from .volume import Volume
 
 MODEL_FORMAT_VERSION = 1
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class ForestHyperparameters:
-    n_trees: int = 100
-    max_depth: int = 16
-    min_samples_split: int = 2
-    features_per_split: int | None = None
-    bag_fraction: float = 1.0
-
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise BadHyperparameters(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.max_depth < 1:
-            raise BadHyperparameters(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.min_samples_split < 2:
-            raise BadHyperparameters(
-                f"min_samples_split must be >= 2, got {self.min_samples_split}")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise BadHyperparameters(
-                f"features_per_split must be >= 1, got {self.features_per_split}")
-        if not 0.0 < self.bag_fraction <= 1.0:
-            raise BadHyperparameters(
-                f"bag_fraction must be in (0, 1], got {self.bag_fraction}")
-
-    def resolved_features_per_split(self, n_features: int) -> int:
-        if self.features_per_split is not None:
-            if self.features_per_split > n_features:
-                raise BadHyperparameters(
-                    f"features_per_split {self.features_per_split} exceeds "
-                    f"feature count {n_features}")
-            return self.features_per_split
-        return max(1, min(n_features, math.ceil(math.sqrt(n_features))))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "features_per_split": self.features_per_split,
-            "bag_fraction": self.bag_fraction,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ForestHyperparameters":
-        return cls(
-            n_trees=int(d["n_trees"]),
-            max_depth=int(d["max_depth"]),
-            min_samples_split=int(d["min_samples_split"]),
-            features_per_split=(None if d.get("features_per_split") is None
-                                else int(d["features_per_split"])),
-            bag_fraction=float(d["bag_fraction"]),
-        )
 
 
 @dataclass

@@ -12,14 +12,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (BadParams, InsufficientSamples, MissingClassCoefficients,
                      NonPositiveValue, UnknownClassId)
 from .fileio import read_json, read_text, write_json
-from .morphology import ComponentMap, PoreThroatDistribution
-from .volume import Volume
+
+if TYPE_CHECKING:  # used in annotations only, so classify loads neither
+    from .morphology import ComponentMap, PoreThroatDistribution
+    from .volume import Volume
 
 BANDS = ("micro", "meso", "macro")
 PRESENCE_EPSILON = 0.10
@@ -37,6 +38,8 @@ def porosity_from_labels(labels: Volume, pore_classes,
     sets must be disjoint; when ``n_classes`` is given, every label in the
     volume must lie in [0, n_classes).
     """
+    import numpy as np
+
     pore = frozenset(int(c) for c in pore_classes)
     micro = frozenset(int(c) for c in micropore_classes)
     if not pore:
@@ -241,6 +244,8 @@ def fit_camo(samples) -> CamoRelation:
     porosities must lie in (0, 1) and permeabilities must be positive.
     The fit is least squares on log10 k versus log10 phi.
     """
+    import numpy as np
+
     by_class: dict[str, list[tuple[float, float]]] = {}
     for i, (phi, k, name) in enumerate(samples):
         phi, k = float(phi), float(k)

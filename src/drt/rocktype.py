@@ -20,8 +20,6 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import BadParams, MalformedCode, NonPositiveValue
 from .fileio import read_json, write_csv, write_json, write_text
 from .petro import CamoRelation
@@ -385,6 +383,17 @@ def _decade_bounds(values: list[float], fallback: tuple[int, int]) -> tuple[int,
     return lo, hi
 
 
+def _geomspace(lo: float, hi: float, num: int) -> list[float]:
+    """``np.geomspace(lo, hi, num)`` for 0 < lo <= hi and num >= 2, in math.
+
+    The same formula: 10 to the power of evenly spaced log10 values, and
+    both endpoints exact. Inner points may differ from numpy's by a few ulp.
+    """
+    log_lo = math.log10(lo)
+    step = (math.log10(hi) - log_lo) / (num - 1)
+    return [lo, *(10.0 ** (i * step + log_lo) for i in range(1, num - 1)), hi]
+
+
 def _class_color(name: str, order: list[str]) -> str:
     if name in _CLASS_COLORS:
         return _CLASS_COLORS[name]
@@ -461,7 +470,7 @@ def emit_camo_chart(relation: CamoRelation, samples: list[ChartSample],
         hi = x_axis.clamp(max(coeffs.phi_max, coeffs.phi_min, 1e-12))
         if hi <= lo:
             continue
-        phis = np.geomspace(lo, hi, 64)
+        phis = _geomspace(lo, hi, 64)
         points = " ".join(
             f"{x_axis.place(p):.2f},"
             f"{y_axis.place(y_axis.clamp(coeffs.permeability(p))):.2f}"

@@ -9,7 +9,7 @@ The on-disk format is a headerless packed RAW blob next to a JSON sidecar
 describing dims, voxel size, value kind, element encoding, and byte order.
 The declared element encoding is the storage format; computed volumes
 (distances, thicknesses) may carry wider in-memory dtypes and are cast on
-save.
+save. The cast to f32 rounds; u8 and u16 refuse values they cannot hold.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadHeader, IoFailure, SizeMismatch
+from .errors import BadHeader, BadParams, IoFailure, SizeMismatch
 from .fileio import read_json, write_json
 
 VALUE_KINDS = ("grayscale", "label", "distance", "throat_size")
@@ -181,9 +181,33 @@ def load_volume(raw_path: str | Path) -> Volume:
     return Volume(header, data)
 
 
+def _check_storable(volume: Volume, raw_path: Path) -> None:
+    """Raise BadParams unless a u8 or u16 encoding holds every value exactly.
+
+    f32 is a documented lossy cast; a safe cast (uint8 into u16) needs no scan.
+    """
+    data, encoding = volume.data, volume.header.element_encoding
+    storage = volume.header.storage_dtype
+    if encoding == "f32" or np.can_cast(data.dtype, storage, "safe"):
+        return
+    top = np.iinfo(storage).max
+    lo, hi = data.min(), data.max()
+    if not 0 <= lo <= hi <= top:  # NaN fails too
+        raise BadParams(f"cannot save {raw_path}: values {lo}..{hi} do not "
+                        f"fit the {encoding} encoding (0..{top})")
+    if data.dtype.kind == "f" and (data != np.trunc(data)).any():
+        raise BadParams(f"cannot save {raw_path}: the {encoding} encoding "
+                        f"holds whole numbers, but the data has fractions")
+
+
 def save_volume(volume: Volume, raw_path: str | Path) -> None:
-    """Write the RAW blob and JSON sidecar; load_volume reproduces the volume."""
+    """Write the RAW blob and JSON sidecar; load_volume reproduces the volume.
+
+    Data that a u8 or u16 encoding cannot hold exactly (negative, too large
+    or not whole) raises BadParams before anything is written.
+    """
     raw_path = Path(raw_path)
+    _check_storable(volume, raw_path)
     dtype = volume.header.storage_dtype
     data = np.ascontiguousarray(volume.data, dtype=dtype)
     try:

@@ -634,3 +634,76 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "train" in proc.stdout
         assert "classify" in proc.stdout
+
+
+# runs main() on the arguments, if any, then prints the loaded modules
+_LOADED = """\
+import json, sys
+from drt.cli import main
+rc = 0
+if sys.argv[1:]:
+    try:
+        rc = main(sys.argv[1:])
+    except SystemExit as exc:
+        rc = exc.code
+print(json.dumps(sorted(sys.modules)))
+sys.exit(rc)
+"""
+
+
+def loaded_modules(*argv) -> set[str]:
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *map(str, argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def drt_layers(modules: set[str]) -> set[str]:
+    return {m.split(".")[1] for m in modules if m.startswith("drt.")}
+
+
+class TestModuleLoads:
+    """Each subcommand loads only the layers it runs."""
+
+    @pytest.mark.parametrize("argv", [(), ("--help",)])
+    def test_import_and_help_load_no_numpy(self, argv):
+        modules = loaded_modules(*argv)
+        assert "numpy" not in modules
+        assert drt_layers(modules) == {"cli", "config", "errors", "fileio"}
+
+    def test_report_loads_only_cli_and_its_helpers(self, analyzed, tmp_path):
+        modules = loaded_modules("report", "--run", analyzed,
+                                 "--out", tmp_path)
+        assert not {"numpy", "scipy"} & modules
+        assert drt_layers(modules) == {"cli", "config", "errors", "fileio"}
+
+    def test_classify_loads_no_numeric_layer(self, analyzed, tmp_path):
+        modules = loaded_modules("classify", "--analysis",
+                                 analyzed / "analysis.json", "--out", tmp_path)
+        assert not {"numpy", "scipy"} & modules
+        assert not {"filters", "forest", "morphology", "volume", "capillary",
+                    "rng", "phantoms"} & drt_layers(modules)
+
+    @pytest.mark.parametrize("stage", ["train", "segment"])
+    def test_train_and_segment_load_no_analysis_layer(self, workdir, trained,
+                                                      tmp_path, stage):
+        if stage == "train":
+            argv = ("train", "--volume", workdir / "gray.raw",
+                    "--labels", workdir / "labels.csv",
+                    "--config", workdir / "config.json",
+                    "--out", tmp_path / "model.json")
+        else:
+            argv = ("segment", "--volume", workdir / "gray.raw",
+                    "--model", trained, "--out", tmp_path / "seg.raw")
+        layers = drt_layers(loaded_modules(*argv))
+        assert {"filters", "forest", "volume"} <= layers
+        assert not {"morphology", "petro", "rocktype", "capillary",
+                    "phantoms"} & layers
+
+    def test_analyze_loads_no_segmentation_layer(self, segmented, workdir,
+                                                 tmp_path):
+        layers = drt_layers(loaded_modules(
+            "analyze", "--labels", segmented,
+            "--config", workdir / "config.json", "--out", tmp_path))
+        assert {"morphology", "petro", "capillary", "rocktype"} <= layers
+        assert not {"filters", "forest", "rng", "phantoms"} & layers

@@ -1,13 +1,16 @@
 """Rock-type catalog engine, code decoding, consistency check, chart."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drt import (
     BadParams,
+    CamoCoefficients,
     CamoRelation,
     CatalogRule,
     ChartSample,
@@ -24,6 +27,7 @@ from drt import (
     load_catalog,
     save_catalog,
 )
+from drt.rocktype import _geomspace
 
 
 def sample_for(rule):
@@ -338,3 +342,48 @@ class TestCamoChart:
         bad = [ChartSample(phi=0.0, k_md=1.0, camo_class="connected")]
         with pytest.raises(NonPositiveValue):
             emit_camo_chart(DEFAULT_CAMO, bad, tmp_path / "x.svg")
+
+
+class TestChartSpacing:
+    """The chart's 64 porosities per class come from math, not numpy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ends=st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                         min_size=2, max_size=2).map(sorted))
+    def test_matches_numpy_geomspace(self, ends):
+        lo, hi = ends
+        got = np.array(_geomspace(lo, hi, 64))
+        want = np.geomspace(lo, hi, 64)
+        assert got[0] == lo and got[-1] == hi
+        # both take 10 ** (i * step + log10(lo)); an ulp apart in log10 or
+        # pow moves the power by up to |log10(lo)| ulp
+        ulps = np.abs(got - want) / np.spacing(want)
+        assert ulps.max() <= 16 * max(1.0, -math.log10(lo))
+
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=st.lists(st.tuples(
+        st.floats(1e-3, 1e6), st.floats(0.5, 8.0),
+        st.floats(1e-4, 1.0), st.floats(1e-4, 1.0)), min_size=1, max_size=3))
+    def test_svg_bytes_equal_numpy_spacing(self, coeffs, tmp_path_factory):
+        rel = CamoRelation(coefficients={
+            name: CamoCoefficients(a=a, b=b, phi_min=min(p, q), phi_max=max(p, q))
+            for name, (a, b, p, q) in zip(("connected", "micropore", "vuggy"),
+                                          coeffs)})
+        out = tmp_path_factory.mktemp("spacing")
+        emit_camo_chart(rel, [], out / "math.svg")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("drt.rocktype._geomspace", np.geomspace)
+            emit_camo_chart(rel, [], out / "numpy.svg")
+        assert (out / "math.svg").read_bytes() == (out / "numpy.svg").read_bytes()
+
+    @pytest.mark.parametrize("with_samples, sha256", [
+        (True, "177b1eebdff8f436f4fa519a6643de7c77767885d156593f5130e5d2918561e1"),
+        (False, "dae3a70337fbe2854d26b1446aeed1bef60a283ff86219dc511554e5610a3abb"),
+    ])
+    def test_default_chart_bytes_are_pinned(self, tmp_path, with_samples,
+                                            sha256):
+        # digests of the chart as drawn through np.geomspace
+        samples = TestCamoChart().samples() if with_samples else []
+        emit_camo_chart(DEFAULT_CAMO, samples, tmp_path / "chart.svg")
+        digest = hashlib.sha256((tmp_path / "chart.svg").read_bytes())
+        assert digest.hexdigest() == sha256

@@ -7,6 +7,8 @@ import pytest
 
 from drt import (
     BadHeader,
+    BadParams,
+    connected_components,
     SizeMismatch,
     Volume,
     VolumeHeader,
@@ -192,3 +194,48 @@ class TestVolumeIo:
         save_volume(v, path)
         loaded = load_volume(path)
         assert loaded.data.dtype.isnative
+
+
+class TestStorableRange:
+    """u8 and u16 saves hold every value exactly or raise; f32 casts."""
+
+    @pytest.mark.parametrize("encoding, top", [("u8", 255), ("u16", 65535)])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_largest_value_round_trips(self, tmp_path, encoding, top, dtype):
+        v = make_volume(dims=(3, 1, 1), value_kind="label", encoding=encoding)
+        v = v.with_data(np.array([0, 7, top], dtype=dtype))
+        save_volume(v, tmp_path / "v.raw")
+        np.testing.assert_array_equal(load_volume(tmp_path / "v.raw").flat,
+                                      [0, 7, top])
+
+    @pytest.mark.parametrize("encoding, values, match", [
+        ("u8", np.array([0, 256]), r"0\.\.256 do not fit the u8"),
+        ("u16", np.array([0, 65536]), r"0\.\.65536 do not fit the u16"),
+        ("u16", np.array([-1, 3], dtype=np.int16), r"-1\.\.3 do not fit"),
+        ("u8", np.array([0.0, np.nan]), "do not fit the u8"),
+        ("u16", np.array([0.0, 2.5]), "has fractions"),
+    ])
+    def test_values_the_encoding_cannot_hold_raise(self, tmp_path, encoding,
+                                                   values, match):
+        v = make_volume(dims=(2, 1, 1), value_kind="label", encoding=encoding)
+        with pytest.raises(BadParams, match=match):
+            save_volume(v.with_data(values), tmp_path / "v.raw")
+        assert not (tmp_path / "v.raw").exists()
+
+    def test_component_ids_beyond_u16_raise(self, tmp_path):
+        # isolated voxels on every second lattice point: 41^3 = 68,921
+        # components under 6-connectivity, more than u16 holds
+        data = np.ones((81, 81, 81), dtype=np.uint8)
+        data[::2, ::2, ::2] = 0
+        labels = Volume(VolumeHeader((81, 81, 81), 1.0, "label", "u8"), data)
+        comp = connected_components(labels, 0, connectivity=6)
+        assert comp.n_components == 41 ** 3
+        with pytest.raises(BadParams, match="68921 do not fit the u16"):
+            save_volume(comp.volume, tmp_path / "comp.raw")
+
+    def test_float64_distances_still_cast_to_f32(self, tmp_path):
+        rng = np.random.default_rng(3)
+        data = rng.uniform(0.0, 1e6, 24) * rng.choice([1.0, -1.0], 24)
+        v = make_volume(dims=(4, 3, 2), value_kind="distance").with_data(data)
+        save_volume(v, tmp_path / "d.raw")
+        assert (tmp_path / "d.raw").read_bytes() == data.astype("<f4").tobytes()
