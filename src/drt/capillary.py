@@ -118,7 +118,7 @@ class PcCurve:
         except (KeyError, TypeError, ValueError) as exc:
             raise BadParams(f"bad Pc curve JSON: {exc}") from exc
         if math.isinf(lam):
-            anchor = min(s_wi + 0.05, 0.5 * (s_wi + 1.0))
+            anchor = _default_anchor(s_wi)
         else:
             # invert the anchor condition p_cu = p_cd * S_we**(-1/lam)
             anchor = s_wi + (1.0 - s_wi) * (p_cd / p_cu) ** lam
@@ -126,16 +126,20 @@ class PcCurve:
                    s_w_anchor=anchor, lam=lam)
 
 
+def _default_anchor(s_wi: float) -> float:
+    return min(s_wi + 0.05, 0.5 * (s_wi + 1.0))
+
+
 def build_pc_curve(p_cd: float, p_cu: float, s_wi: float,
-                   s_w_anchor: float) -> PcCurve:
+                   s_w_anchor: float | None = None) -> PcCurve:
     """Solve the power-law exponent so the curve hits both anchors.
 
     1/lam = ln(p_cu/p_cd) / (-ln S_we(s_w_anchor)); p_cu = p_cd gives the
     flat curve (lam = +inf). Requires 0 < s_wi < s_w_anchor < 1 and
-    p_cu >= p_cd > 0.
+    p_cu >= p_cd > 0. s_w_anchor defaults to min(s_wi + 0.05, (s_wi + 1) / 2).
     """
-    p_cd, p_cu = float(p_cd), float(p_cu)
-    s_wi, s_w_anchor = float(s_wi), float(s_w_anchor)
+    p_cd, p_cu, s_wi = float(p_cd), float(p_cu), float(s_wi)
+    s_w_anchor = _default_anchor(s_wi) if s_w_anchor is None else float(s_w_anchor)
     if p_cd <= 0:
         raise NonPositiveInput(f"p_cd must be > 0 psi, got {p_cd}")
     if not 0.0 < s_wi < s_w_anchor < 1.0:

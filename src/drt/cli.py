@@ -96,12 +96,6 @@ class PipelineConfig:
             raise ConfigError(
                 f"s_w_anchor must lie in ({self.s_wi}, 1), got {self.s_w_anchor}")
 
-    @property
-    def anchor_saturation(self) -> float:
-        if self.s_w_anchor is not None:
-            return self.s_w_anchor
-        return min(self.s_wi + 0.05, 0.5 * (self.s_wi + 1.0))
-
 
 # sections read whole into the PipelineConfig field of the same name
 _NESTED = {"feature_bank": FeatureBankConfig, "forest": ForestHyperparameters}
@@ -169,6 +163,22 @@ def _read_json(path: Path) -> dict:
     return raw
 
 
+_JSON_KINDS = {float: "number", dict: "object", list: "array"}
+
+
+def _checked(value, kind: type, where: str):
+    """A JSON value that is null or of ``kind``, where float means a number.
+
+    Anything else raises BadParams naming ``where``, the file and key.
+    """
+    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+          if kind is float else isinstance(value, kind))
+    if value is not None and not ok:
+        raise BadParams(f"{where} must be a JSON {_JSON_KINDS[kind]}, "
+                        f"got {value!r}")
+    return value
+
+
 def _ensure_dir(path: Path) -> Path:
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -199,6 +209,7 @@ def cmd_train(args) -> int:
     training = TrainingSet(features=features, labels=labels,
                            class_names=class_names)
     model = train_forest(training, cfg.forest, cfg.feature_bank, seed=args.seed)
+    _ensure_dir(Path(args.out).parent)
     save_model(model, args.out)
     oob = "n/a" if model.oob_accuracy is None else f"{model.oob_accuracy:.4f}"
     print(f"oob_accuracy {oob}")
@@ -217,6 +228,7 @@ def cmd_segment(args) -> int:
     label_vol, conf_vol = segment_volume(model, volume, threads=args.threads)
     out = Path(args.out)
     conf_out = out.with_name(out.stem + "_confidence" + (out.suffix or ".raw"))
+    _ensure_dir(out.parent)
     save_volume(label_vol, out)
     save_volume(conf_vol, conf_out)
     counts = np.bincount(label_vol.data.ravel(), minlength=model.n_classes)
@@ -266,7 +278,7 @@ def cmd_analyze(args) -> int:
     pfunc = PFunction(c=cfg.pfunction_c, e=cfg.pfunction_e)
     p_cd = pcd_from_permeability(k_md, porosity, pfunc)
     p_cu = cfg.p_cu_psi if cfg.p_cu_psi is not None else cfg.p_cu_ratio * p_cd
-    curve = build_pc_curve(p_cd, p_cu, cfg.s_wi, cfg.anchor_saturation)
+    curve = build_pc_curve(p_cd, p_cu, cfg.s_wi, cfg.s_w_anchor)
     save_pc_curve_json(curve, out_dir / "pc_curve.json")
     export_pc_csv(curve, out_dir / "pc_curve.csv")
 
@@ -301,18 +313,16 @@ def cmd_analyze(args) -> int:
 
 def _rows_from_analysis(path: Path) -> list[dict]:
     a = _read_json(path)
-    try:
-        return [{
-            "k_md": float(a["permeability_md"]),
-            "p_cd_psi": float(a["p_cd_psi"]),
-            "p_cu_psi": float(a["p_cu_psi"]),
-            "s_wi": float(a["s_wi"]),
-            "phi": float(a["porosity"]),
-            "camo_class": str(a["camo_class"]),
-            "modality": a.get("modality", {}).get("modality"),
-        }]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadParams(f"{path} lacks classification inputs: {exc}") from exc
+    keys = {"k_md": "permeability_md", "p_cd_psi": "p_cd_psi",
+            "p_cu_psi": "p_cu_psi", "s_wi": "s_wi", "phi": "porosity"}
+    missing = [key for key in (*keys.values(), "camo_class") if a.get(key) is None]
+    if missing:
+        raise BadParams(f"{path} lacks classification inputs: {missing}")
+    row = {name: float(_checked(a[key], float, f"{path}: {key}"))
+           for name, key in keys.items()}
+    modality = _checked(a.get("modality"), dict, f"{path}: modality") or {}
+    return [row | {"camo_class": str(a["camo_class"]),
+                   "modality": modality.get("modality")}]
 
 
 def _rows_from_csv(path: Path) -> list[dict]:
@@ -418,11 +428,15 @@ def cmd_report(args) -> int:
     a = _read_json(analysis_path)
 
     def num(key, fmt="{:.6g}"):
-        value = a.get(key)
+        value = _checked(a.get(key), float, f"{analysis_path}: {key}")
         return "n/a" if value is None else fmt.format(value)
 
-    rock = a.get("rock_type", {})
-    modality = a.get("modality", {})
+    rock = _checked(a.get("rock_type"), dict, f"{analysis_path}: rock_type") or {}
+    modality = _checked(a.get("modality"), dict, f"{analysis_path}: modality") or {}
+    distance = _checked(modality.get("distance"), float,
+                        f"{analysis_path}: modality.distance")
+    violations = _checked(rock.get("violations"), list,
+                          f"{analysis_path}: rock_type.violations") or []
     lines = [
         "# Digital rock typing report",
         "",
@@ -433,7 +447,7 @@ def cmd_report(args) -> int:
         f"- Porosity: {num('porosity')}",
         f"- Modality: {modality.get('modality', 'n/a')} "
         f"(archetype: {modality.get('archetype', 'n/a')}, "
-        f"distance {modality.get('distance', float('nan')):.4g})",
+        f"distance {(math.nan if distance is None else distance):.4g})",
         f"- Permeability: {num('permeability_md')} mD "
         f"(CAMO class: {a.get('camo_class', 'n/a')})",
         "",
@@ -450,7 +464,7 @@ def cmd_report(args) -> int:
     ]
     if rock.get("code") == "UNCLASSIFIED":
         lines.append(f"- Nearest rule: {rock.get('nearest_code', 'n/a')}")
-        for v in rock.get("violations", []):
+        for v in violations:
             lines.append(f"  - {v}")
     lines.append("")
 

@@ -2,8 +2,8 @@
 
 Connectivity analysis takes a label volume plus the set of class ids
 regarded as foreground; the distance and thickness transforms take a
-binary mask volume (nonzero = foreground). Component ids are assigned in
-order of each component's first voxel in flat x-fastest order, with 0
+binary mask volume (nonzero = foreground). Component ids are scipy's, in
+order of each component's first voxel in flat x-fastest scan order, with 0
 reserved for background. Distances are Euclidean and exact; local
 thickness at a voxel is the diameter of the largest inscribed ball
 covering it, in physical units.
@@ -104,18 +104,9 @@ def connected_components(labels: Volume, foreground=frozenset({0}),
 
     classes = _as_class_set(foreground)
     mask = np.isin(labels.data, sorted(classes))
-    raw, n_raw = ndimage.label(mask, structure=_STRUCTS[connectivity])
-    comp = np.asarray(raw, dtype=np.int32)
-    if n_raw:
-        # renumber so ids follow each component's first flat-order voxel
-        flat = comp.ravel()
-        first = np.full(n_raw + 1, flat.size, dtype=np.int64)
-        nz = np.nonzero(flat)[0]
-        np.minimum.at(first, flat[nz], nz)
-        order = np.argsort(first[1:], kind="stable")
-        remap = np.zeros(n_raw + 1, dtype=np.int32)
-        remap[order + 1] = np.arange(1, n_raw + 1, dtype=np.int32)
-        comp = remap[comp]
+    # scipy gives each component the smallest provisional label among its
+    # voxels, which is its first voxel's: ids come in flat scan order
+    comp, n_raw = ndimage.label(mask, structure=_STRUCTS[connectivity])
     sizes = np.bincount(comp.ravel(), minlength=n_raw + 1)[1:].astype(np.int64)
     face_touch = np.zeros((n_raw, 6), dtype=bool)
     if n_raw:
@@ -148,35 +139,45 @@ def euclidean_distance_transform(mask: Volume) -> Volume:
     return mask.with_data(out, value_kind="distance", element_encoding="f32")
 
 
+def _squared_distances(fg: np.ndarray) -> np.ndarray:
+    """Exact int32 squared distance to the nearest background voxel of fg."""
+    from scipy import ndimage
+
+    nearest = ndimage.distance_transform_edt(fg, return_distances=False,
+                                             return_indices=True)
+    for axis, grid in enumerate(np.ogrid[tuple(slice(n) for n in fg.shape)]):
+        nearest[axis] -= grid
+    nearest *= nearest
+    return nearest.sum(axis=0, dtype=np.int32)
+
+
 def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
     """Largest-inscribed-ball diameter covering each pore voxel, in microns.
 
-    thickness(v) = 2 * voxel_size * max{ EDT(c) : |c - v| <= EDT(c) } over
-    foreground voxels c, and 0 on background. Computed on squared integer
-    radii: the centers are grouped by EDT², and each group's balls are
-    scattered at once into a grid padded so that no ball wraps. Groups go
-    in ascending EDT² order, so every covered voxel ends up holding its
-    largest covering EDT². The voxel size defaults to the mask header's.
+    thickness(v) = 2 * voxel_size * max{ r(c) : |c - v| <= r(c) } over
+    foreground voxels c, and 0 on background. Computed on the exact integer
+    r², summed from the offsets to the nearest background voxel that scipy's
+    feature transform returns: the centers are grouped by r², and each
+    group's balls are scattered at once into a grid padded so that no ball
+    wraps. Groups go in ascending r² order, so every covered voxel ends up
+    holding its largest covering r². The voxel size defaults to the mask's.
     """
     fg = mask.data != 0
     vs = mask.header.voxel_size_um if voxel_size_um is None else float(voxel_size_um)
     if vs <= 0:
         raise BadParams(f"voxel size must be positive, got {vs}")
-    out = np.zeros(fg.shape, dtype=np.float64)
     if not fg.any():
-        return mask.with_data(out, value_kind="throat_size", element_encoding="f32")
+        return mask.with_data(np.zeros(fg.shape), value_kind="throat_size",
+                              element_encoding="f32")
     if fg.all():
-        out[:] = np.inf
-        return mask.with_data(out, value_kind="throat_size", element_encoding="f32")
+        return mask.with_data(np.full(fg.shape, np.inf), value_kind="throat_size",
+                              element_encoding="f32")
 
-    from scipy import ndimage
-
-    edt = ndimage.distance_transform_edt(fg)
-    r2 = np.rint(edt * edt).astype(np.int32)  # exact on an integer grid
-    r2_max = int(r2.max())
+    center_r2 = _squared_distances(fg)[fg]
     # a ball reaches no further than r_max, and an offset beyond n - 1
     # leaves the volume from every center
-    pad = [min(math.isqrt(r2_max), n - 1) for n in fg.shape]
+    pad = [min(math.isqrt(int(center_r2.max())), n - 1) for n in fg.shape]
+    centers = np.flatnonzero(np.pad(fg, [(p, p) for p in pad]))
     th2 = np.zeros([n + 2 * p for n, p in zip(fg.shape, pad)], dtype=np.int32)
     sz, sy = th2.shape[1] * th2.shape[2], th2.shape[2]
     dz, dy, dx = np.ogrid[tuple(slice(-p, p + 1) for p in pad)]
@@ -186,9 +187,6 @@ def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
     d2 = d2[by_length]
     offsets = (dz * sz + dy * sy + dx).ravel()[by_length]
 
-    cz, cy, cx = np.nonzero(fg)
-    centers = (cz + pad[0]) * sz + (cy + pad[1]) * sy + (cx + pad[2])
-    center_r2 = r2[cz, cy, cx]
     order = np.argsort(center_r2, kind="stable")
     centers, center_r2 = centers[order], center_r2[order]
     values, starts = np.unique(center_r2, return_index=True)

@@ -123,6 +123,15 @@ class TestTrain:
                    "--out", str(tmp_path / "m.json")])
         assert rc == 4
 
+    def test_creates_parent_of_out(self, workdir, trained, tmp_path):
+        out = tmp_path / "run" / "models" / "model.json"
+        rc = main(["train", "--volume", str(workdir / "gray.raw"),
+                   "--labels", str(workdir / "labels.csv"),
+                   "--config", str(workdir / "config.json"),
+                   "--out", str(out), "--seed", "0"])
+        assert rc == 0
+        assert out.read_bytes() == trained.read_bytes()
+
 
 class TestSegment:
     def test_outputs_and_accuracy(self, workdir, segmented):
@@ -153,6 +162,14 @@ class TestSegment:
         main(["segment", "--volume", str(workdir / "gray.raw"),
               "--model", str(trained), "--out", str(again)])
         assert again.read_bytes() == segmented.read_bytes()
+
+    def test_creates_parent_of_out(self, workdir, trained, segmented, tmp_path):
+        out = tmp_path / "run" / "seg" / "seg.raw"
+        rc = main(["segment", "--volume", str(workdir / "gray.raw"),
+                   "--model", str(trained), "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == segmented.read_bytes()
+        assert (out.parent / "seg_confidence.raw").is_file()
 
     def test_bad_model_file(self, workdir, tmp_path):
         bad = tmp_path / "model.json"
@@ -414,6 +431,46 @@ class TestReport:
     def test_missing_artifacts(self, tmp_path):
         rc = main(["report", "--run", str(tmp_path)])
         assert rc == 4
+
+
+# analysis.json fields each stage reads, with a value of the wrong JSON
+# type; a dotted key names a field inside an object
+WRONG_TYPE_FIELDS = {
+    "classify": [("porosity", "high"), ("permeability_md", [80.0]),
+                 ("p_cd_psi", True), ("p_cu_psi", {}), ("s_wi", "0.1"),
+                 ("modality", "Dual")],
+    "report": [("porosity", "high"), ("permeability_md", [80.0]),
+               ("p_cd_psi", True), ("p_cu_psi", {}), ("s_wi", "0.1"),
+               ("lambda", "steep"), ("modality", "Dual"),
+               ("modality.distance", "far"), ("rock_type", "L111"),
+               ("rock_type.violations", 3)],
+}
+
+
+class TestMalformedAnalysis:
+    @pytest.mark.parametrize("stage, key, value", [
+        (stage, key, value) for stage, fields in WRONG_TYPE_FIELDS.items()
+        for key, value in fields])
+    def test_wrong_json_type_exits_2_naming_file_and_key(
+            self, analyzed, tmp_path, caplog, stage, key, value):
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("analysis.json", "pc_curve.csv"):
+            (run / name).write_bytes((analyzed / name).read_bytes())
+        doc = json.loads((run / "analysis.json").read_text())
+        *parents, leaf = key.split(".")
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        target[leaf] = value
+        (run / "analysis.json").write_text(json.dumps(doc))
+        if stage == "classify":
+            argv = ["classify", "--analysis", str(run / "analysis.json")]
+        else:
+            argv = ["report", "--run", str(run)]
+        rc = main(argv + ["--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"analysis.json: {key} must be a JSON" in caplog.text
 
 
 class TestCommonFlags:

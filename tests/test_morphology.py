@@ -27,7 +27,7 @@ from drt import (
     local_thickness,
     throat_distribution,
 )
-from drt.morphology import _prominent_peaks, _STRUCTS
+from drt.morphology import _prominent_peaks, _squared_distances, _STRUCTS
 
 _OFFSETS_6 = [(0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0)]
 _OFFSETS_26 = [(dz, dy, dx)
@@ -127,16 +127,22 @@ class TestBinaryMask:
 
 
 class TestConnectedComponents:
-    def test_matches_flood_fill_on_random_masks(self):
-        rng = np.random.default_rng(0)
-        for trial in range(8):
-            mask = (rng.random((9, 9, 9)) < 0.35).astype(np.uint8)
-            labels = label_volume(1 - mask)  # class 0 is foreground
-            for connectivity in (6, 26):
-                got = connected_components(labels, {0}, connectivity)
-                want, n_want = flood_components(mask, connectivity)
-                assert got.n_components == n_want
-                np.testing.assert_array_equal(got.volume.data, want)
+    @settings(max_examples=120, deadline=None)
+    @given(shape=st.tuples(*[st.integers(1, 14)] * 3),
+           pore_fraction=st.floats(0.0, 1.0),
+           connectivity=st.sampled_from([6, 26]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_flood_fill_on_random_masks(self, shape, pore_fraction,
+                                                connectivity, seed):
+        # scipy's ids are taken as they come, so this is what pins them to
+        # first-voxel scan order
+        mask = np.random.default_rng(seed).random(shape) < pore_fraction
+        mask = mask.astype(np.uint8)
+        got = connected_components(label_volume(1 - mask), {0}, connectivity)
+        want, n_want = flood_components(mask, connectivity)
+        assert got.n_components == n_want
+        np.testing.assert_array_equal(got.volume.data, want)
+        np.testing.assert_array_equal(got.sizes, np.bincount(want.ravel())[1:])
 
     def test_ids_follow_first_scan_encounter(self):
         data = np.ones((3, 3, 3), dtype=np.uint8)
@@ -271,6 +277,26 @@ class TestLocalThickness:
         mask = mask.astype(np.uint8)
         got = local_thickness(label_volume(mask))
         np.testing.assert_array_equal(got.data, thickness_reference(mask, 1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(*[st.integers(1, 40)] * 3),
+           flat_axis=st.sampled_from([None, 0, 1, 2]),
+           pore_fraction=st.one_of(st.floats(0.0, 1.0), st.floats(0.99, 1.0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_squared_radii_equal_rounded_float_edt(self, shape, flat_axis,
+                                                   pore_fraction, seed):
+        # the float EDT squared and rounded to the nearest integer is an
+        # independent route to the same exact r²
+        from scipy import ndimage
+        if flat_axis is not None:
+            shape = shape[:flat_axis] + (1,) + shape[flat_axis + 1:]
+        rng = np.random.default_rng(seed)
+        fg = rng.random(shape) < pore_fraction
+        fg.flat[rng.integers(fg.size)] = False  # at least one background voxel
+        got = _squared_distances(fg)
+        assert got.dtype == np.int32
+        want = np.rint(ndimage.distance_transform_edt(fg) ** 2)
+        np.testing.assert_array_equal(got, want)
 
     def test_voxel_size_scales_output(self):
         mask = np.zeros((5, 5, 5), dtype=np.uint8)
