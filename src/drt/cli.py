@@ -12,7 +12,6 @@ numpy nor scipy.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import math
 import sys
@@ -22,7 +21,7 @@ from pathlib import Path
 from .config import FeatureBankConfig, ForestHyperparameters
 from .errors import (BadParams, ConfigError, InputError, IoError, IoFailure,
                      MissingArtifacts, NumericError)
-from .fileio import read_json, read_text, write_json, write_text
+from .fileio import read_csv, read_json, write_json, write_text
 
 log = logging.getLogger("drt")
 
@@ -154,13 +153,6 @@ def load_config(path: str | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
     return config_from_json_dict(read_json(path, ConfigError))
-
-
-def _read_json(path: Path) -> dict:
-    raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise BadParams(f"{path} must hold a JSON object")
-    return raw
 
 
 _JSON_KINDS = {float: "number", dict: "object", list: "array"}
@@ -312,7 +304,7 @@ def cmd_analyze(args) -> int:
 
 
 def _rows_from_analysis(path: Path) -> list[dict]:
-    a = _read_json(path)
+    a = read_json(path, BadParams, dict)
     keys = {"k_md": "permeability_md", "p_cd_psi": "p_cd_psi",
             "p_cu_psi": "p_cu_psi", "s_wi": "s_wi", "phi": "porosity"}
     missing = [key for key in (*keys.values(), "camo_class") if a.get(key) is None]
@@ -328,31 +320,17 @@ def _rows_from_analysis(path: Path) -> list[dict]:
 def _rows_from_csv(path: Path) -> list[dict]:
     """Parse rows of k,p_cd,p_cu,s_wi[,phi[,class]] with optional header."""
     rows: list[dict] = []
-    for row_no, row in enumerate(csv.reader(read_text(path).splitlines()),
-                                 start=1):
-        if not row:
-            continue
-        first = row[0].strip().lower()
-        if row_no == 1 and first in ("k", "k_md"):
-            continue
-        if not 4 <= len(row) <= 6:
-            raise BadParams(
-                f"{path}: row {row_no}: expected k,p_cd,p_cu,s_wi[,phi,class], "
-                f"got {len(row)} fields")
+    for where, row in read_csv(path, "k,p_cd,p_cu,s_wi[,phi[,class]]",
+                               range(4, 7)):
+        fields = row + [""] * (6 - len(row))
         try:
-            k, p_cd, p_cu, s_wi = (float(v) for v in row[:4])
+            k, p_cd, p_cu, s_wi = (float(v) for v in fields[:4])
+            phi = float(fields[4]) if fields[4].strip() else None
         except ValueError as exc:
-            raise BadParams(f"{path}: row {row_no}: {exc}") from exc
-        phi = None
-        if len(row) >= 5 and row[4].strip():
-            try:
-                phi = float(row[4])
-            except ValueError as exc:
-                raise BadParams(f"{path}: row {row_no}: {exc}") from exc
-        camo_class = row[5].strip() if len(row) == 6 and row[5].strip() else None
+            raise BadParams(f"{where}: {exc}") from exc
         rows.append({"k_md": k, "p_cd_psi": p_cd, "p_cu_psi": p_cu,
-                     "s_wi": s_wi, "phi": phi, "camo_class": camo_class,
-                     "modality": None})
+                     "s_wi": s_wi, "phi": phi,
+                     "camo_class": fields[5].strip() or None, "modality": None})
     return rows
 
 
@@ -425,7 +403,7 @@ def cmd_report(args) -> int:
     if missing:
         raise MissingArtifacts(
             f"run directory {run} is missing: {', '.join(missing)}")
-    a = _read_json(analysis_path)
+    a = read_json(analysis_path, BadParams, dict)
 
     def num(key, fmt="{:.6g}"):
         value = _checked(a.get(key), float, f"{analysis_path}: {key}")

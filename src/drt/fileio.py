@@ -1,12 +1,14 @@
-"""Text artifact I/O: one encoding and one error mapping for every file.
+"""Text artifact I/O: one encoding, one framing and one error mapping.
 
 Every JSON, CSV, SVG and Markdown artifact is UTF-8 with "\\n" line ends
 on every platform. JSON is written with sorted keys, a two-space indent
 and a trailing newline, so equal payloads give byte-identical files. A
 writer serialises its payload before it opens the file, so a payload that
 cannot be encoded leaves no truncated file behind. A failed read or write
-raises IoFailure; bytes that are not UTF-8, or text that is not JSON, raise
-the caller's input error.
+raises IoFailure; bytes that are not UTF-8, text that is not JSON, or a
+document of the wrong top-level type raise the caller's input error. CSV
+inputs are split into rows here too, so every reader shares one header
+rule and one ``path:row`` error form.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import json
 from pathlib import Path
 
 from .errors import BadParams, IoFailure
+
+_JSON_NAMES = {dict: "object", list: "array"}
 
 
 def read_text(path, error: type[Exception] = BadParams) -> str:
@@ -29,13 +33,55 @@ def read_text(path, error: type[Exception] = BadParams) -> str:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
-def read_json(path, error: type[Exception] = BadParams):
-    """The JSON document at path; text that is not UTF-8 JSON raises ``error``."""
+def read_json(path, error: type[Exception] = BadParams,
+              kind: type | None = None):
+    """The JSON document at path.
+
+    Text that is not UTF-8 JSON, or a top-level value that is not of
+    ``kind`` (dict or list) when one is given, raises ``error``.
+    """
     text = read_text(path, error)
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{path} is not valid JSON: {exc}") from exc
+    if kind is not None and not isinstance(value, kind):
+        raise error(f"{path} must hold a JSON {_JSON_NAMES[kind]}")
+    return value
+
+
+def read_csv(path, layout: str, n_fields: int | range):
+    """Yield ``(where, fields)`` for each non-blank CSV row at path.
+
+    ``where`` is ``path:row``, rows counted from 1 with blank ones included.
+    A leading byte-order mark is dropped. The first non-blank row is a
+    header, and skipped, when none of its fields parses as a number; every
+    data row holds a number. A row whose field count is not ``n_fields``
+    (or in it, for a range) raises BadParams naming ``where`` and ``layout``.
+    """
+    counts = range(n_fields, n_fields + 1) if isinstance(n_fields, int) else n_fields
+    text = read_text(path).removeprefix("\ufeff")
+    header_checked = False
+    for row_no, fields in enumerate(csv.reader(io.StringIO(text)), start=1):
+        if not fields:
+            continue
+        if not header_checked:
+            header_checked = True
+            if not any(map(_is_number, fields)):
+                continue
+        where = f"{path}:{row_no}"
+        if len(fields) not in counts:
+            raise BadParams(f"{where}: expected {layout}, "
+                            f"got {len(fields)} fields")
+        yield where, fields
+
+
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
 
 
 def write_text(path, text: str) -> None:

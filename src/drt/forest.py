@@ -21,7 +21,6 @@ own threshold intervals.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ import numpy as np
 from .config import FeatureBankConfig, ForestHyperparameters
 from .errors import (BadModelFile, BadParams, DimensionMismatch,
                      EmptyClass, VersionMismatch)
-from .fileio import read_json, read_text, write_json
+from .fileio import read_csv, read_json, write_json
 from .filters import map_slabs, SLAB_VOXELS
 from .rng import SplitMix64
 from .volume import Volume
@@ -530,9 +529,7 @@ def save_model(model: ForestModel, path) -> None:
 
 
 def load_model(path) -> ForestModel:
-    raw = read_json(path, BadModelFile)
-    if not isinstance(raw, dict):
-        raise BadModelFile("model file must hold a JSON object")
+    raw = read_json(path, BadModelFile, dict)
     version = raw.get("version")
     if version != MODEL_FORMAT_VERSION:
         raise VersionMismatch(
@@ -567,25 +564,18 @@ def load_labels_csv(path, dims: tuple[int, int, int] | None = None):
     """
     coords: list[tuple[int, int, int]] = []
     labels: list[int] = []
-    for row_no, row in enumerate(csv.reader(read_text(path).splitlines()),
-                                 start=1):
-        if not row or (row_no == 1 and not _is_int(row[0])):
-            continue  # blank line or header
-        if len(row) != 4:
-            raise BadParams(
-                f"{path}:{row_no}: expected 4 fields x,y,z,class_id, "
-                f"got {len(row)}")
+    for where, row in read_csv(path, "x,y,z,class_id", 4):
         try:
             x, y, z, c = (int(v) for v in row)
         except ValueError as exc:
-            raise BadParams(f"{path}:{row_no}: non-integer field: {exc}") from exc
+            raise BadParams(f"{where}: non-integer field: {exc}") from exc
         if c < 0:
-            raise BadParams(f"{path}:{row_no}: class_id must be >= 0, got {c}")
+            raise BadParams(f"{where}: class_id must be >= 0, got {c}")
         if dims is not None:
             nx, ny, nz = dims
             if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
                 raise BadParams(
-                    f"{path}:{row_no}: voxel ({x},{y},{z}) outside dims {dims}")
+                    f"{where}: voxel ({x},{y},{z}) outside dims {dims}")
         coords.append((x, y, z))
         labels.append(c)
     if not coords:
@@ -594,10 +584,3 @@ def load_labels_csv(path, dims: tuple[int, int, int] | None = None):
         return (np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64))
     return np.asarray(coords, dtype=np.int64), np.asarray(labels, dtype=np.int64)
 
-
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True

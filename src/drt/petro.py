@@ -9,14 +9,13 @@ connectivity and band dominance.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import (BadParams, InsufficientSamples, MissingClassCoefficients,
                      NonPositiveValue, UnknownClassId)
-from .fileio import read_json, read_text, write_json
+from .fileio import read_csv, read_json, write_json
 
 if TYPE_CHECKING:  # used in annotations only, so classify loads neither
     from .morphology import ComponentMap, PoreThroatDistribution
@@ -273,20 +272,13 @@ def fit_camo(samples) -> CamoRelation:
 
 
 def load_camo_samples_csv(path) -> list[tuple[float, float, str]]:
-    """Read (phi, k_mD, class) fit samples from a headed CSV file."""
+    """Read (phi, k_mD, class) fit samples from CSV rows with an optional header."""
     rows: list[tuple[float, float, str]] = []
-    for lineno, row in enumerate(csv.reader(read_text(path).splitlines()),
-                                 start=1):
-        if not row or (lineno == 1 and row[0].strip().lower() == "phi"):
-            continue
-        if len(row) != 3:
-            raise BadParams(
-                f"{path}:{lineno}: expected phi,k_mD,class "
-                f"(3 fields), got {len(row)}")
+    for where, row in read_csv(path, "phi,k_mD,class", 3):
         try:
             rows.append((float(row[0]), float(row[1]), row[2].strip()))
         except ValueError as exc:
-            raise BadParams(f"{path}:{lineno}: {exc}") from exc
+            raise BadParams(f"{where}: {exc}") from exc
     return rows
 
 
@@ -336,7 +328,4 @@ def save_camo(relation: CamoRelation, path) -> None:
 
 
 def load_camo(path) -> CamoRelation:
-    d = read_json(path)
-    if not isinstance(d, dict):
-        raise BadParams(f"{path}: expected a JSON object of classes")
-    return CamoRelation.from_json_dict(d)
+    return CamoRelation.from_json_dict(read_json(path, BadParams, dict))

@@ -322,9 +322,9 @@ def save_catalog(rules: list[CatalogRule], path) -> None:
 
 
 def load_catalog(path) -> list[CatalogRule]:
-    raw = read_json(path)
-    if not isinstance(raw, list) or not raw:
-        raise BadParams(f"{path} must hold a non-empty JSON list of rules")
+    raw = read_json(path, BadParams, list)
+    if not raw:
+        raise BadParams(f"{path} must hold at least one rule")
     try:
         return [CatalogRule.from_json_dict(d) for d in raw]
     except (KeyError, TypeError, ValueError) as exc:

@@ -159,11 +159,8 @@ def load_volume(raw_path: str | Path) -> Volume:
     with dims times element width.
     """
     raw_path = Path(raw_path)
-    header_path = sidecar_path(raw_path)
-    sidecar = read_json(header_path, BadHeader)
-    if not isinstance(sidecar, dict):
-        raise BadHeader(f"sidecar {header_path} must hold a JSON object")
-    header = VolumeHeader.from_json_dict(sidecar)
+    header = VolumeHeader.from_json_dict(
+        read_json(sidecar_path(raw_path), BadHeader, dict))
 
     try:
         blob = raw_path.read_bytes()

@@ -117,6 +117,32 @@ class TestTrain:
                    "--out", str(tmp_path / "m.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("first", ["1.5,2,3,0", "x,2,3,0"])
+    def test_first_row_with_a_number_is_data(self, workdir, tmp_path, caplog,
+                                              first):
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"{first}\n4,5,6,1\n")
+        rc = main(["train", "--volume", str(workdir / "gray.raw"),
+                   "--labels", str(labels),
+                   "--config", str(workdir / "config.json"),
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert f"{labels}:1: non-integer field" in caplog.text
+        assert not (tmp_path / "m.json").exists()
+
+    def test_byte_order_mark_keeps_the_first_row(self, workdir, trained,
+                                                 tmp_path):
+        labels = tmp_path / "labels.csv"
+        text = (workdir / "labels.csv").read_text()
+        labels.write_text("\ufeff" + text.split("\n", 1)[1], encoding="utf-8")
+        out = tmp_path / "m.json"
+        rc = main(["train", "--volume", str(workdir / "gray.raw"),
+                   "--labels", str(labels),
+                   "--config", str(workdir / "config.json"),
+                   "--out", str(out), "--seed", "0"])
+        assert rc == 0
+        assert out.read_bytes() == trained.read_bytes()
+
     def test_missing_volume_is_io_error(self, workdir, tmp_path):
         rc = main(["train", "--volume", str(tmp_path / "nope.raw"),
                    "--labels", str(workdir / "labels.csv"),
@@ -381,6 +407,26 @@ class TestClassify:
         assert rc == 0
         assert json.loads((tmp_path / "out" / "results.json").read_text()) == []
 
+    @pytest.mark.parametrize("header", ["k,p_cd,p_cu,s_wi",
+                                        "perm,pcd,pcu,swi,phi,class"])
+    def test_samples_header_is_a_row_without_numbers(self, tmp_path, capsys,
+                                                     header):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(f"{header}\n80,50,300,0.10\n")
+        rc = main(["classify", "--samples", str(samples),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == "L111"
+
+    def test_malformed_sample_row_names_file_and_row(self, tmp_path, caplog):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("k,p_cd,p_cu,s_wi\n\n80,50,300\n")
+        rc = main(["classify", "--samples", str(samples),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert (f"{samples}:3: expected k,p_cd,p_cu,s_wi[,phi[,class]], "
+                f"got 3 fields") in caplog.text
+
     def test_malformed_sample_row(self, tmp_path):
         samples = tmp_path / "samples.csv"
         samples.write_text("80,50,300,0.10\n80,50,300\n")
@@ -471,6 +517,22 @@ class TestMalformedAnalysis:
         rc = main(argv + ["--out", str(tmp_path / "out")])
         assert rc == 2
         assert f"analysis.json: {key} must be a JSON" in caplog.text
+
+
+    @pytest.mark.parametrize("stage", ["classify", "report"])
+    def test_analysis_that_is_not_an_object_exits_2(self, tmp_path, caplog,
+                                                    stage):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "analysis.json").write_text("[1]")
+        (run / "pc_curve.csv").write_text("s_w,pc_psi\n")
+        if stage == "classify":
+            argv = ["classify", "--analysis", str(run / "analysis.json")]
+        else:
+            argv = ["report", "--run", str(run)]
+        rc = main(argv + ["--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{run / 'analysis.json'} must hold a JSON object" in caplog.text
 
 
 class TestCommonFlags:

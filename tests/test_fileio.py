@@ -1,13 +1,19 @@
 """Text artifact I/O: encoding, error mapping, and its single home."""
 
+import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import drt
-from drt import BadHeader, BadParams, IoFailure
-from drt.fileio import read_json, read_text, write_csv, write_json, write_text
+from drt import (BadHeader, BadModelFile, BadParams, IoFailure, load_camo,
+                 load_catalog, load_model, load_volume, save_volume, Volume,
+                 VolumeHeader)
+from drt.fileio import (read_csv, read_json, read_text, write_csv, write_json,
+                        write_text)
 
 _RAW_TEXT_IO = re.compile(
     r"json\.dumps?\(|json\.loads?\(|\bopen\(|\.write_text\(|\.read_text\(")
@@ -17,6 +23,14 @@ def test_only_fileio_opens_or_encodes_text():
     package = Path(drt.__file__).parent
     hits = sorted({path.name for path in package.glob("*.py")
                    if _RAW_TEXT_IO.search(path.read_text(encoding="utf-8"))})
+    assert hits == ["fileio.py"]
+
+
+def test_only_fileio_parses_csv():
+    package = Path(drt.__file__).parent
+    hits = sorted({path.name for path in package.glob("*.py")
+                   if re.search(r"^import csv|\bcsv\.reader\(",
+                                path.read_text(encoding="utf-8"), re.M)})
     assert hits == ["fileio.py"]
 
 
@@ -79,3 +93,107 @@ def test_unencodable_payload_leaves_no_file(tmp_path):
     with pytest.raises(TypeError):
         write_json(path, {"x": object()})
     assert not path.exists()
+
+
+# CSV fields: any text, quoted commas and line breaks included; "\r" is
+# read back as "\n" (LF line ends), NUL is no CSV text, and U+FEFF at the
+# start of a file is a byte-order mark
+_FIELD = st.text(st.characters(blacklist_categories=("Cs",),
+                               blacklist_characters="\r\x00\ufeff"),
+                 max_size=6)
+_NUMBER = st.one_of(st.integers(), st.floats(allow_nan=False)).map(str)
+
+
+@st.composite
+def _data_row(draw):
+    """A row of any fields with at least one number among them."""
+    fields = draw(st.lists(_FIELD, max_size=4))
+    at = draw(st.integers(0, len(fields)))
+    return fields[:at] + [draw(_NUMBER)] + fields[at:]
+
+
+_HEADER = st.lists(st.text("abcxyz_ ,\"\n", max_size=6), min_size=1, max_size=5)
+
+
+class TestReadCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.none() | _HEADER,
+           rows=st.lists(st.one_of(_data_row(), st.just([])), max_size=8))
+    def test_round_trip_names_each_row(self, tmp_path_factory, header, rows):
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        written = rows if header is None else [[], header] + rows
+        write_csv(path, written)
+        want = [(f"{path}:{n}", row) for n, row in enumerate(written, start=1)
+                if row and row is not header]
+        assert list(read_csv(path, "any", range(1, 7))) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(first=_data_row())
+    def test_first_row_with_a_number_is_data(self, tmp_path_factory, first):
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        write_csv(path, [first, ["1"]])
+        assert list(read_csv(path, "any", range(1, 7))) == [
+            (f"{path}:1", first), (f"{path}:2", ["1"])]
+
+    def test_header_is_only_the_first_non_blank_row(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("\nx,y\n1,2\nx,y\n", encoding="utf-8")
+        assert list(read_csv(path, "x,y", 2)) == [
+            (f"{path}:3", ["1", "2"]), (f"{path}:4", ["x", "y"])]
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"\xef\xbb\xbfx,y\n1,2\n")
+        assert list(read_csv(path, "x,y", 2)) == [(f"{path}:2", ["1", "2"])]
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+        assert [row for _, row in read_csv(path, "x,y", 2)] == [["1", "2"],
+                                                                ["3", "4"]]
+
+    def test_field_count_error_names_row_and_layout(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("a,b\n1,2\n\n1,2,3\n", encoding="utf-8")
+        with pytest.raises(BadParams, match=re.escape(
+                f"{path}:4: expected a,b, got 3 fields")):
+            list(read_csv(path, "a,b", 2))
+
+
+def _sidecar_as_list(tmp_path):
+    path = tmp_path / "v.raw"
+    save_volume(Volume(VolumeHeader(dims=(1, 1, 1), voxel_size_um=1.0),
+                       np.zeros(1, dtype=np.float32)), path)
+    path.with_suffix(".json").write_text("[]", encoding="utf-8")
+    return lambda: load_volume(path)
+
+
+def _json_file(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+# each reader of a JSON document, the error class it raises, and the
+# top-level JSON type it expects
+WRONG_TOP_LEVEL = {
+    "load_volume": (BadHeader, "object", _sidecar_as_list),
+    "load_model": (BadModelFile, "object",
+                   lambda tmp: lambda: load_model(_json_file(tmp, [1]))),
+    "load_camo": (BadParams, "object",
+                  lambda tmp: lambda: load_camo(_json_file(tmp, "connected"))),
+    "load_catalog": (BadParams, "array",
+                     lambda tmp: lambda: load_catalog(_json_file(tmp, {}))),
+}
+
+
+@pytest.mark.parametrize("reader", WRONG_TOP_LEVEL)
+def test_wrong_top_level_type_raises_the_callers_error(tmp_path, reader):
+    error, kind, make = WRONG_TOP_LEVEL[reader]
+    with pytest.raises(error, match=f"must hold a JSON {kind}$"):
+        make(tmp_path)()
+
+
+def test_read_json_checks_the_top_level_type(tmp_path):
+    path = _json_file(tmp_path, [1])
+    assert read_json(path, BadHeader, list) == [1]
+    with pytest.raises(BadHeader, match=re.escape(
+            f"{path} must hold a JSON object")):
+        read_json(path, BadHeader, dict)
