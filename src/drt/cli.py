@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import FeatureBankConfig, ForestHyperparameters
+from .config import FeatureBankConfig, ForestHyperparameters, json_typed
 from .errors import (BadParams, ConfigError, InputError, IoError, IoFailure,
                      MissingArtifacts, NumericError)
 from .fileio import read_csv, read_json, write_json, write_text
@@ -134,6 +134,15 @@ def config_from_json_dict(raw: dict) -> PipelineConfig:
         if section not in _NESTED:
             kwargs.update((fields[key], value) for key, value in entry.items())
     try:
+        for key in ("connectivity", "n_bins"):
+            if key in kwargs:
+                json_typed(kwargs[key], int, key)
+        for key in ("pore_classes", "micropore_classes"):
+            ids = kwargs.get(key, [])
+            if not isinstance(ids, list):
+                raise TypeError(f"{key} must be a JSON array, got {ids!r}")
+            for class_id in ids:
+                json_typed(class_id, int, f"{key} entry")
         for section, cls in _NESTED.items():
             merged = cls().to_json_dict() | raw.get(section, {})
             kwargs[section] = cls.from_json_dict(merged)
@@ -453,12 +462,23 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="pipeline config JSON")
+def _add_common(p: argparse.ArgumentParser, *reads: str) -> None:
+    """Add --config, --threads and --seed; ``reads`` names those p uses.
+
+    Every subcommand accepts all three, so one option list can serve a
+    whole chain; the others say in their help that they are not used.
+    """
+    def help_for(name: str, text: str) -> str:
+        return text if name in reads else "not used by this command"
+
+    p.add_argument("--config", default=None,
+                   help=help_for("config", "pipeline config JSON"))
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the feature slabs of train and "
-                        "segment; output is byte-identical for any value")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+                   help=help_for("threads", "worker threads for the feature "
+                                 "slabs; output is byte-identical for any "
+                                 "value"))
+    p.add_argument("--seed", type=int, default=0,
+                   help=help_for("seed", "RNG seed of the forest"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,21 +495,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True,
                    help="annotations CSV x,y,z,class_id")
     p.add_argument("--out", required=True, help="model JSON path")
-    _add_common(p)
+    _add_common(p, "config", "threads", "seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("segment", help="apply a trained model to a volume")
     p.add_argument("--volume", required=True, help="grayscale volume (.raw)")
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--out", required=True, help="label volume output (.raw)")
-    _add_common(p)
+    _add_common(p, "threads")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("analyze", help="morphology and petrophysics of a "
                                        "label volume")
     p.add_argument("--labels", required=True, help="label volume (.raw)")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
+    _add_common(p, "config")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("classify", help="rock-type codes from sample properties")
@@ -508,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="morphology class (for the CAMO check)")
     p.add_argument("--catalog", default=None, help="catalog JSON override")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
+    _add_common(p, "config")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("report", help="markdown summary of an analyze run")

@@ -15,6 +15,19 @@ from .errors import BadHyperparameters
 _BOUNDARY_TO_SCIPY = {"mirror": "reflect", "clamp": "nearest"}
 
 
+def json_typed(value, kind: type, name: str):
+    """``value`` itself when JSON gave it as ``kind``, int or bool.
+
+    Anything else, which int() or bool() would truncate, parse or flip,
+    raises TypeError naming ``name``; a bool is no int here.
+    """
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be a JSON "
+                        f"{'integer' if kind is int else 'boolean'}, "
+                        f"got {value!r}")
+    return value
+
+
 def _format_sigma(sigma: float) -> str:
     if float(sigma).is_integer():
         return str(int(sigma))
@@ -70,7 +83,7 @@ class FeatureBankConfig:
     def from_json_dict(cls, d: dict) -> "FeatureBankConfig":
         return cls(
             sigmas_vox=tuple(d["sigmas_vox"]),
-            include_raw=bool(d["include_raw"]),
+            include_raw=json_typed(d["include_raw"], bool, "include_raw"),
             boundary_mode=d["boundary_mode"],
         )
 
@@ -119,10 +132,12 @@ class ForestHyperparameters:
     @classmethod
     def from_json_dict(cls, d: dict) -> "ForestHyperparameters":
         return cls(
-            n_trees=int(d["n_trees"]),
-            max_depth=int(d["max_depth"]),
-            min_samples_split=int(d["min_samples_split"]),
+            n_trees=json_typed(d["n_trees"], int, "n_trees"),
+            max_depth=json_typed(d["max_depth"], int, "max_depth"),
+            min_samples_split=json_typed(d["min_samples_split"], int,
+                                         "min_samples_split"),
             features_per_split=(None if d.get("features_per_split") is None
-                                else int(d["features_per_split"])),
+                                else json_typed(d["features_per_split"], int,
+                                                "features_per_split")),
             bag_fraction=float(d["bag_fraction"]),
         )

@@ -155,8 +155,9 @@ def load_volume(raw_path: str | Path) -> Volume:
     """Read a RAW blob plus its JSON sidecar into a Volume.
 
     The sidecar is the raw path with a .json suffix. Raises BadHeader for
-    sidecar problems and SizeMismatch when the raw byte count disagrees
-    with dims times element width.
+    sidecar problems, SizeMismatch when the raw byte count disagrees
+    with dims times element width, and BadParams for a raw path ending in
+    .json.
     """
     raw_path = Path(raw_path)
     header = VolumeHeader.from_json_dict(
@@ -201,9 +202,11 @@ def save_volume(volume: Volume, raw_path: str | Path) -> None:
     """Write the RAW blob and JSON sidecar; load_volume reproduces the volume.
 
     Data that a u8 or u16 encoding cannot hold exactly (negative, too large
-    or not whole) raises BadParams before anything is written.
+    or not whole), or a raw path ending in .json, raises BadParams before
+    anything is written.
     """
     raw_path = Path(raw_path)
+    header_path = sidecar_path(raw_path)
     _check_storable(volume, raw_path)
     dtype = volume.header.storage_dtype
     data = np.ascontiguousarray(volume.data, dtype=dtype)
@@ -211,9 +214,17 @@ def save_volume(volume: Volume, raw_path: str | Path) -> None:
         raw_path.write_bytes(data.tobytes())
     except OSError as exc:
         raise IoFailure(f"cannot write volume to {raw_path}: {exc}") from exc
-    write_json(sidecar_path(raw_path), volume.header.to_json_dict())
+    write_json(header_path, volume.header.to_json_dict())
 
 
 def sidecar_path(raw_path: str | Path) -> Path:
-    """Conventional sidecar location: the raw path with a .json suffix."""
-    return Path(raw_path).with_suffix(".json")
+    """Conventional sidecar location: the raw path with a .json suffix.
+
+    A raw path ending in .json (in any case) would be its own sidecar, the
+    header overwriting the blob, so it raises BadParams.
+    """
+    raw_path = Path(raw_path)
+    if raw_path.suffix.lower() == ".json":
+        raise BadParams(f"raw volume path {raw_path} ends in .json, "
+                        f"the suffix of its sidecar")
+    return raw_path.with_suffix(".json")

@@ -197,6 +197,14 @@ class TestSegment:
         assert out.read_bytes() == segmented.read_bytes()
         assert (out.parent / "seg_confidence.raw").is_file()
 
+    def test_out_ending_in_json_exits_2_and_writes_nothing(
+            self, workdir, trained, tmp_path, caplog):
+        rc = main(["segment", "--volume", str(workdir / "gray.raw"),
+                   "--model", str(trained), "--out", str(tmp_path / "seg.json")])
+        assert rc == 2
+        assert "ends in .json" in caplog.text
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_model_file(self, workdir, tmp_path):
         bad = tmp_path / "model.json"
         bad.write_text("{}")
@@ -722,6 +730,44 @@ class TestConfigKeys:
             config_from_json_dict({section: []})
 
 
+# config values of the wrong JSON type, each of which int() or bool() used to
+# truncate, parse or flip
+WRONG_TYPE_CONFIG = [
+    ("throat", "n_bins", 32.5, "integer"),
+    ("throat", "n_bins", "32", "integer"),
+    ("segmentation", "connectivity", 26.0, "integer"),
+    ("segmentation", "pore_classes", [0.9], "integer"),
+    ("segmentation", "pore_classes", "01", "array"),
+    ("segmentation", "micropore_classes", [True], "integer"),
+    ("forest", "n_trees", 2.7, "integer"),
+    ("forest", "max_depth", True, "integer"),
+    ("forest", "min_samples_split", "2", "integer"),
+    ("forest", "features_per_split", 1.5, "integer"),
+    ("feature_bank", "include_raw", "false", "boolean"),
+]
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("section, key, value, kind", WRONG_TYPE_CONFIG)
+    def test_wrong_json_type_is_a_config_error(self, section, key, value, kind):
+        with pytest.raises(ConfigError,
+                           match=rf"{key}( entry)? must be a JSON {kind}, got"):
+            config_from_json_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("section, key, value, kind", WRONG_TYPE_CONFIG)
+    def test_exits_2_before_any_stage_work(self, tmp_path, caplog, section,
+                                           key, value, kind):
+        # the labels volume does not exist: reading it would exit 4
+        (tmp_path / "cfg.json").write_text(json.dumps({section: {key: value}}))
+        rc = main(["analyze", "--labels", str(tmp_path / "missing.raw"),
+                   "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert re.search(rf"{key}( entry)? must be a JSON {kind}, got",
+                         caplog.text)
+        assert not (tmp_path / "out").exists()
+
+
 class TestConsoleScript:
     def test_analyze_does_not_load_scipy_signal(self, workdir, tmp_path):
         code = ("import sys; from drt.cli import main; "
@@ -746,6 +792,22 @@ class TestConsoleScript:
             [sys.executable, "-c", code, *argv, "--out", str(tmp_path / "out")],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command, reads", [
+        ("train", {"--config", "--threads", "--seed"}),
+        ("segment", {"--threads"}),
+        ("analyze", {"--config"}),
+        ("classify", {"--config"}),
+        ("report", set()),
+    ])
+    def test_help_names_the_common_options_it_reads(self, capsys, command,
+                                                    reads):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for option in ("--config", "--threads", "--seed"):
+            unused = re.search(rf"{option} \S+ not used by this command", text)
+            assert (unused is None) == (option in reads), option
 
     def test_help_runs(self):
         proc = subprocess.run([sys.executable, "-m", "drt.cli", "--help"],

@@ -782,6 +782,23 @@ class TestModelIo:
         with pytest.raises(BadModelFile):
             load_model(path)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("hyperparameters", "n_trees", 2.0),
+        ("hyperparameters", "max_depth", True),
+        ("hyperparameters", "features_per_split", "1"),
+        ("feature_bank", "include_raw", 1),
+    ])
+    def test_rejects_settings_of_the_wrong_json_type(self, tmp_path, section,
+                                                     key, value):
+        model = train_forest(two_blob_training(), ForestHyperparameters(n_trees=2),
+                             bank_for(2), seed=0)
+        doc = model.to_json_dict()
+        doc[section][key] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadModelFile, match=f"{key} must be a JSON"):
+            load_model(path)
+
     def test_model_json_shape(self):
         ts = two_blob_training()
         model = train_forest(ts, ForestHyperparameters(n_trees=2), bank_for(2),

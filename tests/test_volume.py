@@ -187,6 +187,15 @@ class TestVolumeIo:
         with pytest.raises(BadHeader):
             load_volume(path)
 
+    @pytest.mark.parametrize("name", ["vol.json", "vol.JSON"])
+    def test_raw_path_ending_in_json_is_refused(self, tmp_path, name):
+        # the sidecar would overwrite the blob it describes
+        with pytest.raises(BadParams, match="ends in .json"):
+            save_volume(make_volume(), tmp_path / name)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(BadParams, match="ends in .json"):
+            load_volume(tmp_path / name)
+
     def test_loaded_data_is_native_order(self, tmp_path):
         header = VolumeHeader(dims=(2, 2, 2), voxel_size_um=1.0, byte_order="big")
         v = Volume(header=header, data=np.arange(8, dtype=np.float32))
