@@ -749,22 +749,18 @@ WRONG_TYPE_CONFIG = [
 
 class TestConfigTypes:
     @pytest.mark.parametrize("section, key, value, kind", WRONG_TYPE_CONFIG)
-    def test_wrong_json_type_is_a_config_error(self, section, key, value, kind):
-        with pytest.raises(ConfigError,
-                           match=rf"{key}( entry)? must be a JSON {kind}, got"):
+    def test_is_a_config_error_before_any_stage_work(self, tmp_path, caplog,
+                                                     section, key, value, kind):
+        message = rf"{key}( entry)? must be a JSON {kind}, got"
+        with pytest.raises(ConfigError, match=message):
             config_from_json_dict({section: {key: value}})
-
-    @pytest.mark.parametrize("section, key, value, kind", WRONG_TYPE_CONFIG)
-    def test_exits_2_before_any_stage_work(self, tmp_path, caplog, section,
-                                           key, value, kind):
         # the labels volume does not exist: reading it would exit 4
         (tmp_path / "cfg.json").write_text(json.dumps({section: {key: value}}))
         rc = main(["analyze", "--labels", str(tmp_path / "missing.raw"),
                    "--config", str(tmp_path / "cfg.json"),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert re.search(rf"{key}( entry)? must be a JSON {kind}, got",
-                         caplog.text)
+        assert re.search(message, caplog.text)
         assert not (tmp_path / "out").exists()
 
 

@@ -4,33 +4,24 @@ import json
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import drt
 from drt import (BadHeader, BadModelFile, BadParams, IoFailure, load_camo,
-                 load_catalog, load_model, load_volume, save_volume, Volume,
-                 VolumeHeader)
+                 load_catalog, load_model, load_volume)
 from drt.fileio import (read_csv, read_json, read_text, write_csv, write_json,
                         write_text)
 
 _RAW_TEXT_IO = re.compile(
-    r"json\.dumps?\(|json\.loads?\(|\bopen\(|\.write_text\(|\.read_text\(")
+    r"json\.dumps?\(|json\.loads?\(|\bopen\(|\.write_text\(|\.read_text\("
+    r"|\bimport csv\b")
 
 
 def test_only_fileio_opens_or_encodes_text():
     package = Path(drt.__file__).parent
     hits = sorted({path.name for path in package.glob("*.py")
                    if _RAW_TEXT_IO.search(path.read_text(encoding="utf-8"))})
-    assert hits == ["fileio.py"]
-
-
-def test_only_fileio_parses_csv():
-    package = Path(drt.__file__).parent
-    hits = sorted({path.name for path in package.glob("*.py")
-                   if re.search(r"^import csv|\bcsv\.reader\(",
-                                path.read_text(encoding="utf-8"), re.M)})
     assert hits == ["fileio.py"]
 
 
@@ -157,12 +148,9 @@ class TestReadCsv:
             list(read_csv(path, "a,b", 2))
 
 
-def _sidecar_as_list(tmp_path):
-    path = tmp_path / "v.raw"
-    save_volume(Volume(VolumeHeader(dims=(1, 1, 1), voxel_size_um=1.0),
-                       np.zeros(1, dtype=np.float32)), path)
-    path.with_suffix(".json").write_text("[]", encoding="utf-8")
-    return lambda: load_volume(path)
+def _load_volume_of_sidecar(sidecar):
+    sidecar.with_suffix(".raw").write_bytes(b"")
+    return load_volume(sidecar.with_suffix(".raw"))
 
 
 def _json_file(tmp_path, doc):
@@ -171,24 +159,19 @@ def _json_file(tmp_path, doc):
     return path
 
 
-# each reader of a JSON document, the error class it raises, and the
-# top-level JSON type it expects
-WRONG_TOP_LEVEL = {
-    "load_volume": (BadHeader, "object", _sidecar_as_list),
-    "load_model": (BadModelFile, "object",
-                   lambda tmp: lambda: load_model(_json_file(tmp, [1]))),
-    "load_camo": (BadParams, "object",
-                  lambda tmp: lambda: load_camo(_json_file(tmp, "connected"))),
-    "load_catalog": (BadParams, "array",
-                     lambda tmp: lambda: load_catalog(_json_file(tmp, {}))),
-}
-
-
-@pytest.mark.parametrize("reader", WRONG_TOP_LEVEL)
-def test_wrong_top_level_type_raises_the_callers_error(tmp_path, reader):
-    error, kind, make = WRONG_TOP_LEVEL[reader]
-    with pytest.raises(error, match=f"must hold a JSON {kind}$"):
-        make(tmp_path)()
+# each reader of a JSON document, the error class it raises, the top-level
+# JSON type it expects, and a document of another type
+@pytest.mark.parametrize("reader, error, kind, doc", [
+    (_load_volume_of_sidecar, BadHeader, "object", []),
+    (load_model, BadModelFile, "object", [1]),
+    (load_camo, BadParams, "object", "connected"),
+    (load_catalog, BadParams, "array", {}),
+], ids=["load_volume", "load_model", "load_camo", "load_catalog"])
+def test_wrong_top_level_type_raises_the_callers_error(tmp_path, reader, error,
+                                                       kind, doc):
+    path = _json_file(tmp_path, doc)
+    with pytest.raises(error, match=re.escape(f"{path} must hold a JSON {kind}")):
+        reader(path)
 
 
 def test_read_json_checks_the_top_level_type(tmp_path):
