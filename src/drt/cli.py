@@ -18,7 +18,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import FeatureBankConfig, ForestHyperparameters, json_typed
+from .config import (FeatureBankConfig, ForestHyperparameters, json_array,
+                     json_typed)
 from .errors import (BadParams, ConfigError, InputError, IoError, IoFailure,
                      MissingArtifacts, NumericError)
 from .fileio import read_csv, read_json, write_json, write_text
@@ -115,6 +116,29 @@ _CONFIG_FIELDS = {
                   "s_w_anchor": "s_w_anchor"},
 }
 
+# the JSON type of each typed key outside the _NESTED sections, as
+# json_typed reads it, with [t] for an array of t; _NULLABLE keys may be null
+_FLAT_KINDS = {
+    "pore_classes": [int], "micropore_classes": [int], "connectivity": int,
+    "n_bins": int, "cutoffs_um": [float], "micro_weight": float,
+    "epsilon": float, "c": float, "e": float, "s_wi": float,
+    "p_cu_psi": float, "p_cu_ratio": float, "s_w_anchor": float,
+}
+_NULLABLE = {"p_cu_psi", "s_w_anchor"}
+
+
+def _check_kind(key: str, value) -> None:
+    kind = _FLAT_KINDS.get(key)
+    if kind is None or (value is None and key in _NULLABLE):
+        return
+    try:
+        if isinstance(kind, list):
+            json_array(value, kind[0], key)
+        else:
+            json_typed(value, kind, key)
+    except TypeError as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
+
 
 def config_from_json_dict(raw: dict) -> PipelineConfig:
     if not isinstance(raw, dict):
@@ -132,17 +156,10 @@ def config_from_json_dict(raw: dict) -> PipelineConfig:
             raise ConfigError(f"unknown keys in config section {section!r}: "
                               f"{sorted(bad)}")
         if section not in _NESTED:
-            kwargs.update((fields[key], value) for key, value in entry.items())
+            for key, value in entry.items():
+                _check_kind(key, value)
+                kwargs[fields[key]] = value
     try:
-        for key in ("connectivity", "n_bins"):
-            if key in kwargs:
-                json_typed(kwargs[key], int, key)
-        for key in ("pore_classes", "micropore_classes"):
-            ids = kwargs.get(key, [])
-            if not isinstance(ids, list):
-                raise TypeError(f"{key} must be a JSON array, got {ids!r}")
-            for class_id in ids:
-                json_typed(class_id, int, f"{key} entry")
         for section, cls in _NESTED.items():
             merged = cls().to_json_dict() | raw.get(section, {})
             kwargs[section] = cls.from_json_dict(merged)
@@ -164,20 +181,17 @@ def load_config(path: str | None) -> PipelineConfig:
     return config_from_json_dict(read_json(path, ConfigError))
 
 
-_JSON_KINDS = {float: "number", dict: "object", list: "array"}
-
-
 def _checked(value, kind: type, where: str):
-    """A JSON value that is null or of ``kind``, where float means a number.
+    """A JSON value that is null or of ``kind``, as json_typed reads it.
 
     Anything else raises BadParams naming ``where``, the file and key.
     """
-    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-          if kind is float else isinstance(value, kind))
-    if value is not None and not ok:
-        raise BadParams(f"{where} must be a JSON {_JSON_KINDS[kind]}, "
-                        f"got {value!r}")
-    return value
+    if value is None:
+        return None
+    try:
+        return json_typed(value, kind, where)
+    except TypeError as exc:
+        raise BadParams(str(exc)) from exc
 
 
 def _ensure_dir(path: Path) -> Path:
@@ -222,12 +236,13 @@ def cmd_segment(args) -> int:
     import numpy as np
 
     from .forest import load_model, segment_volume
-    from .volume import load_volume, save_volume
+    from .volume import load_volume, save_volume, sidecar_path
 
+    out = Path(args.out)
+    sidecar_path(out)  # refuses a .json raw path before any work
     volume = load_volume(args.volume)
     model = load_model(args.model)
     label_vol, conf_vol = segment_volume(model, volume, threads=args.threads)
-    out = Path(args.out)
     conf_out = out.with_name(out.stem + "_confidence" + (out.suffix or ".raw"))
     _ensure_dir(out.parent)
     save_volume(label_vol, out)

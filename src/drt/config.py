@@ -14,17 +14,26 @@ from .errors import BadHyperparameters
 
 _BOUNDARY_TO_SCIPY = {"mirror": "reflect", "clamp": "nearest"}
 
+_JSON_KINDS = {int: "integer", float: "number", bool: "boolean",
+               list: "array", dict: "object"}
+
 
 def json_typed(value, kind: type, name: str):
-    """``value`` itself when JSON gave it as ``kind``, int or bool.
+    """``value`` itself when JSON gave it as ``kind``; float means any number.
 
-    Anything else, which int() or bool() would truncate, parse or flip,
-    raises TypeError naming ``name``; a bool is no int here.
+    Anything else, which int(), float() or bool() would truncate, parse or
+    flip, raises TypeError naming ``name``; a bool is no int or number here.
     """
-    if type(value) is not kind:
-        raise TypeError(f"{name} must be a JSON "
-                        f"{'integer' if kind is int else 'boolean'}, "
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        raise TypeError(f"{name} must be a JSON {_JSON_KINDS[kind]}, "
                         f"got {value!r}")
+    return value
+
+
+def json_array(value, kind: type, name: str) -> list:
+    """``value`` itself when JSON gave it as an array of ``kind`` entries."""
+    for item in json_typed(value, list, name):
+        json_typed(item, kind, f"{name} entry")
     return value
 
 
@@ -82,7 +91,7 @@ class FeatureBankConfig:
     @classmethod
     def from_json_dict(cls, d: dict) -> "FeatureBankConfig":
         return cls(
-            sigmas_vox=tuple(d["sigmas_vox"]),
+            sigmas_vox=tuple(json_array(d["sigmas_vox"], float, "sigmas_vox")),
             include_raw=json_typed(d["include_raw"], bool, "include_raw"),
             boundary_mode=d["boundary_mode"],
         )
@@ -139,5 +148,6 @@ class ForestHyperparameters:
             features_per_split=(None if d.get("features_per_split") is None
                                 else json_typed(d["features_per_split"], int,
                                                 "features_per_split")),
-            bag_fraction=float(d["bag_fraction"]),
+            bag_fraction=float(json_typed(d["bag_fraction"], float,
+                                          "bag_fraction")),
         )

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _ndi
 from .config import _BOUNDARY_TO_SCIPY, FeatureBankConfig
 from .errors import BadSigmaOrder, DegenerateHistogram, NoConvergence, SigmaTooLarge
 from .rng import SplitMix64
@@ -50,16 +51,13 @@ def _smooth_array(data: np.ndarray, sigma: float, boundary_mode: str,
     The y and x passes act within planes, so cropping after the z pass
     leaves the kept planes bit-identical to cropping at the end.
     """
-    # imported here so that the stages without filtering do not load scipy
-    from scipy.ndimage import correlate1d
-
     kernel = gaussian_kernel_1d(sigma)
     mode = _BOUNDARY_TO_SCIPY[boundary_mode]
     # correlate1d filters every input type through float64 line buffers, so
     # a float64 output needs no float64 copy of the input
-    out = correlate1d(data, kernel, axis=0, mode=mode, output=np.float64)[keep]
+    out = _ndi.correlate1d(data, kernel, 0, mode, np.float64)[keep]
     for axis in (1, 2):
-        out = correlate1d(out, kernel, axis=axis, mode=mode)
+        out = _ndi.correlate1d(out, kernel, axis, mode)
     return out
 
 

@@ -16,14 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _ndi
 from .errors import BadParams, NoPoreVoxels, TooFewPoints
 from .fileio import write_csv, write_json
 from .volume import Volume
 
 # the face and the full 3x3x3 neighbourhood, equal to scipy's
-# generate_binary_structure(3, 1) and (3, 3); scipy.ndimage is imported only
-# inside the functions that call it, so a process that never calls them
-# does not load scipy
+# generate_binary_structure(3, 1) and (3, 3); scipy's kernels are loaded by
+# drt._ndi on first use, so a process that never calls them does not load
+# scipy
 _STRUCTS = {
     6: np.abs(np.indices((3, 3, 3)) - 1).sum(axis=0) <= 1,
     26: np.ones((3, 3, 3), dtype=bool),
@@ -100,13 +101,11 @@ def connected_components(labels: Volume, foreground=frozenset({0}),
     """
     if connectivity not in _STRUCTS:
         raise BadParams(f"connectivity must be 6 or 26, got {connectivity}")
-    from scipy import ndimage
-
     classes = _as_class_set(foreground)
     mask = np.isin(labels.data, sorted(classes))
     # scipy gives each component the smallest provisional label among its
     # voxels, which is its first voxel's: ids come in flat scan order
-    comp, n_raw = ndimage.label(mask, structure=_STRUCTS[connectivity])
+    comp, n_raw = _ndi.label(mask, _STRUCTS[connectivity])
     sizes = np.bincount(comp.ravel(), minlength=n_raw + 1)[1:].astype(np.int64)
     face_touch = np.zeros((n_raw, 6), dtype=bool)
     if n_raw:
@@ -133,18 +132,15 @@ def euclidean_distance_transform(mask: Volume) -> Volume:
     if fg.all():
         out[:] = np.inf
     elif fg.any():
-        from scipy import ndimage
-
-        out = ndimage.distance_transform_edt(fg).astype(np.float64)
+        # scipy's EDT sums the same integer squares in float64, exactly
+        # below 2**53, so this square root equals it bit for bit
+        out = np.sqrt(_squared_distances(fg))
     return mask.with_data(out, value_kind="distance", element_encoding="f32")
 
 
 def _squared_distances(fg: np.ndarray) -> np.ndarray:
     """Exact int32 squared distance to the nearest background voxel of fg."""
-    from scipy import ndimage
-
-    nearest = ndimage.distance_transform_edt(fg, return_distances=False,
-                                             return_indices=True)
+    nearest = _ndi.feature_transform(fg)
     for axis, grid in enumerate(np.ogrid[tuple(slice(n) for n in fg.shape)]):
         nearest[axis] -= grid
     nearest *= nearest

@@ -205,6 +205,15 @@ class TestSegment:
         assert "ends in .json" in caplog.text
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_ending_in_json_fails_before_reading_the_model(
+            self, workdir, tmp_path, caplog):
+        rc = main(["segment", "--volume", str(workdir / "gray.raw"),
+                   "--model", str(tmp_path / "missing.json"),
+                   "--out", str(tmp_path / "seg.JSON")])
+        assert rc == 2
+        assert "ends in .json" in caplog.text
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_model_file(self, workdir, tmp_path):
         bad = tmp_path / "model.json"
         bad.write_text("{}")
@@ -744,6 +753,20 @@ WRONG_TYPE_CONFIG = [
     ("forest", "min_samples_split", "2", "integer"),
     ("forest", "features_per_split", 1.5, "integer"),
     ("feature_bank", "include_raw", "false", "boolean"),
+    # float values and arrays, which float() and tuple() used to coerce
+    ("throat", "cutoffs_um", "12", "array"),
+    ("throat", "cutoffs_um", [10, "100"], "number"),
+    ("feature_bank", "sigmas_vox", "12", "array"),
+    ("feature_bank", "sigmas_vox", [1.0, True], "number"),
+    ("forest", "bag_fraction", "0.5", "number"),
+    ("petro", "micro_weight", True, "number"),
+    ("petro", "epsilon", "0.1", "number"),
+    ("capillary", "c", None, "number"),
+    ("capillary", "e", "0.5", "number"),
+    ("capillary", "s_wi", [0.1], "number"),
+    ("capillary", "p_cu_psi", "300", "number"),
+    ("capillary", "p_cu_ratio", False, "number"),
+    ("capillary", "s_w_anchor", "0.5", "number"),
 ]
 
 
@@ -762,6 +785,21 @@ class TestConfigTypes:
         assert rc == 2
         assert re.search(message, caplog.text)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("throat", "cutoffs_um", [5, 50]),
+        ("feature_bank", "sigmas_vox", [1, 2.5]),
+        ("petro", "micro_weight", 1),
+        ("capillary", "p_cu_psi", None),
+        ("capillary", "s_w_anchor", None),
+    ])
+    def test_integers_are_numbers_and_optional_values_may_be_null(
+            self, section, key, value):
+        config_from_json_dict({section: {key: value}})
+
+    def test_integer_bag_fraction_is_stored_as_a_float(self):
+        cfg = config_from_json_dict({"forest": {"bag_fraction": 1}})
+        assert repr(cfg.forest.bag_fraction) == "1.0"
 
 
 class TestConsoleScript:
@@ -872,15 +910,21 @@ class TestModuleLoads:
         else:
             argv = ("segment", "--volume", workdir / "gray.raw",
                     "--model", trained, "--out", tmp_path / "seg.raw")
-        layers = drt_layers(loaded_modules(*argv))
+        modules = loaded_modules(*argv)
+        layers = drt_layers(modules)
         assert {"filters", "forest", "volume"} <= layers
         assert not {"morphology", "petro", "rocktype", "capillary",
                     "phantoms"} & layers
+        # the smoothing kernel is called without the scipy.ndimage package
+        assert "scipy.ndimage" not in modules
 
     def test_analyze_loads_no_segmentation_layer(self, segmented, workdir,
                                                  tmp_path):
-        layers = drt_layers(loaded_modules(
+        modules = loaded_modules(
             "analyze", "--labels", segmented,
-            "--config", workdir / "config.json", "--out", tmp_path))
+            "--config", workdir / "config.json", "--out", tmp_path)
+        layers = drt_layers(modules)
         assert {"morphology", "petro", "capillary", "rocktype"} <= layers
         assert not {"filters", "forest", "rng", "phantoms"} & layers
+        # label and the feature transform are called without the package
+        assert "scipy.ndimage" not in modules

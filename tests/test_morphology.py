@@ -227,6 +227,19 @@ class TestDistanceTransform:
             want = edt_reference(mask)
             np.testing.assert_allclose(got.data, want, atol=1e-9)
 
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(*[st.integers(1, 19)] * 3),
+           pore_fraction=st.sampled_from([0.0, 0.2, 0.5, 0.8, 0.99]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_scipy_edt_bit_for_bit(self, shape, pore_fraction, seed):
+        from scipy import ndimage
+        mask = np.random.default_rng(seed).random(shape) < pore_fraction
+        mask.flat[0] = False  # scipy has no +inf sentinel for no background
+        got = euclidean_distance_transform(label_volume(mask)).data
+        want = ndimage.distance_transform_edt(mask)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
     def test_background_is_zero(self):
         mask = np.zeros((4, 4, 4), dtype=np.uint8)
         mask[1, 1, 1] = 1
