@@ -15,6 +15,7 @@ import argparse
 import logging
 import math
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -123,8 +124,9 @@ _FLAT_KINDS = {
     "n_bins": int, "cutoffs_um": [float], "micro_weight": float,
     "epsilon": float, "c": float, "e": float, "s_wi": float,
     "p_cu_psi": float, "p_cu_ratio": float, "s_w_anchor": float,
+    "relations_path": str, "catalog_path": str,
 }
-_NULLABLE = {"p_cu_psi", "s_w_anchor"}
+_NULLABLE = {"p_cu_psi", "s_w_anchor", "relations_path", "catalog_path"}
 
 
 def _check_kind(key: str, value) -> None:
@@ -256,6 +258,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    start = time.perf_counter()
     from .capillary import (build_pc_curve, export_pc_csv, pc_shape_features,
                             pcd_from_permeability, PFunction,
                             save_pc_curve_json)
@@ -323,6 +326,8 @@ def cmd_analyze(args) -> int:
         "rock_type": rock.to_json_dict(),
     }
     write_json(out_dir / "analysis.json", payload)
+    log.debug("analyze: %d components, %.3f s", comp.n_components,
+              time.perf_counter() - start)
     print(out_dir / "analysis.json")
     return 0
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import FeatureBankConfig, ForestHyperparameters
+from .config import FeatureBankConfig, ForestHyperparameters, json_typed
 from .errors import (BadModelFile, BadParams, DimensionMismatch,
                      EmptyClass, VersionMismatch)
 from .fileio import read_csv, read_json, write_json
@@ -541,6 +541,8 @@ def load_model(path) -> ForestModel:
         class_names = [str(c) for c in raw["class_names"]]
         seed = int(raw["rng_seed"])
         oob = raw.get("oob_accuracy")
+        oob = None if oob is None else float(json_typed(oob, float,
+                                                         "oob_accuracy"))
         trees = [_Tree.from_json_dict(t, len(class_names), bank.feature_count)
                  for t in raw["trees"]]
     except BadModelFile:
@@ -552,8 +554,7 @@ def load_model(path) -> ForestModel:
     if not trees:
         raise BadModelFile("model holds no trees")
     return ForestModel(hyperparameters=hp, feature_bank=bank, class_names=class_names,
-                       rng_seed=seed, trees=trees,
-                       oob_accuracy=None if oob is None else float(oob))
+                       rng_seed=seed, trees=trees, oob_accuracy=oob)
 
 
 def load_labels_csv(path, dims: tuple[int, int, int] | None = None):

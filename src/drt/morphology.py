@@ -11,6 +11,7 @@ covering it, in physical units.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +21,8 @@ from . import _ndi
 from .errors import BadParams, NoPoreVoxels, TooFewPoints
 from .fileio import write_csv, write_json
 from .volume import Volume
+
+log = logging.getLogger(__name__)
 
 # the face and the full 3x3x3 neighbourhood, equal to scipy's
 # generate_binary_structure(3, 1) and (3, 3); scipy's kernels are loaded by
@@ -153,10 +156,18 @@ def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
     thickness(v) = 2 * voxel_size * max{ r(c) : |c - v| <= r(c) } over
     foreground voxels c, and 0 on background. Computed on the exact integer
     r², summed from the offsets to the nearest background voxel that scipy's
-    feature transform returns: the centers are grouped by r², and each
-    group's balls are scattered at once into a grid padded so that no ball
-    wraps. Groups go in ascending r² order, so every covered voxel ends up
-    holding its largest covering r². The voxel size defaults to the mask's.
+    feature transform returns. The voxel size defaults to the mask's.
+
+    Only the centres whose ball no neighbour's ball holds are painted
+    (``_ridge_centres``). A centre c of r² = s is dropped when a neighbour
+    c + d (d one of the 26 unit steps) has r² >= need(s, d) =
+    max{ |v - d|² : |v|² <= s }: every voxel of c's ball then lies in the
+    neighbour's ball, whose r² is larger than s because need(s, d) > s. So
+    c sets no voxel's maximum. Following such drops from neighbour to
+    neighbour, r² rises strictly, so each dropped ball lies in a kept one
+    of larger r², and dropping them all at once leaves every voxel's
+    maximum, and the output, exactly as with every foreground voxel as a
+    centre (``_paint``).
     """
     fg = mask.data != 0
     vs = mask.header.voxel_size_um if voxel_size_um is None else float(voxel_size_um)
@@ -169,34 +180,112 @@ def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
         return mask.with_data(np.full(fg.shape, np.inf), value_kind="throat_size",
                               element_encoding="f32")
 
-    center_r2 = _squared_distances(fg)[fg]
-    # a ball reaches no further than r_max, and an offset beyond n - 1
-    # leaves the volume from every center
-    pad = [min(math.isqrt(int(center_r2.max())), n - 1) for n in fg.shape]
-    centers = np.flatnonzero(np.pad(fg, [(p, p) for p in pad]))
-    th2 = np.zeros([n + 2 * p for n, p in zip(fg.shape, pad)], dtype=np.int32)
-    sz, sy = th2.shape[1] * th2.shape[2], th2.shape[2]
-    dz, dy, dx = np.ogrid[tuple(slice(-p, p + 1) for p in pad)]
-    d2 = (dz * dz + dy * dy + dx * dx).ravel()
-    by_length = np.argsort(d2, kind="stable")
-    # the ball of squared radius s is the prefix of offsets with d2 <= s
-    d2 = d2[by_length]
-    offsets = (dz * sz + dy * sy + dx).ravel()[by_length]
+    sq = _squared_distances(fg)
+    d2, steps = _ball(fg.shape, int(sq.max()))
+    centres, n_tested = _ridge_centres(fg, sq, d2, steps)
+    r2 = sq[centres]
+    del sq  # the paint grid is larger; do not hold both
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("local thickness: %d pore voxels, %d centres tested, "
+                  "%d painted, %d r2 groups, %d entries painted",
+                  np.count_nonzero(fg), n_tested, r2.size, np.unique(r2).size,
+                  int(np.searchsorted(d2, r2, side="right").sum()))
+    th2 = np.where(fg, _paint(centres, r2, d2, steps), 0)
+    out = 2.0 * vs * np.sqrt(th2.astype(np.float64))
+    return mask.with_data(out, value_kind="throat_size", element_encoding="f32")
 
-    order = np.argsort(center_r2, kind="stable")
-    centers, center_r2 = centers[order], center_r2[order]
-    values, starts = np.unique(center_r2, return_index=True)
+
+def _ball(shape, r2_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of every ball of squared radius up to r2_max, by length.
+
+    Returns (d2, steps): the (3, K) offsets v in the box |v_i| <= pad_i,
+    stably sorted by d2 = |v|², so that the ball of squared radius s is the
+    prefix with d2 <= s. A ball reaches no further than sqrt(r2_max), and an
+    offset beyond n - 1 leaves the volume from every voxel, so pad_i is the
+    smaller of the two.
+    """
+    pad = [min(math.isqrt(r2_max), n - 1) for n in shape]
+    steps = (np.indices([2 * p + 1 for p in pad]).reshape(3, -1)
+             - np.array(pad)[:, None])
+    d2 = (steps * steps).sum(axis=0)
+    by_length = np.argsort(d2, kind="stable")
+    return d2[by_length], steps[:, by_length]
+
+
+def _ridge_centres(fg: np.ndarray, sq: np.ndarray, d2: np.ndarray,
+                   steps: np.ndarray) -> tuple[np.ndarray, int]:
+    """Foreground voxels whose ball no neighbour's ball holds; see local_thickness.
+
+    Returns the kept centres as a boolean grid, and how many were tested.
+    Only centres whose ball holds more voxels than the 26 lookups of the
+    test are tested: r² >= 3, a 27-voxel ball. Each lookup is a gather from
+    a zero-padded copy of sq, so a neighbour outside the volume holds
+    nothing.
+    """
+    centres = fg.copy()
+    at = np.flatnonzero(np.pad(fg, 1))  # same order as fg's voxels
+    s = sq[fg]
+    tested = s >= 3
+    at, s = at[tested], s[tested]
+    if not s.size:
+        return centres, 0
+    need = _need(d2, steps, int(s.max()))[:, s]
+    padded = np.pad(sq, 1)
+    strides = np.array(padded.strides) // padded.itemsize
+    flat = padded.reshape(-1)
+    held = np.zeros(s.size, dtype=bool)
+    for d in np.argwhere(_STRUCTS[26]) - 1:
+        if d.any():
+            held |= flat[at + d @ strides] >= need[np.count_nonzero(d) - 1]
+    centres.reshape(-1)[np.flatnonzero(fg)[tested][held]] = False
+    return centres, s.size
+
+
+def _need(d2: np.ndarray, steps: np.ndarray, s_max: int) -> np.ndarray:
+    """need(s, d) of local_thickness for d a face, edge and corner step.
+
+    Returns a (3, s_max + 1) table: row k - 1 holds, for s = 0..s_max, the
+    largest |v - d|² over the offsets v of (d2, steps) with |v|² <= s and
+    the steps d with k nonzero components. For such a d, |v - d|² =
+    |v|² + k - 2 v.d is at most |v|² + k + 2 * (the sum of the k largest
+    |v_i|), with equality for some d of the class, so the table is a
+    running maximum of that bound in d2 order. The box is symmetric under
+    sign flips, so with an unclipped box the row is exactly need(s, d) for
+    every d of the class; a clipped box still holds every offset that
+    stays in the volume.
+    """
+    reach = np.sort(np.abs(steps), axis=0)[::-1].cumsum(axis=0)
+    need = np.maximum.accumulate(d2 + 2 * reach + np.arange(1, 4)[:, None],
+                                 axis=1)
+    return need[:, np.searchsorted(d2, np.arange(s_max + 1), side="right") - 1]
+
+
+def _paint(centres: np.ndarray, r2: np.ndarray, d2: np.ndarray,
+           steps: np.ndarray) -> np.ndarray:
+    """Per voxel, the largest r² of the given centres' balls that cover it.
+
+    ``centres`` is a boolean grid, ``r2`` the squared radii of its set
+    voxels in flat order, and (d2, steps) the ball offsets from ``_ball``.
+    The centres are grouped by r², and each group's balls are scattered at
+    once into a grid padded so that no ball wraps. Groups go in ascending
+    r² order, so every covered voxel ends up holding its largest covering
+    r²; uncovered voxels hold 0.
+    """
+    pad = steps.max(axis=1).tolist()
+    flat_centres = np.flatnonzero(np.pad(centres, [(p, p) for p in pad]))
+    th2 = np.zeros([n + 2 * p for n, p in zip(centres.shape, pad)], dtype=np.int32)
+    offsets = np.array(th2.strides) // th2.itemsize @ steps
+
+    order = np.argsort(r2, kind="stable")
+    flat_centres, r2 = flat_centres[order], r2[order]
+    values, starts = np.unique(r2, return_index=True)
     flat = th2.reshape(-1)
-    for value, group in zip(values.tolist(), np.split(centers, starts[1:])):
+    for value, group in zip(values.tolist(), np.split(flat_centres, starts[1:])):
         ball = offsets[:np.searchsorted(d2, value, side="right")]
         step = max(1, _SCATTER_BATCH // ball.size)
         for i in range(0, group.size, step):
             flat[(group[i:i + step, None] + ball).ravel()] = value
-
-    inner = tuple(slice(p, p + n) for p, n in zip(pad, fg.shape))
-    th2 = np.where(fg, th2[inner], 0)
-    out = 2.0 * vs * np.sqrt(th2.astype(np.float64))
-    return mask.with_data(out, value_kind="throat_size", element_encoding="f32")
+    return th2[tuple(slice(p, p + n) for p, n in zip(pad, centres.shape))]
 
 
 @dataclass

@@ -374,6 +374,31 @@ class TestAnalyze:
         assert len(lines.splitlines()) == 6  # header + one row per bin
 
 
+    def test_verbose_logs_painting_and_stage_counts(self, workdir, segmented,
+                                                    analyzed, tmp_path, capsys,
+                                                    caplog):
+        argv = ["analyze", "--labels", str(segmented),
+                "--config", str(workdir / "config.json")]
+        with caplog.at_level(logging.DEBUG, logger="drt"):
+            rc = main(["-v"] + argv + ["--out", str(tmp_path / "loud")])
+        assert rc == 0
+        assert capsys.readouterr().out == f"{tmp_path / 'loud' / 'analysis.json'}\n"
+        painted = [r.getMessage() for r in caplog.records
+                   if r.name == "drt.morphology"]
+        stage = [r.getMessage() for r in caplog.records if r.name == "drt"]
+        assert len(painted) == 1 and len(stage) == 1
+        pore = int((load_volume(segmented).data == 0).sum())
+        assert re.fullmatch(rf"local thickness: {pore} pore voxels, \d+ centres "
+                            r"tested, \d+ painted, \d+ r2 groups, \d+ entries "
+                            r"painted", painted[0])
+        n = json.loads((analyzed / "analysis.json").read_text())["n_components"]
+        assert re.fullmatch(rf"analyze: {n} components, \d+\.\d{{3}} s", stage[0])
+        match, mismatch, errors = filecmp.cmpfiles(
+            analyzed, tmp_path / "loud", [p.name for p in analyzed.iterdir()],
+            shallow=False)
+        assert not mismatch and not errors
+
+
 class TestClassify:
     def test_direct_arguments(self, tmp_path, capsys):
         rc = main(["classify", "--k", "80", "--pcd", "50", "--pcu", "300",
@@ -767,6 +792,17 @@ WRONG_TYPE_CONFIG = [
     ("capillary", "p_cu_psi", "300", "number"),
     ("capillary", "p_cu_ratio", False, "number"),
     ("capillary", "s_w_anchor", "0.5", "number"),
+    # paths, which open() used to reject with a traceback
+    ("camo", "catalog_path", 5, "string"),
+    ("camo", "relations_path", ["camo.json"], "string"),
+]
+
+# number config values given as JSON integers that float() cannot hold
+HUGE_INTEGER_CONFIG = [
+    ("forest", "bag_fraction", 10**400),
+    ("feature_bank", "sigmas_vox", [1, 10**400]),
+    ("throat", "cutoffs_um", [10, 10**400]),
+    ("capillary", "c", 10**400),
 ]
 
 
@@ -792,6 +828,8 @@ class TestConfigTypes:
         ("petro", "micro_weight", 1),
         ("capillary", "p_cu_psi", None),
         ("capillary", "s_w_anchor", None),
+        ("camo", "catalog_path", None),
+        ("camo", "relations_path", None),
     ])
     def test_integers_are_numbers_and_optional_values_may_be_null(
             self, section, key, value):
@@ -800,6 +838,30 @@ class TestConfigTypes:
     def test_integer_bag_fraction_is_stored_as_a_float(self):
         cfg = config_from_json_dict({"forest": {"bag_fraction": 1}})
         assert repr(cfg.forest.bag_fraction) == "1.0"
+
+    @pytest.mark.parametrize("section, key, value", HUGE_INTEGER_CONFIG)
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, caplog,
+                                                   section, key, value):
+        message = rf"{key}( entry)? must be a JSON number that fits a float"
+        with pytest.raises(ConfigError, match=message):
+            config_from_json_dict({section: {key: value}})
+        (tmp_path / "cfg.json").write_text(json.dumps({section: {key: value}}))
+        rc = main(["classify", "--k", "80", "--pcd", "50", "--pcu", "300",
+                   "--swi", "0.1", "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert re.search(message, caplog.text)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["catalog_path", "relations_path"])
+    def test_camo_path_of_the_wrong_type_exits_2_in_classify(self, tmp_path,
+                                                             caplog, key):
+        (tmp_path / "cfg.json").write_text(json.dumps({"camo": {key: 5}}))
+        rc = main(["classify", "--k", "80", "--pcd", "50", "--pcu", "300",
+                   "--swi", "0.1", "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{key} must be a JSON string, got 5" in caplog.text
 
 
 class TestConsoleScript:

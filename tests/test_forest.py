@@ -799,6 +799,22 @@ class TestModelIo:
         with pytest.raises(BadModelFile, match=f"{key} must be a JSON"):
             load_model(path)
 
+    @pytest.mark.parametrize("section, key", [
+        ("hyperparameters", "bag_fraction"),
+        (None, "oob_accuracy"),
+    ])
+    def test_rejects_a_number_too_large_for_a_float(self, tmp_path, section,
+                                                    key):
+        model = train_forest(two_blob_training(), ForestHyperparameters(n_trees=2),
+                             bank_for(2), seed=0)
+        doc = model.to_json_dict()
+        (doc if section is None else doc[section])[key] = 10**400
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadModelFile, match=f"{key} must be a JSON number "
+                                               "that fits a float"):
+            load_model(path)
+
     def test_model_json_shape(self):
         ts = two_blob_training()
         model = train_forest(ts, ForestHyperparameters(n_trees=2), bank_for(2),

@@ -5,7 +5,9 @@ flood fill for components, all-pairs minimum distance for the distance
 transform, and a quadratic covering-ball sweep for local thickness.
 """
 
+import itertools
 import json
+import logging
 import math
 
 import numpy as np
@@ -27,7 +29,8 @@ from drt import (
     local_thickness,
     throat_distribution,
 )
-from drt.morphology import _prominent_peaks, _squared_distances, _STRUCTS
+from drt.morphology import (_ball, _need, _paint, _prominent_peaks,
+                            _ridge_centres, _squared_distances, _STRUCTS)
 
 _OFFSETS_6 = [(0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0)]
 _OFFSETS_26 = [(dz, dy, dx)
@@ -91,6 +94,23 @@ def thickness_reference(mask, vs):
         covered = r2[d2 <= r2]
         out[tuple(v)] = 2.0 * vs * math.sqrt(int(covered.max()))
     return out
+
+
+def paint_every_voxel(mask, vs):
+    """local_thickness with every foreground voxel painted as a centre."""
+    fg = mask != 0
+    sq = _squared_distances(fg)
+    th2 = np.where(fg, _paint(fg, sq[fg], *_ball(fg.shape, int(sq.max()))), 0)
+    return 2.0 * vs * np.sqrt(th2.astype(np.float64))
+
+
+def sphere_mask(shape, centres, radii):
+    """Union of balls; centres may lie outside the box, balls may be cut."""
+    grid = np.indices(shape)
+    mask = np.zeros(shape, dtype=bool)
+    for c, r in zip(centres, radii):
+        mask |= ((grid - np.reshape(c, (3, 1, 1, 1))) ** 2).sum(axis=0) <= r * r
+    return mask
 
 
 def label_volume(data, voxel_size=1.0):
@@ -359,6 +379,94 @@ class TestLocalThickness:
     def test_output_metadata(self):
         got = local_thickness(label_volume(np.zeros((4, 4, 4))))
         assert got.header.value_kind == "throat_size"
+
+
+_axis = st.one_of(st.integers(1, 2), st.integers(1, 40))
+
+
+class TestRidgePrune:
+    def test_need_table_holds_every_ball(self):
+        # brute force over each of the 26 steps on its own: the running
+        # maximum of |v - d|² over the offsets sorted by |v|²
+        s_max = 300
+        r = math.isqrt(s_max)
+        v = np.array(list(itertools.product(range(-r, r + 1), repeat=3))).T
+        d2 = (v * v).sum(axis=0)
+        order = np.argsort(d2, kind="stable")
+        v, d2 = v[:, order], d2[order]
+        prefix = np.searchsorted(d2, np.arange(s_max + 1), side="right") - 1
+        got = _need(*_ball((2 * r + 1,) * 3, s_max), s_max)
+        assert got.shape == (3, s_max + 1)
+        reached = np.zeros_like(got)
+        for d in _OFFSETS_26:
+            k = np.count_nonzero(d)
+            farthest = np.maximum.accumulate(
+                ((v - np.reshape(d, (3, 1))) ** 2).sum(axis=0))[prefix]
+            assert (farthest <= got[k - 1]).all()  # B(0, s) in B(d, need)
+            reached[k - 1] = np.maximum(reached[k - 1], farthest)
+        np.testing.assert_array_equal(reached, got)  # need is reached
+        assert (got > np.arange(s_max + 1)).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.tuples(_axis, _axis, _axis),
+           kind=st.sampled_from(["spheres", "random"]),
+           pore_fraction=st.floats(0.05, 0.9),
+           voxel_size=st.sampled_from([1.0, 0.37, 2.5]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_painting_every_voxel(self, shape, kind, pore_fraction,
+                                         voxel_size, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "spheres":
+            n = int(rng.integers(1, 12))
+            mask = sphere_mask(shape, rng.uniform(-2, np.array(shape) + 2, (n, 3)),
+                               rng.uniform(0.5, 8.0, n))
+        else:
+            mask = rng.random(shape) < pore_fraction
+        got = local_thickness(label_volume(mask, voxel_size)).data
+        if 0 < mask.sum() < mask.size:
+            want = paint_every_voxel(mask, voxel_size)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(*[st.integers(1, 16)] * 3),
+           n_background=st.integers(1, 3),
+           voxel_size=st.sampled_from([1.0, 0.5]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_painting_every_voxel_near_full(self, shape, n_background,
+                                                   voxel_size, seed):
+        # balls wider than the volume: the need table of a clipped box.
+        # Kept at 16 per axis: the painting grows as n⁶ here
+        rng = np.random.default_rng(seed)
+        mask = np.ones(shape, dtype=bool)
+        mask.flat[rng.integers(mask.size, size=n_background)] = False
+        got = local_thickness(label_volume(mask, voxel_size)).data
+        if mask.any():
+            want = paint_every_voxel(mask, voxel_size)
+            assert got.tobytes() == want.tobytes()
+
+    def test_ball_drops_most_tested_centres(self):
+        # lattice balls near the surface are not held by a neighbour's, so
+        # more than the centre survives: 113 of 461 tested here
+        mask = sphere_mask((21, 21, 21), [(10, 10, 10)], [6])
+        sq = _squared_distances(mask)
+        centres, n_tested = _ridge_centres(mask, sq, *_ball(mask.shape,
+                                                            int(sq.max())))
+        tested = mask & (sq >= 3)
+        assert n_tested == np.count_nonzero(tested) == 461
+        assert np.count_nonzero(centres & tested) == 113
+        assert centres[10, 10, 10] and sq[10, 10, 10] == sq.max()
+        assert centres[mask & ~tested].all()  # too small to test
+
+    def test_logs_counts_at_debug(self, caplog):
+        mask = sphere_mask((21, 21, 21), [(10, 10, 10)], [6])
+        with caplog.at_level(logging.DEBUG, logger="drt.morphology"):
+            local_thickness(label_volume(mask))
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.name == "drt.morphology"]
+        assert line.startswith(f"local thickness: {mask.sum()} pore voxels, ")
+        assert " centres tested, " in line and " r2 groups, " in line
+        assert line.endswith(" entries painted")
 
 
 class TestThroatDistribution:
