@@ -222,23 +222,24 @@ def _ridge_centres(fg: np.ndarray, sq: np.ndarray, d2: np.ndarray,
     a zero-padded copy of sq, so a neighbour outside the volume holds
     nothing.
     """
-    centres = fg.copy()
-    at = np.flatnonzero(np.pad(fg, 1))  # same order as fg's voxels
-    s = sq[fg]
-    tested = s >= 3
-    at, s = at[tested], s[tested]
-    if not s.size:
-        return centres, 0
+    tested = sq >= 3  # background voxels have r² = 0
+    at = np.flatnonzero(tested)
+    if not at.size:
+        return fg, 0
+    s = sq.reshape(-1)[at]
     need = _need(d2, steps, int(s.max()))[:, s]
     padded = np.pad(sq, 1)
     strides = np.array(padded.strides) // padded.itemsize
     flat = padded.reshape(-1)
-    held = np.zeros(s.size, dtype=bool)
+    at_padded = np.flatnonzero(np.pad(tested, 1))  # in the order of at
+    held = np.zeros(at.size, dtype=bool)
     for d in np.argwhere(_STRUCTS[26]) - 1:
         if d.any():
-            held |= flat[at + d @ strides] >= need[np.count_nonzero(d) - 1]
-    centres.reshape(-1)[np.flatnonzero(fg)[tested][held]] = False
-    return centres, s.size
+            held |= (flat[at_padded + d @ strides]
+                     >= need[np.count_nonzero(d) - 1])
+    centres = fg.copy()
+    centres.reshape(-1)[at[held]] = False
+    return centres, at.size
 
 
 def _need(d2: np.ndarray, steps: np.ndarray, s_max: int) -> np.ndarray:
