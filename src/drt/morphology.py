@@ -223,22 +223,20 @@ def _ridge_centres(fg: np.ndarray, sq: np.ndarray, d2: np.ndarray,
     nothing.
     """
     tested = sq >= 3  # background voxels have r² = 0
-    at = np.flatnonzero(tested)
-    if not at.size:
+    if not tested.any():
         return fg, 0
-    s = sq.reshape(-1)[at]
-    need = _need(d2, steps, int(s.max()))[:, s]
     padded = np.pad(sq, 1)
     strides = np.array(padded.strides) // padded.itemsize
     flat = padded.reshape(-1)
-    at_padded = np.flatnonzero(np.pad(tested, 1))  # in the order of at
+    at = np.flatnonzero(np.pad(tested, 1))
+    s = flat[at]
+    need = _need(d2, steps, int(s.max())).astype(np.int32)[:, s]
     held = np.zeros(at.size, dtype=bool)
     for d in np.argwhere(_STRUCTS[26]) - 1:
         if d.any():
-            held |= (flat[at_padded + d @ strides]
-                     >= need[np.count_nonzero(d) - 1])
+            held |= flat[at + d @ strides] >= need[np.count_nonzero(d) - 1]
     centres = fg.copy()
-    centres.reshape(-1)[at[held]] = False
+    centres.reshape(-1)[np.flatnonzero(tested)[held]] = False
     return centres, at.size
 
 
