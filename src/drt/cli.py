@@ -225,10 +225,17 @@ def cmd_train(args) -> int:
                                threads=args.threads)
     training = TrainingSet(features=features, labels=labels,
                            class_names=class_names)
+    start = time.perf_counter()
     model = train_forest(training, cfg.forest, cfg.feature_bank, seed=args.seed)
+    fit_s = time.perf_counter() - start
+    oob = "n/a" if model.oob_accuracy is None else f"{model.oob_accuracy:.4f}"
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("train: %d trees, %d nodes, max depth %d, oob accuracy %s, "
+                  "fit %.3f s", len(model.trees),
+                  sum(t.feature.size for t in model.trees),
+                  max(t.depth() for t in model.trees), oob, fit_s)
     _ensure_dir(Path(args.out).parent)
     save_model(model, args.out)
-    oob = "n/a" if model.oob_accuracy is None else f"{model.oob_accuracy:.4f}"
     print(f"oob_accuracy {oob}")
     print(args.out)
     return 0

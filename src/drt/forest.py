@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import FeatureBankConfig, ForestHyperparameters, json_typed
+from .config import (FeatureBankConfig, ForestHyperparameters, json_array,
+                     json_typed)
 from .errors import (BadModelFile, BadParams, DimensionMismatch,
                      EmptyClass, VersionMismatch)
 from .fileio import read_csv, read_json, write_json
@@ -103,6 +104,16 @@ class _Tree:
             node[active] = np.where(go_left, self.left[cur], self.right[cur])
             active = active[self.feature[node[active]] >= 0]
         return node
+
+    def depth(self) -> int:
+        """Edges from the root to the deepest leaf; 0 for a lone leaf."""
+        level, nodes = 0, np.zeros(1, dtype=np.int32)
+        while True:
+            inner = nodes[self.feature[nodes] >= 0]
+            if not inner.size:
+                return level
+            nodes = np.concatenate([self.left[inner], self.right[inner]])
+            level += 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -538,8 +549,8 @@ def load_model(path) -> ForestModel:
     try:
         hp = ForestHyperparameters.from_json_dict(raw["hyperparameters"])
         bank = FeatureBankConfig.from_json_dict(raw["feature_bank"])
-        class_names = [str(c) for c in raw["class_names"]]
-        seed = int(raw["rng_seed"])
+        class_names = list(json_array(raw["class_names"], str, "class_names"))
+        seed = json_typed(raw["rng_seed"], int, "rng_seed")
         oob = raw.get("oob_accuracy")
         oob = None if oob is None else float(json_typed(oob, float,
                                                          "oob_accuracy"))

@@ -168,6 +168,19 @@ def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
     of larger r², and dropping them all at once leaves every voxel's
     maximum, and the output, exactly as with every foreground voxel as a
     centre (``_paint``).
+
+    The kept balls are painted as x-chords (``_paint_chords``). A ball of
+    r² = s is the union of one chord per (dz, dy) with e = dz² + dy² <= s,
+    of half-width w = isqrt(s - e) about the centre's x. Each chord is
+    written as one entry at its middle, into the level of its w, and the
+    levels are folded into one grid by maximum from the widest down, the
+    grid being widened by one voxel each way along x before each lower
+    level. Widening is a running maximum over x - 1..x + 1 (van Herk,
+    Pattern Recogn. Lett. 1992), and it commutes with the maximum of the
+    folds, so an entry of level w ends up widened exactly w times: the
+    maximum over x - w..x + w, which is its chord, clipped at the x faces
+    as the ball is. Every voxel so gets the largest s of the chords that
+    cover it, which is the largest s of the balls that cover it.
     """
     fg = mask.data != 0
     vs = mask.header.voxel_size_um if voxel_size_um is None else float(voxel_size_um)
@@ -184,13 +197,15 @@ def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
     d2, steps = _ball(fg.shape, int(sq.max()))
     centres, n_tested = _ridge_centres(fg, sq, d2, steps)
     r2 = sq[centres]
-    del sq  # the paint grid is larger; do not hold both
+    del sq  # not held beside the paint grids
     if log.isEnabledFor(logging.DEBUG):
+        # a chord per (dz, dy) offset of the ball: the offsets with dx = 0
         log.debug("local thickness: %d pore voxels, %d centres tested, "
-                  "%d painted, %d r2 groups, %d entries painted",
+                  "%d painted, %d r2 groups, %d chord entries in %d levels",
                   np.count_nonzero(fg), n_tested, r2.size, np.unique(r2).size,
-                  int(np.searchsorted(d2, r2, side="right").sum()))
-    th2 = np.where(fg, _paint(centres, r2, d2, steps), 0)
+                  int(np.searchsorted(d2[steps[2] == 0], r2, side="right").sum()),
+                  math.isqrt(int(r2.max())) + 1)
+    th2 = np.where(fg, _paint_chords(centres, r2), 0)
     out = 2.0 * vs * np.sqrt(th2.astype(np.float64))
     return mask.with_data(out, value_kind="throat_size", element_encoding="f32")
 
@@ -268,7 +283,8 @@ def _paint(centres: np.ndarray, r2: np.ndarray, d2: np.ndarray,
     The centres are grouped by r², and each group's balls are scattered at
     once into a grid padded so that no ball wraps. Groups go in ascending
     r² order, so every covered voxel ends up holding its largest covering
-    r²; uncovered voxels hold 0.
+    r²; uncovered voxels hold 0. local_thickness paints through
+    ``_paint_chords``; this direct scatter is kept as its reference.
     """
     pad = steps.max(axis=1).tolist()
     flat_centres = np.flatnonzero(np.pad(centres, [(p, p) for p in pad]))
@@ -285,6 +301,63 @@ def _paint(centres: np.ndarray, r2: np.ndarray, d2: np.ndarray,
         for i in range(0, group.size, step):
             flat[(group[i:i + step, None] + ball).ravel()] = value
     return th2[tuple(slice(p, p + n) for p, n in zip(pad, centres.shape))]
+
+
+def _paint_chords(centres: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """``_paint`` as x-chords, one level of half-width at a time.
+
+    Same arguments and values as ``_paint``, without its ball offsets, in
+    the narrowest unsigned type that holds max(r2); local_thickness says
+    why it is exact. Level w holds the chords of half-width w: for a centre
+    of r² = s, the (dz, dy) offsets with s - (w+1)² < e <= s - w², one
+    contiguous range of the offsets sorted by e = dz² + dy². Levels go from
+    R = isqrt(max r2) down to 0. Each is scattered into a grid padded in z
+    and y, in ascending r² order so that the largest r² written to a voxel
+    stays, and folded into the output by maximum. Before each lower level
+    the output is widened by one voxel each way along x.
+    """
+    shape = centres.shape
+    r2_max = int(r2.max())
+    levels = math.isqrt(r2_max) + 1
+    # the (dz, dy) offsets by e: a ball from _ball of a volume one voxel wide
+    e, steps = _ball(shape[:2] + (1,), r2_max)
+    pad = steps.max(axis=1).tolist()
+    flat_centres = np.flatnonzero(np.pad(centres, [(p, p) for p in pad]))
+    dtype = np.min_scalar_type(r2_max)
+    grid = np.empty([n + 2 * p for n, p in zip(shape, pad)], dtype=dtype)
+    interior = grid[tuple(slice(p, p + n) for p, n in zip(pad, shape))]
+    offsets = np.array(grid.strides) // grid.itemsize @ steps
+    out = np.zeros(shape, dtype=dtype)
+    pair = np.empty(shape[:2] + (shape[2] - 1,), dtype=dtype)
+
+    order = np.argsort(r2, kind="stable")
+    flat_centres, r2 = flat_centres[order], r2[order]
+    values, starts = np.unique(r2, return_index=True)
+    groups = np.split(flat_centres, starts[1:])
+    # cuts[g, w]: the offsets of group g with e <= s - w², so level w of
+    # the group is cuts[g, w + 1]:cuts[g, w]
+    w2 = np.arange(levels + 1) ** 2
+    cuts = np.searchsorted(e, values[:, None] - w2, side="right")
+    flat = grid.reshape(-1)
+    for w in range(levels - 1, -1, -1):
+        grid.fill(0)
+        for value, group, (hi, lo) in zip(values.tolist(), groups,
+                                          cuts[:, w:w + 2].tolist()):
+            chords = offsets[lo:hi]
+            if not chords.size:
+                continue
+            step = max(1, _SCATTER_BATCH // chords.size)
+            for i in range(0, group.size, step):
+                flat[(group[i:i + step, None] + chords).ravel()] = value
+        np.maximum(out, interior, out=out)
+        if w and shape[2] > 1:
+            # out[x] = max(out[x - 1], out[x], out[x + 1]) through pair,
+            # which holds max(out[x], out[x + 1])
+            np.maximum(out[..., :-1], out[..., 1:], out=pair)
+            np.maximum(pair[..., :-1], pair[..., 1:], out=out[..., 1:-1])
+            out[..., 0] = pair[..., 0]
+            out[..., -1] = pair[..., -1]
+    return out
 
 
 @dataclass

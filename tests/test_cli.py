@@ -108,6 +108,33 @@ class TestTrain:
               "--out", str(other), "--seed", "1"])
         assert other.read_bytes() != trained.read_bytes()
 
+    def test_verbose_logs_forest_summary(self, workdir, trained, tmp_path,
+                                         capsys, caplog):
+        out = tmp_path / "model.json"
+        with caplog.at_level(logging.DEBUG, logger="drt"):
+            rc = main(["-v", "train", "--volume", str(workdir / "gray.raw"),
+                       "--labels", str(workdir / "labels.csv"),
+                       "--config", str(workdir / "config.json"),
+                       "--out", str(out), "--seed", "0"])
+        assert rc == 0
+        oob_line = capsys.readouterr().out.splitlines()[0]
+        assert out.read_bytes() == trained.read_bytes()
+        [line] = [r.getMessage() for r in caplog.records if r.name == "drt"]
+        trees = json.loads(out.read_text())["trees"]
+
+        def depth(tree, node=0):
+            if tree["feature"][node] < 0:
+                return 0
+            return 1 + max(depth(tree, tree["left"][node]),
+                           depth(tree, tree["right"][node]))
+
+        nodes = sum(len(t["feature"]) for t in trees)
+        oob = oob_line.removeprefix("oob_accuracy ")
+        assert re.fullmatch(
+            rf"train: {len(trees)} trees, {nodes} nodes, max depth "
+            rf"{max(map(depth, trees))}, oob accuracy {re.escape(oob)}, "
+            r"fit \d+\.\d{3} s", line)
+
     def test_labels_beyond_named_classes(self, workdir, tmp_path):
         bad = tmp_path / "bad_labels.csv"
         bad.write_text("0,0,0,5\n1,0,0,5\n")
@@ -389,8 +416,8 @@ class TestAnalyze:
         assert len(painted) == 1 and len(stage) == 1
         pore = int((load_volume(segmented).data == 0).sum())
         assert re.fullmatch(rf"local thickness: {pore} pore voxels, \d+ centres "
-                            r"tested, \d+ painted, \d+ r2 groups, \d+ entries "
-                            r"painted", painted[0])
+                            r"tested, \d+ painted, \d+ r2 groups, \d+ chord "
+                            r"entries in \d+ levels", painted[0])
         n = json.loads((analyzed / "analysis.json").read_text())["n_components"]
         assert re.fullmatch(rf"analyze: {n} components, \d+\.\d{{3}} s", stage[0])
         match, mismatch, errors = filecmp.cmpfiles(

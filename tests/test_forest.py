@@ -815,6 +815,22 @@ class TestModelIo:
                                                "that fits a float"):
             load_model(path)
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("rng_seed", 1.7, "integer"),
+        ("class_names", [0, True], "string"),
+    ])
+    def test_rejects_metadata_of_the_wrong_type(self, tmp_path, key, value,
+                                                kind):
+        # int() and str() would load these as seed 1 and ['0', 'True']
+        model = train_forest(two_blob_training(), ForestHyperparameters(n_trees=2),
+                             bank_for(2), seed=0)
+        doc = model.to_json_dict()
+        doc[key] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadModelFile, match=f"{key}.* must be a JSON {kind}"):
+            load_model(path)
+
     def test_model_json_shape(self):
         ts = two_blob_training()
         model = train_forest(ts, ForestHyperparameters(n_trees=2), bank_for(2),

@@ -29,8 +29,9 @@ from drt import (
     local_thickness,
     throat_distribution,
 )
-from drt.morphology import (_ball, _need, _paint, _prominent_peaks,
-                            _ridge_centres, _squared_distances, _STRUCTS)
+from drt.morphology import (_ball, _need, _paint, _paint_chords,
+                            _prominent_peaks, _ridge_centres,
+                            _squared_distances, _STRUCTS)
 
 _OFFSETS_6 = [(0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0)]
 _OFFSETS_26 = [(dz, dy, dx)
@@ -466,7 +467,29 @@ class TestRidgePrune:
                   if r.name == "drt.morphology"]
         assert line.startswith(f"local thickness: {mask.sum()} pore voxels, ")
         assert " centres tested, " in line and " r2 groups, " in line
-        assert line.endswith(" entries painted")
+        assert line.endswith(" levels") and " chord entries in " in line
+
+
+class TestPaintChords:
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.tuples(_axis, _axis, _axis),
+           n_centres=st.integers(1, 64),
+           r2_max=st.one_of(st.sampled_from([1, 2, 3, 255, 256]),
+                            st.integers(1, 300)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_ball_scatter(self, shape, n_centres, r2_max, seed):
+        # any centres and radii, not only a ridge: balls cross every face,
+        # and r2_max on each side of 255 switches the grid from u8 to u16
+        rng = np.random.default_rng(seed)
+        centres = np.zeros(shape, dtype=bool)
+        centres.flat[rng.integers(centres.size, size=n_centres)] = True
+        r2 = rng.integers(1, r2_max + 1, np.count_nonzero(centres))
+        r2[rng.integers(r2.size)] = r2_max
+        r2 = r2.astype(np.int32)
+        got = _paint_chords(centres, r2)
+        want = _paint(centres, r2, *_ball(shape, r2_max))
+        assert got.dtype == np.min_scalar_type(r2_max)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestThroatDistribution:
