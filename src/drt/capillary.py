@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (BadOrdering, BadParams, InsufficientSamples,
                      NonPositiveInput, SaturationOutOfRange)
-from .fileio import read_json, write_csv, write_json
+from .fileio import json_typed, read_json, write_csv, write_json
 
 
 class PFunction(NamedTuple):
@@ -112,9 +112,10 @@ class PcCurve:
     @classmethod
     def from_json_dict(cls, d: dict) -> "PcCurve":
         try:
-            p_cd, p_cu = float(d["p_cd"]), float(d["p_cu"])
-            s_wi = float(d["s_wi"])
-            lam = math.inf if d["lambda"] is None else float(d["lambda"])
+            p_cd, p_cu, s_wi = (float(json_typed(d[key], float, key))
+                                for key in ("p_cd", "p_cu", "s_wi"))
+            lam = (math.inf if d["lambda"] is None
+                   else float(json_typed(d["lambda"], float, "lambda")))
         except (KeyError, TypeError, ValueError) as exc:
             raise BadParams(f"bad Pc curve JSON: {exc}") from exc
         if math.isinf(lam):
@@ -135,11 +136,14 @@ def build_pc_curve(p_cd: float, p_cu: float, s_wi: float,
     """Solve the power-law exponent so the curve hits both anchors.
 
     1/lam = ln(p_cu/p_cd) / (-ln S_we(s_w_anchor)); p_cu = p_cd gives the
-    flat curve (lam = +inf). Requires 0 < s_wi < s_w_anchor < 1 and
+    flat curve (lam = +inf). Requires 0 < s_wi < s_w_anchor < 1 and finite
     p_cu >= p_cd > 0. s_w_anchor defaults to min(s_wi + 0.05, (s_wi + 1) / 2).
     """
     p_cd, p_cu, s_wi = float(p_cd), float(p_cu), float(s_wi)
     s_w_anchor = _default_anchor(s_wi) if s_w_anchor is None else float(s_w_anchor)
+    if not (math.isfinite(p_cd) and math.isfinite(p_cu)):
+        raise NonPositiveInput(
+            f"p_cd and p_cu must be finite, got {p_cd} and {p_cu}")
     if p_cd <= 0:
         raise NonPositiveInput(f"p_cd must be > 0 psi, got {p_cd}")
     if not 0.0 < s_wi < s_w_anchor < 1.0:

@@ -19,11 +19,11 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import (FeatureBankConfig, ForestHyperparameters, json_array,
-                     json_typed)
+from .config import FeatureBankConfig, ForestHyperparameters
 from .errors import (BadParams, ConfigError, InputError, IoError, IoFailure,
-                     MissingArtifacts, NumericError)
-from .fileio import read_csv, read_json, write_json, write_text
+                     MalformedCode, MissingArtifacts, NumericError)
+from .fileio import (json_array, json_typed, read_csv, read_json, write_json,
+                     write_text)
 
 log = logging.getLogger("drt")
 
@@ -65,6 +65,8 @@ class PipelineConfig:
                 f"pore and micropore classes overlap: {sorted(overlap)}")
         if self.class_names is not None:
             n = len(self.class_names)
+            if not n:
+                raise ConfigError("class_names must not be empty")
             outside = [c for c in self.pore_classes + self.micropore_classes
                        if c >= n]
             if outside:
@@ -101,45 +103,25 @@ class PipelineConfig:
 # sections read whole into the PipelineConfig field of the same name
 _NESTED = {"feature_bank": FeatureBankConfig, "forest": ForestHyperparameters}
 
-# per config section, the PipelineConfig field that each key sets
+# per config section, each key's PipelineConfig field and, outside the
+# _NESTED sections, its JSON type as json_typed reads it, [t] for an array
+# of t; a key may be null when its field defaults to None
 _CONFIG_FIELDS = {
-    **{section: dict.fromkeys(cls().to_json_dict(), section)
+    **{section: dict.fromkeys(cls().to_json_dict())
        for section, cls in _NESTED.items()},
-    "segmentation": {"class_names": "class_names", "pore_classes": "pore_classes",
-                     "micropore_classes": "micropore_classes",
-                     "connectivity": "connectivity"},
-    "throat": {"n_bins": "n_bins", "cutoffs_um": "cutoffs_um"},
-    "petro": {"micro_weight": "micro_weight", "epsilon": "epsilon"},
-    "camo": {"relations_path": "camo_relations_path",
-             "catalog_path": "catalog_path"},
-    "capillary": {"c": "pfunction_c", "e": "pfunction_e", "s_wi": "s_wi",
-                  "p_cu_psi": "p_cu_psi", "p_cu_ratio": "p_cu_ratio",
-                  "s_w_anchor": "s_w_anchor"},
+    "segmentation": {"class_names": ("class_names", [str]),
+                     "pore_classes": ("pore_classes", [int]),
+                     "micropore_classes": ("micropore_classes", [int]),
+                     "connectivity": ("connectivity", int)},
+    "throat": {"n_bins": ("n_bins", int), "cutoffs_um": ("cutoffs_um", [float])},
+    "petro": {"micro_weight": ("micro_weight", float), "epsilon": ("epsilon", float)},
+    "camo": {"relations_path": ("camo_relations_path", str),
+             "catalog_path": ("catalog_path", str)},
+    "capillary": {"c": ("pfunction_c", float), "e": ("pfunction_e", float),
+                  "s_wi": ("s_wi", float), "p_cu_psi": ("p_cu_psi", float),
+                  "p_cu_ratio": ("p_cu_ratio", float),
+                  "s_w_anchor": ("s_w_anchor", float)},
 }
-
-# the JSON type of each typed key outside the _NESTED sections, as
-# json_typed reads it, with [t] for an array of t; _NULLABLE keys may be null
-_FLAT_KINDS = {
-    "pore_classes": [int], "micropore_classes": [int], "connectivity": int,
-    "n_bins": int, "cutoffs_um": [float], "micro_weight": float,
-    "epsilon": float, "c": float, "e": float, "s_wi": float,
-    "p_cu_psi": float, "p_cu_ratio": float, "s_w_anchor": float,
-    "relations_path": str, "catalog_path": str,
-}
-_NULLABLE = {"p_cu_psi", "s_w_anchor", "relations_path", "catalog_path"}
-
-
-def _check_kind(key: str, value) -> None:
-    kind = _FLAT_KINDS.get(key)
-    if kind is None or (value is None and key in _NULLABLE):
-        return
-    try:
-        if isinstance(kind, list):
-            json_array(value, kind[0], key)
-        else:
-            json_typed(value, kind, key)
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
 
 
 def config_from_json_dict(raw: dict) -> PipelineConfig:
@@ -148,30 +130,30 @@ def config_from_json_dict(raw: dict) -> PipelineConfig:
     unknown = set(raw) - set(_CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    default = PipelineConfig()
     kwargs: dict = {}
-    for section, fields in _CONFIG_FIELDS.items():
-        entry = raw.get(section, {})
-        if not isinstance(entry, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        bad = set(entry) - set(fields)
-        if bad:
-            raise ConfigError(f"unknown keys in config section {section!r}: "
-                              f"{sorted(bad)}")
-        if section not in _NESTED:
+    try:
+        for section, fields in _CONFIG_FIELDS.items():
+            entry = raw.get(section, {})
+            if not isinstance(entry, dict):
+                raise ConfigError(
+                    f"config section {section!r} must be an object")
+            bad = set(entry) - set(fields)
+            if bad:
+                raise ConfigError(f"unknown keys in config section "
+                                  f"{section!r}: {sorted(bad)}")
+            if section in _NESTED:
+                kwargs[section] = _NESTED[section].from_json_dict(
+                    getattr(default, section).to_json_dict() | entry)
+                continue
             for key, value in entry.items():
-                _check_kind(key, value)
-                kwargs[fields[key]] = value
-    try:
-        for section, cls in _NESTED.items():
-            merged = cls().to_json_dict() | raw.get(section, {})
-            kwargs[section] = cls.from_json_dict(merged)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
-    names = kwargs.get("class_names")
-    if names is not None and (not isinstance(names, list) or not names
-                              or not all(isinstance(n, str) for n in names)):
-        raise ConfigError("class_names must be a non-empty list of strings")
-    try:
+                name, kind = fields[key]
+                if value is not None or getattr(default, name) is not None:
+                    if isinstance(kind, list):
+                        json_array(value, kind[0], key)
+                    else:
+                        json_typed(value, kind, key)
+                kwargs[name] = value
         return PipelineConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
@@ -349,7 +331,8 @@ def _rows_from_analysis(path: Path) -> list[dict]:
     row = {name: float(_checked(a[key], float, f"{path}: {key}"))
            for name, key in keys.items()}
     modality = _checked(a.get("modality"), dict, f"{path}: modality") or {}
-    return [row | {"camo_class": str(a["camo_class"]),
+    camo_class = _checked(a["camo_class"], str, f"{path}: camo_class")
+    return [row | {"camo_class": camo_class,
                    "modality": modality.get("modality")}]
 
 
@@ -371,9 +354,11 @@ def _rows_from_csv(path: Path) -> list[dict]:
 
 
 def cmd_classify(args) -> int:
+    start = time.perf_counter()
     from .petro import DEFAULT_CAMO, load_camo
     from .rocktype import (camo_check, ChartSample, classify, decode_code,
-                           default_catalog, emit_camo_chart, load_catalog)
+                           default_catalog, emit_camo_chart, load_catalog,
+                           UNCLASSIFIED)
 
     cfg = load_config(args.config)
     direct = [args.k, args.pcd, args.pcu, args.swi]
@@ -414,7 +399,11 @@ def cmd_classify(args) -> int:
                        camo_deviation_decades=deviation)
         payload = res.to_json_dict()
         if res.classified:
-            payload["decoded"] = decode_code(res.code).to_json_dict()
+            # a custom catalog's codes need not follow the limestone grammar
+            try:
+                payload["decoded"] = decode_code(res.code).to_json_dict()
+            except MalformedCode:
+                payload["decoded"] = None
         results.append(payload)
         if row["phi"] is not None and row["camo_class"] is not None:
             chart_samples.append(ChartSample(
@@ -427,6 +416,10 @@ def cmd_classify(args) -> int:
     write_json(out_dir / "results.json", results)
     emit_camo_chart(relation, chart_samples, out_dir / "camo_chart.svg",
                     out_dir / "camo_chart.csv")
+    log.debug("classify: %d samples, %d catalog rules, %d unclassified, "
+              "%.3f s", len(results), len(catalog),
+              sum(r["code"] == UNCLASSIFIED for r in results),
+              time.perf_counter() - start)
     print(out_dir / "results.json")
     return 0
 

@@ -11,40 +11,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadHyperparameters
+from .fileio import json_array, json_typed
 
 _BOUNDARY_TO_SCIPY = {"mirror": "reflect", "clamp": "nearest"}
-
-_JSON_KINDS = {int: "integer", float: "number", bool: "boolean",
-               str: "string", list: "array", dict: "object"}
-
-
-def json_typed(value, kind: type, name: str):
-    """``value`` itself when JSON gave it as ``kind``; float means any number.
-
-    Anything else, which int(), float() or bool() would truncate, parse or
-    flip, raises TypeError naming ``name``; a bool is no int or number here.
-    A number must fit a float: JSON integers are unbounded, and float()
-    raises OverflowError on one beyond about 1.8e308.
-    """
-    if type(value) not in ((int, float) if kind is float else (kind,)):
-        raise TypeError(f"{name} must be a JSON {_JSON_KINDS[kind]}, "
-                        f"got {value!r}")
-    if kind is float and type(value) is int:
-        try:
-            float(value)
-        except OverflowError:
-            raise TypeError(f"{name} must be a JSON number that fits a "
-                            f"float, got an integer of {value.bit_length()} "
-                            f"bits") from None
-    return value
-
-
-def json_array(value, kind: type, name: str) -> list:
-    """``value`` itself when JSON gave it as an array of ``kind`` entries."""
-    for item in json_typed(value, list, name):
-        json_typed(item, kind, f"{name} entry")
-    return value
-
 
 def _format_sigma(sigma: float) -> str:
     if float(sigma).is_integer():

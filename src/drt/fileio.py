@@ -8,7 +8,8 @@ cannot be encoded leaves no truncated file behind. A failed read or write
 raises IoFailure; bytes that are not UTF-8, text that is not JSON, or a
 document of the wrong top-level type raise the caller's input error. CSV
 inputs are split into rows here too, so every reader shares one header
-rule and one ``path:row`` error form.
+rule and one ``path:row`` error form. Every JSON reader takes each field
+through ``json_typed`` or ``json_array``, the one rule for JSON values.
 """
 
 from __future__ import annotations
@@ -16,11 +17,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 from .errors import BadParams, IoFailure
 
 _JSON_NAMES = {dict: "object", list: "array"}
+_JSON_KINDS = {int: "integer", float: "number", bool: "boolean",
+               str: "string", **_JSON_NAMES}
 
 
 def read_text(path, error: type[Exception] = BadParams) -> str:
@@ -43,10 +47,40 @@ def read_json(path, error: type[Exception] = BadParams,
     text = read_text(path, error)
     try:
         value = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # an integer of over 4300 digits too
         raise error(f"{path} is not valid JSON: {exc}") from exc
     if kind is not None and not isinstance(value, kind):
         raise error(f"{path} must hold a JSON {_JSON_NAMES[kind]}")
+    return value
+
+
+def json_typed(value, kind: type, name: str):
+    """``value`` itself when JSON gave it as ``kind``; float means a number.
+
+    Anything else, which int(), float() or bool() would truncate, parse or
+    flip, raises TypeError naming ``name``; a bool is no int or number here.
+    A number must be finite: JSON has none other, yet Python's json reads
+    ``NaN``, ``Infinity`` and ``1e400``, and float() overflows on integers
+    beyond about 1.8e308.
+    """
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        raise TypeError(f"{name} must be a JSON {_JSON_KINDS[kind]}, "
+                        f"got {value!r}")
+    if kind is float:
+        try:
+            if math.isfinite(value):
+                return value
+        except OverflowError:
+            value = f"an integer of {value.bit_length()} bits"
+        raise TypeError(f"{name} must be a JSON number that fits a float, "
+                        f"got {value}")
+    return value
+
+
+def json_array(value, kind: type, name: str) -> list:
+    """``value`` itself when JSON gave it as an array of ``kind`` entries."""
+    for item in json_typed(value, list, name):
+        json_typed(item, kind, f"{name} entry")
     return value
 
 

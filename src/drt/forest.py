@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (FeatureBankConfig, ForestHyperparameters, json_array,
-                     json_typed)
+from .config import FeatureBankConfig, ForestHyperparameters
 from .errors import (BadModelFile, BadParams, DimensionMismatch,
                      EmptyClass, VersionMismatch)
-from .fileio import read_csv, read_json, write_json
+from .fileio import json_array, json_typed, read_csv, read_json, write_json
 from .filters import map_slabs, SLAB_VOXELS
 from .rng import SplitMix64
 from .volume import Volume
@@ -127,14 +126,12 @@ class _Tree:
     @classmethod
     def from_json_dict(cls, d: dict, n_classes: int, n_features: int) -> "_Tree":
         try:
-            ids = {}
-            for key in ("feature", "left", "right"):
-                # a cast to int32 would truncate 1.7, true and "1" to 1
-                if any(type(v) is not int for v in d[key]):
-                    raise BadModelFile(f"tree {key} ids must be JSON integers")
-                ids[key] = np.asarray(d[key], dtype=np.int32)
-            tree = cls(threshold=np.asarray(d["threshold"], dtype=np.float64),
-                       probs=np.asarray(d["probs"], dtype=np.float64), **ids)
+            ids = {key: np.asarray(json_array(d[key], int, key), dtype=np.int32)
+                   for key in ("feature", "left", "right")}
+            threshold = json_array(d["threshold"], float, "threshold")
+            probs = [json_array(row, float, "probs row") for row in d["probs"]]
+            tree = cls(threshold=np.asarray(threshold, dtype=np.float64),
+                       probs=np.asarray(probs, dtype=np.float64), **ids)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadModelFile(f"malformed tree record: {exc}") from exc
         n = tree.feature.size
@@ -153,8 +150,6 @@ class _Tree:
                     "tree child index not after its parent or out of range")
             if (child[~inner] != -1).any():
                 raise BadModelFile("tree leaf carries a child index")
-        if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.probs).all()):
-            raise BadModelFile("tree thresholds and probabilities must be finite")
         return tree
 
 

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (BadParams, InsufficientSamples, MissingClassCoefficients,
                      NonPositiveValue, UnknownClassId)
-from .fileio import read_csv, read_json, write_json
+from .fileio import json_typed, read_csv, read_json, write_json
 
 if TYPE_CHECKING:  # used in annotations only, so classify loads neither
     from .morphology import ComponentMap, PoreThroatDistribution
@@ -220,9 +220,8 @@ class CamoRelation:
         for name, row in d.items():
             try:
                 coeffs[name] = CamoCoefficients(
-                    a=float(row["a"]), b=float(row["b"]),
-                    phi_min=float(row["phi_min"]),
-                    phi_max=float(row["phi_max"]))
+                    **{key: float(json_typed(row[key], float, key))
+                       for key in ("a", "b", "phi_min", "phi_max")})
             except (KeyError, TypeError, ValueError) as exc:
                 raise BadParams(
                     f"bad coefficient row for class '{name}': {exc}") from exc

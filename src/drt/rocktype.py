@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BadParams, MalformedCode, NonPositiveValue
-from .fileio import read_json, write_csv, write_json, write_text
+from .fileio import json_typed, read_json, write_csv, write_json, write_text
 from .petro import CamoRelation
 
 PERM_CLASS_BOUNDS = {
@@ -97,21 +97,23 @@ class CatalogRule:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CatalogRule":
-        def pressure(entry):
+        def pressure(key):
+            entry = d.get(key)
             if entry is None:
                 return None
             op = entry["op"]
             if op not in ("lt", "gt"):
                 raise BadParams(f"pressure op must be 'lt' or 'gt', got {op!r}")
-            return (op, float(entry["psi"]))
+            return (op, float(json_typed(entry["psi"], float, f"{key}.psi")))
 
         code = d["code"]
         if not isinstance(code, str) or not code:
             raise BadParams("rule code must be a non-empty string")
-        opt = lambda v: None if v is None else float(v)
-        return cls(code=code, k_min=opt(d.get("k_min")), k_max=opt(d.get("k_max")),
-                   p_cu=pressure(d.get("p_cu")), p_cd=pressure(d.get("p_cd")),
-                   swi_min=opt(d.get("swi_min")), swi_max=opt(d.get("swi_max")))
+        opt = lambda key: (None if d.get(key) is None
+                           else float(json_typed(d[key], float, key)))
+        return cls(code=code, k_min=opt("k_min"), k_max=opt("k_max"),
+                   p_cu=pressure("p_cu"), p_cd=pressure("p_cd"),
+                   swi_min=opt("swi_min"), swi_max=opt("swi_max"))
 
 
 def _rule(code: str, perm: str, pcu: tuple[str, float], pcd: tuple[str, float],

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadHeader, BadParams, IoFailure, SizeMismatch
-from .fileio import read_json, write_json
+from .fileio import json_array, json_typed, read_json, write_json
 
 VALUE_KINDS = ("grayscale", "label", "distance", "throat_size")
 ENCODINGS = ("u8", "u16", "f32")
@@ -83,17 +83,17 @@ class VolumeHeader:
         for key in required:
             if key not in d:
                 raise BadHeader(f"sidecar missing field {key!r}")
-        dims = d["dims"]
-        if not (isinstance(dims, (list, tuple)) and len(dims) == 3
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in dims)):
+        try:
+            dims = json_array(d["dims"], int, "dims")
+            # anisotropic spacing (a list) is refused here by design
+            voxel = float(json_typed(d["voxel_size_um"], float, "voxel_size_um"))
+        except TypeError as exc:
+            raise BadHeader(f"bad sidecar value: {exc}") from exc
+        if len(dims) != 3:
             raise BadHeader(f"dims must be a list of 3 integers, got {dims!r}")
-        voxel = d["voxel_size_um"]
-        if not isinstance(voxel, (int, float)) or isinstance(voxel, bool):
-            # anisotropic spacing (a list) is rejected here by design
-            raise BadHeader(f"voxel_size_um must be a single number, got {voxel!r}")
         return cls(
             dims=tuple(dims),
-            voxel_size_um=float(voxel),
+            voxel_size_um=voxel,
             value_kind=d["value_kind"],
             element_encoding=d["element_encoding"],
             byte_order=d["byte_order"],

@@ -154,6 +154,15 @@ class TestBuildPcCurve:
         with pytest.raises(NonPositiveInput):
             build_pc_curve(0.0, 10.0, 0.1, 0.2)
 
+    # an infinite p_cu gave lam = 0, which evaluate divides by; NaN gave a
+    # NaN lam, which to_json_dict wrote as NaN
+    @pytest.mark.parametrize("p_cd, p_cu", [
+        (0.44, math.inf), (0.44, math.nan), (math.inf, math.inf),
+        (math.nan, 10.0)])
+    def test_rejects_non_finite_pressures(self, p_cd, p_cu):
+        with pytest.raises(NonPositiveInput, match="must be finite"):
+            build_pc_curve(p_cd, p_cu, 0.1)
+
     def test_rejects_bad_saturation_ordering(self):
         with pytest.raises(BadOrdering):
             build_pc_curve(10.0, 20.0, 0.3, 0.2)

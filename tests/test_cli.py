@@ -526,6 +526,38 @@ class TestClassify:
         results = json.loads((tmp_path / "out" / "results.json").read_text())
         assert results[0]["code"] == "L199"
 
+    def test_code_outside_the_limestone_grammar_is_not_decoded(self, tmp_path,
+                                                                capsys):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([{"code": "X1", "k_min": 0.0001}]))
+        rc = main(["classify", "--k", "80", "--pcd", "50", "--pcu", "300",
+                   "--swi", "0.10", "--catalog", str(path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == "X1"
+        results = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert results[0]["code"] == "X1"
+        assert results[0]["decoded"] is None
+
+    def test_verbose_logs_one_summary_line(self, tmp_path, capsys, caplog):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("80,50,300,0.10\n30,90,600,0.10\n80,50,300,0.50\n")
+        argv = ["classify", "--samples", str(samples)]
+        assert main(argv + ["--out", str(tmp_path / "quiet")]) == 0
+        quiet = capsys.readouterr().out
+        with caplog.at_level(logging.DEBUG, logger="drt"):
+            rc = main(["-v"] + argv + ["--out", str(tmp_path / "loud")])
+        assert rc == 0
+        assert capsys.readouterr().out == quiet.replace("quiet", "loud")
+        lines = [r.getMessage() for r in caplog.records if r.name == "drt"]
+        assert len(lines) == 1
+        assert re.fullmatch(r"classify: 3 samples, 15 catalog rules, "
+                            r"1 unclassified, \d+\.\d{3} s", lines[0])
+        match, mismatch, errors = filecmp.cmpfiles(
+            tmp_path / "quiet", tmp_path / "loud",
+            ["results.json", "camo_chart.svg", "camo_chart.csv"], shallow=False)
+        assert not mismatch and not errors
+
 
 class TestReport:
     def test_writes_markdown(self, analyzed, capsys):

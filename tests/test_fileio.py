@@ -56,6 +56,16 @@ def test_bad_json_raises_the_callers_error(tmp_path):
         read_json(path, BadHeader)
 
 
+def test_integer_beyond_the_digit_limit_raises_the_callers_error(tmp_path):
+    # json.loads raises a plain ValueError past int's 4300-digit limit
+    path = tmp_path / "a.raw"
+    path.with_suffix(".json").write_text(
+        '{"dims": [1, 1, 1], "voxel_size_um": 1' + "0" * 5000 + "}",
+        encoding="utf-8")
+    with pytest.raises(BadHeader):
+        load_volume(path)
+
+
 def test_non_utf8_text_raises_the_callers_error(tmp_path):
     path = tmp_path / "a.csv"
     path.write_bytes(b"x,y\n\xff,1\n")
