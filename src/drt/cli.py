@@ -224,6 +224,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_segment(args) -> int:
+    start = time.perf_counter()
     import numpy as np
 
     from .forest import load_model, segment_volume
@@ -233,12 +234,22 @@ def cmd_segment(args) -> int:
     sidecar_path(out)  # refuses a .json raw path before any work
     volume = load_volume(args.volume)
     model = load_model(args.model)
-    label_vol, conf_vol = segment_volume(model, volume, threads=args.threads)
+    stats: dict = {}
+    label_vol, conf_vol = segment_volume(model, volume, threads=args.threads,
+                                         stats=stats)
     conf_out = out.with_name(out.stem + "_confidence" + (out.suffix or ".raw"))
     _ensure_dir(out.parent)
     save_volume(label_vol, out)
     save_volume(conf_vol, conf_out)
     counts = np.bincount(label_vol.data.ravel(), minlength=model.n_classes)
+    if log.isEnabledFor(logging.DEBUG):
+        seconds = time.perf_counter() - start
+        deciles = np.percentile(conf_vol.data, np.arange(10, 100, 10))
+        log.debug("segment: %d slabs, %d threads, %d rows, %d bin codes, "
+                  "%d table trees, confidence deciles %s, %.3f s",
+                  stats["slabs"], args.threads, stats["rows"],
+                  stats["bin_codes"], stats["table_trees"],
+                  " ".join(f"{q:.3f}" for q in deciles), seconds)
     for class_id, name in enumerate(model.class_names):
         print(f"{class_id} {name} {int(counts[class_id])}")
     print(out)
@@ -336,6 +347,11 @@ def _rows_from_analysis(path: Path) -> list[dict]:
                    "modality": modality.get("modality")}]
 
 
+def _finite(text: str, name: str) -> float:
+    """The number in ``text``, held to the finite-number rule of json_typed."""
+    return json_typed(float(text), float, name)
+
+
 def _rows_from_csv(path: Path) -> list[dict]:
     """Parse rows of k,p_cd,p_cu,s_wi[,phi[,class]] with optional header."""
     rows: list[dict] = []
@@ -343,9 +359,10 @@ def _rows_from_csv(path: Path) -> list[dict]:
                                range(4, 7)):
         fields = row + [""] * (6 - len(row))
         try:
-            k, p_cd, p_cu, s_wi = (float(v) for v in fields[:4])
-            phi = float(fields[4]) if fields[4].strip() else None
-        except ValueError as exc:
+            k, p_cd, p_cu, s_wi = (_finite(v, name) for v, name in
+                                   zip(fields, ("k", "p_cd", "p_cu", "s_wi")))
+            phi = _finite(fields[4], "phi") if fields[4].strip() else None
+        except (TypeError, ValueError) as exc:
             raise BadParams(f"{where}: {exc}") from exc
         rows.append({"k_md": k, "p_cd_psi": p_cd, "p_cu_psi": p_cu,
                      "s_wi": s_wi, "phi": phi,
@@ -375,9 +392,11 @@ def cmd_classify(args) -> int:
     else:
         if any(v is None for v in direct):
             raise BadParams("need all of --k --pcd --pcu --swi")
-        rows = [{"k_md": args.k, "p_cd_psi": args.pcd, "p_cu_psi": args.pcu,
-                 "s_wi": args.swi, "phi": args.phi, "camo_class": args.camo_class,
-                 "modality": None}]
+        k, p_cd, p_cu, s_wi, phi = (
+            _checked(v, float, flag) for v, flag in
+            zip(direct + [args.phi], ("--k", "--pcd", "--pcu", "--swi", "--phi")))
+        rows = [{"k_md": k, "p_cd_psi": p_cd, "p_cu_psi": p_cu, "s_wi": s_wi,
+                 "phi": phi, "camo_class": args.camo_class, "modality": None}]
 
     catalog = (default_catalog() if (args.catalog or cfg.catalog_path) is None
                else load_catalog(args.catalog or cfg.catalog_path))

@@ -2,7 +2,8 @@
 
 Every JSON, CSV, SVG and Markdown artifact is UTF-8 with "\\n" line ends
 on every platform. JSON is written with sorted keys, a two-space indent
-and a trailing newline, so equal payloads give byte-identical files. A
+and a trailing newline, so equal payloads give byte-identical files; a
+payload holding NaN or an infinity, which JSON has not, raises ValueError. A
 writer serialises its payload before it opens the file, so a payload that
 cannot be encoded leaves no truncated file behind. A failed read or write
 raises IoFailure; bytes that are not UTF-8, text that is not JSON, or a
@@ -127,7 +128,8 @@ def write_text(path, text: str) -> None:
 
 
 def write_json(path, payload) -> None:
-    write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_text(path, json.dumps(payload, sort_keys=True, indent=2,
+                                allow_nan=False) + "\n")
 
 
 def write_csv(path, rows) -> None:

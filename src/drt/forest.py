@@ -491,8 +491,8 @@ def _distinct(bins: list[np.ndarray], radices: list[int]
     return first, inverse
 
 
-def segment_volume(model: ForestModel, volume: Volume, *,
-                   threads: int = 1) -> tuple[Volume, Volume]:
+def segment_volume(model: ForestModel, volume: Volume, *, threads: int = 1,
+                   stats: dict | None = None) -> tuple[Volume, Volume]:
     """Per-voxel classification of a grayscale volume.
 
     Returns the label volume and a confidence volume holding each voxel's
@@ -504,7 +504,9 @@ def segment_volume(model: ForestModel, volume: Volume, *,
     they hold no more cells than a slab has voxels; a tree with more is
     handled per slab, as by predict_batch. The output does not depend on
     the thread count or the slab height. A model with more than 256 classes
-    is refused, as its ids do not fit the uint8 labels.
+    is refused, as its ids do not fit the uint8 labels. A `stats` dict is
+    given the counts of slabs, rows, distinct bin codes (summed over the
+    slabs) and trees with a shared cell table.
     """
     if model.n_classes > 256:
         raise BadParams(f"the model has {model.n_classes} classes, but a u8 "
@@ -514,6 +516,7 @@ def segment_volume(model: ForestModel, volume: Volume, *,
     labels = np.empty(nz * plane, dtype=np.uint8)
     confidence = np.empty(nz * plane, dtype=np.float32)
     tables = model._cell_tables(SLAB_VOXELS // len(model.trees))
+    codes: list[int] = []  # per slab, appended from the pool's threads
 
     def predict(z0: int, z1: int, features: np.ndarray) -> None:
         ids, probs, inverse = model._predict_distinct(
@@ -521,8 +524,12 @@ def segment_volume(model: ForestModel, volume: Volume, *,
         conf = probs.max(axis=1).astype(np.float32)
         labels[z0 * plane:z1 * plane] = ids.astype(np.uint8)[inverse]
         confidence[z0 * plane:z1 * plane] = conf[inverse]
+        codes.append(ids.size)
 
     map_slabs(volume, model.feature_bank, predict, threads=threads)
+    if stats is not None:
+        stats.update(slabs=len(codes), rows=labels.size, bin_codes=sum(codes),
+                     table_trees=sum(t is not None for t in tables))
     label_vol = volume.with_data(labels.reshape(nz, ny, nx), value_kind="label",
                                  element_encoding="u8")
     conf_vol = volume.with_data(confidence.reshape(nz, ny, nx),

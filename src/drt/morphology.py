@@ -158,20 +158,9 @@ def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
     r², summed from the offsets to the nearest background voxel that scipy's
     feature transform returns. The voxel size defaults to the mask's.
 
-    Only the centres whose ball no neighbour's ball holds are painted
-    (``_ridge_centres``). A centre c of r² = s is dropped when a neighbour
-    c + d (d one of the 26 unit steps) has r² >= need(s, d) =
-    max{ |v - d|² : |v|² <= s }: every voxel of c's ball then lies in the
-    neighbour's ball, whose r² is larger than s because need(s, d) > s. So
-    c sets no voxel's maximum. Following such drops from neighbour to
-    neighbour, r² rises strictly, so each dropped ball lies in a kept one
-    of larger r², and dropping them all at once leaves every voxel's
-    maximum, and the output, exactly as with every foreground voxel as a
-    centre (``_paint``).
-
-    The kept balls are painted as x-chords (``_paint_chords``). A ball of
-    r² = s is the union of one chord per (dz, dy) with e = dz² + dy² <= s,
-    of half-width w = isqrt(s - e) about the centre's x. Each chord is
+    Every pore voxel's ball is painted as x-chords (``_paint_chords``). A
+    ball of r² = s is the union of one chord per (dz, dy) with e = dz² + dy²
+    <= s, of half-width w = isqrt(s - e) about the centre's x. Each chord is
     written as one entry at its middle, into the level of its w, and the
     levels are folded into one grid by maximum from the widest down, the
     grid being widened by one voxel each way along x before each lower
@@ -193,19 +182,15 @@ def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
         return mask.with_data(np.full(fg.shape, np.inf), value_kind="throat_size",
                               element_encoding="f32")
 
-    sq = _squared_distances(fg)
-    d2, steps = _ball(fg.shape, int(sq.max()))
-    centres, n_tested = _ridge_centres(fg, sq, d2, steps)
-    r2 = sq[centres]
-    del sq  # not held beside the paint grids
+    r2 = _squared_distances(fg)[fg]
     if log.isEnabledFor(logging.DEBUG):
-        # a chord per (dz, dy) offset of the ball: the offsets with dx = 0
-        log.debug("local thickness: %d pore voxels, %d centres tested, "
-                  "%d painted, %d r2 groups, %d chord entries in %d levels",
-                  np.count_nonzero(fg), n_tested, r2.size, np.unique(r2).size,
-                  int(np.searchsorted(d2[steps[2] == 0], r2, side="right").sum()),
+        # a chord per (dz, dy) offset of the ball, by e = dz² + dy²
+        e, _ = _ball(fg.shape[:2] + (1,), int(r2.max()))
+        log.debug("local thickness: %d pore voxels, %d r2 groups, "
+                  "%d chord entries in %d levels", r2.size, np.unique(r2).size,
+                  int(np.searchsorted(e, r2, side="right").sum()),
                   math.isqrt(int(r2.max())) + 1)
-    th2 = np.where(fg, _paint_chords(centres, r2), 0)
+    th2 = np.where(fg, _paint_chords(fg, r2), 0)
     out = 2.0 * vs * np.sqrt(th2.astype(np.float64))
     return mask.with_data(out, value_kind="throat_size", element_encoding="f32")
 
@@ -225,53 +210,6 @@ def _ball(shape, r2_max: int) -> tuple[np.ndarray, np.ndarray]:
     d2 = (steps * steps).sum(axis=0)
     by_length = np.argsort(d2, kind="stable")
     return d2[by_length], steps[:, by_length]
-
-
-def _ridge_centres(fg: np.ndarray, sq: np.ndarray, d2: np.ndarray,
-                   steps: np.ndarray) -> tuple[np.ndarray, int]:
-    """Foreground voxels whose ball no neighbour's ball holds; see local_thickness.
-
-    Returns the kept centres as a boolean grid, and how many were tested.
-    Only centres whose ball holds more voxels than the 26 lookups of the
-    test are tested: r² >= 3, a 27-voxel ball. Each lookup is a gather from
-    a zero-padded copy of sq, so a neighbour outside the volume holds
-    nothing.
-    """
-    tested = sq >= 3  # background voxels have r² = 0
-    if not tested.any():
-        return fg, 0
-    padded = np.pad(sq, 1)
-    strides = np.array(padded.strides) // padded.itemsize
-    flat = padded.reshape(-1)
-    at = np.flatnonzero(np.pad(tested, 1))
-    s = flat[at]
-    need = _need(d2, steps, int(s.max())).astype(np.int32)[:, s]
-    held = np.zeros(at.size, dtype=bool)
-    for d in np.argwhere(_STRUCTS[26]) - 1:
-        if d.any():
-            held |= flat[at + d @ strides] >= need[np.count_nonzero(d) - 1]
-    centres = fg.copy()
-    centres.reshape(-1)[np.flatnonzero(tested)[held]] = False
-    return centres, at.size
-
-
-def _need(d2: np.ndarray, steps: np.ndarray, s_max: int) -> np.ndarray:
-    """need(s, d) of local_thickness for d a face, edge and corner step.
-
-    Returns a (3, s_max + 1) table: row k - 1 holds, for s = 0..s_max, the
-    largest |v - d|² over the offsets v of (d2, steps) with |v|² <= s and
-    the steps d with k nonzero components. For such a d, |v - d|² =
-    |v|² + k - 2 v.d is at most |v|² + k + 2 * (the sum of the k largest
-    |v_i|), with equality for some d of the class, so the table is a
-    running maximum of that bound in d2 order. The box is symmetric under
-    sign flips, so with an unclipped box the row is exactly need(s, d) for
-    every d of the class; a clipped box still holds every offset that
-    stays in the volume.
-    """
-    reach = np.sort(np.abs(steps), axis=0)[::-1].cumsum(axis=0)
-    need = np.maximum.accumulate(d2 + 2 * reach + np.arange(1, 4)[:, None],
-                                 axis=1)
-    return need[:, np.searchsorted(d2, np.arange(s_max + 1), side="right") - 1]
 
 
 def _paint(centres: np.ndarray, r2: np.ndarray, d2: np.ndarray,

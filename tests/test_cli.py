@@ -319,6 +319,28 @@ class TestSegment:
                     == (tmp_path / f"quiet{suffix}").read_bytes())
         assert (tmp_path / "loud.raw").read_bytes() == segmented.read_bytes()
 
+    def test_verbose_logs_one_summary_line(self, workdir, trained, segmented,
+                                           tmp_path, caplog):
+        out = tmp_path / "s.raw"
+        with caplog.at_level(logging.DEBUG, logger="drt"):
+            rc = main(["-v", "segment", "--volume", str(workdir / "gray.raw"),
+                       "--model", str(trained), "--threads", "2",
+                       "--out", str(out)])
+        assert rc == 0
+        [line] = [r.getMessage() for r in caplog.records if r.name == "drt"]
+        # each slab's predict line ends in its count of distinct bin codes
+        codes = sum(int(r.getMessage().rsplit(", ", 1)[1].split()[0])
+                    for r in caplog.records if r.name == "drt.forest")
+        conf = load_volume(tmp_path / "s_confidence.raw").data
+        deciles = " ".join(f"{q:.3f}" for q in
+                           np.percentile(conf, np.arange(10, 100, 10)))
+        match = re.fullmatch(
+            rf"segment: 2 slabs, 2 threads, {24 ** 3} rows, {codes} bin "
+            rf"codes, (\d) table trees, confidence deciles {deciles}, "
+            r"\d+\.\d{3} s", line)
+        assert match and int(match[1]) <= 8
+        assert out.read_bytes() == segmented.read_bytes()
+
     def test_verbose_logs_one_slab_line_per_stage(self, workdir, trained, tmp_path,
                                                   capsys, caplog):
         common = ["--config", str(workdir / "config.json"), "--threads", "2"]
@@ -415,9 +437,9 @@ class TestAnalyze:
         stage = [r.getMessage() for r in caplog.records if r.name == "drt"]
         assert len(painted) == 1 and len(stage) == 1
         pore = int((load_volume(segmented).data == 0).sum())
-        assert re.fullmatch(rf"local thickness: {pore} pore voxels, \d+ centres "
-                            r"tested, \d+ painted, \d+ r2 groups, \d+ chord "
-                            r"entries in \d+ levels", painted[0])
+        assert re.fullmatch(rf"local thickness: {pore} pore voxels, \d+ r2 "
+                            r"groups, \d+ chord entries in \d+ levels",
+                            painted[0])
         n = json.loads((analyzed / "analysis.json").read_text())["n_components"]
         assert re.fullmatch(rf"analyze: {n} components, \d+\.\d{{3}} s", stage[0])
         match, mismatch, errors = filecmp.cmpfiles(
@@ -502,6 +524,35 @@ class TestClassify:
         rc = main(["classify", "--samples", str(samples),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-infinity", "1e400"])
+    @pytest.mark.parametrize("column", range(5))
+    def test_non_finite_sample_exits_2(self, tmp_path, caplog, text, column):
+        # every comparison with NaN is false, so such a sample would meet
+        # every bound of the first rule, and NaN is no JSON number
+        fields = ["80", "50", "300", "0.10", "0.21", "connected"]
+        fields[column] = text
+        samples = tmp_path / "samples.csv"
+        samples.write_text("80,50,300,0.10\n" + ",".join(fields) + "\n")
+        out = tmp_path / "out"
+        rc = main(["classify", "--samples", str(samples), "--out", str(out)])
+        assert rc == 2
+        name = ("k", "p_cd", "p_cu", "s_wi", "phi")[column]
+        assert (f"{samples}:2: {name} must be a JSON number that fits a float"
+                in caplog.text)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-infinity"])
+    @pytest.mark.parametrize("flag", ["--k", "--pcd", "--pcu", "--swi", "--phi"])
+    def test_non_finite_flag_exits_2(self, tmp_path, caplog, text, flag):
+        values = {"--k": "80", "--pcd": "50", "--pcu": "300", "--swi": "0.10",
+                  "--phi": "0.21"} | {flag: text}
+        out = tmp_path / "out"
+        rc = main(["classify", *(f"{f}={v}" for f, v in values.items()),
+                   "--camo-class", "connected", "--out", str(out)])
+        assert rc == 2
+        assert f"{flag} must be a JSON number that fits a float" in caplog.text
+        assert not out.exists()
 
     def test_requires_exactly_one_source(self, analyzed, tmp_path):
         rc = main(["classify", "--analysis", str(analyzed / "analysis.json"),

@@ -96,6 +96,15 @@ def test_unencodable_payload_leaves_no_file(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_payload_leaves_no_file(tmp_path, value):
+    # Python's json would write NaN or Infinity, which no JSON reader takes
+    path = tmp_path / "a.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_json(path, {"x": [1.0, value]})
+    assert not path.exists()
+
+
 # CSV fields: any text, quoted commas and line breaks included; "\r" is
 # read back as "\n" (LF line ends), NUL is no CSV text, and U+FEFF at the
 # start of a file is a byte-order mark

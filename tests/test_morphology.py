@@ -5,10 +5,10 @@ flood fill for components, all-pairs minimum distance for the distance
 transform, and a quadratic covering-ball sweep for local thickness.
 """
 
-import itertools
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,8 +29,7 @@ from drt import (
     local_thickness,
     throat_distribution,
 )
-from drt.morphology import (_ball, _need, _paint, _paint_chords,
-                            _prominent_peaks, _ridge_centres,
+from drt.morphology import (_ball, _paint, _paint_chords, _prominent_peaks,
                             _squared_distances, _STRUCTS)
 
 _OFFSETS_6 = [(0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0)]
@@ -288,6 +287,9 @@ class TestDistanceTransform:
         assert got.header.element_encoding == "f32"
 
 
+_axis = st.one_of(st.integers(1, 2), st.integers(1, 40))
+
+
 class TestLocalThickness:
     def test_matches_quadratic_reference(self):
         rng = np.random.default_rng(2)
@@ -381,33 +383,6 @@ class TestLocalThickness:
         got = local_thickness(label_volume(np.zeros((4, 4, 4))))
         assert got.header.value_kind == "throat_size"
 
-
-_axis = st.one_of(st.integers(1, 2), st.integers(1, 40))
-
-
-class TestRidgePrune:
-    def test_need_table_holds_every_ball(self):
-        # brute force over each of the 26 steps on its own: the running
-        # maximum of |v - d|² over the offsets sorted by |v|²
-        s_max = 300
-        r = math.isqrt(s_max)
-        v = np.array(list(itertools.product(range(-r, r + 1), repeat=3))).T
-        d2 = (v * v).sum(axis=0)
-        order = np.argsort(d2, kind="stable")
-        v, d2 = v[:, order], d2[order]
-        prefix = np.searchsorted(d2, np.arange(s_max + 1), side="right") - 1
-        got = _need(*_ball((2 * r + 1,) * 3, s_max), s_max)
-        assert got.shape == (3, s_max + 1)
-        reached = np.zeros_like(got)
-        for d in _OFFSETS_26:
-            k = np.count_nonzero(d)
-            farthest = np.maximum.accumulate(
-                ((v - np.reshape(d, (3, 1))) ** 2).sum(axis=0))[prefix]
-            assert (farthest <= got[k - 1]).all()  # B(0, s) in B(d, need)
-            reached[k - 1] = np.maximum(reached[k - 1], farthest)
-        np.testing.assert_array_equal(reached, got)  # need is reached
-        assert (got > np.arange(s_max + 1)).all()
-
     @settings(max_examples=150, deadline=None)
     @given(shape=st.tuples(_axis, _axis, _axis),
            kind=st.sampled_from(["spheres", "random"]),
@@ -436,8 +411,9 @@ class TestRidgePrune:
            seed=st.integers(0, 2**32 - 1))
     def test_equals_painting_every_voxel_near_full(self, shape, n_background,
                                                    voxel_size, seed):
-        # balls wider than the volume: the need table of a clipped box.
-        # Kept at 16 per axis: the painting grows as n⁶ here
+        # balls wider than the volume, clipped at its faces as chords and
+        # as the oracle's offset box. Kept at 16 per axis: the oracle grows
+        # as n⁶ here
         rng = np.random.default_rng(seed)
         mask = np.ones(shape, dtype=bool)
         mask.flat[rng.integers(mask.size, size=n_background)] = False
@@ -446,28 +422,35 @@ class TestRidgePrune:
             want = paint_every_voxel(mask, voxel_size)
             assert got.tobytes() == want.tobytes()
 
-    def test_ball_drops_most_tested_centres(self):
-        # lattice balls near the surface are not held by a neighbour's, so
-        # more than the centre survives: 113 of 461 tested here
-        mask = sphere_mask((21, 21, 21), [(10, 10, 10)], [6])
-        sq = _squared_distances(mask)
-        centres, n_tested = _ridge_centres(mask, sq, *_ball(mask.shape,
-                                                            int(sq.max())))
-        tested = mask & (sq >= 3)
-        assert n_tested == np.count_nonzero(tested) == 461
-        assert np.count_nonzero(centres & tested) == 113
-        assert centres[10, 10, 10] and sq[10, 10, 10] == sq.max()
-        assert centres[mask & ~tested].all()  # too small to test
-
     def test_logs_counts_at_debug(self, caplog):
         mask = sphere_mask((21, 21, 21), [(10, 10, 10)], [6])
         with caplog.at_level(logging.DEBUG, logger="drt.morphology"):
             local_thickness(label_volume(mask))
         [line] = [r.getMessage() for r in caplog.records
                   if r.name == "drt.morphology"]
-        assert line.startswith(f"local thickness: {mask.sum()} pore voxels, ")
-        assert " centres tested, " in line and " r2 groups, " in line
-        assert line.endswith(" levels") and " chord entries in " in line
+        # one chord entry per pore voxel and (dz, dy) with dz² + dy² <= r²
+        r2 = _squared_distances(mask)[mask]
+        e = (np.arange(-6, 7)[:, None] ** 2 + np.arange(-6, 7) ** 2).ravel()
+        entries = int((e[:, None] <= r2).sum())
+        assert r2.max() == 37  # (6, 1, 0) is the nearest background
+        assert line == (f"local thickness: {mask.sum()} pore voxels, "
+                        f"{np.unique(r2).size} r2 groups, {entries} chord "
+                        f"entries in 7 levels")
+
+    def test_memory_grows_with_the_voxels_not_the_ball(self):
+        # one background voxel gives balls as wide as the volume: a table
+        # of their 3-D offsets, (2n - 1)³ of them, takes about 10 MiB here,
+        # while the paint grids hold a few bytes per voxel, 1.4 MiB in all.
+        # Kept at 24³, as tracemalloc slows the painting about eightfold
+        mask = np.ones((24, 24, 24), dtype=np.uint8)
+        mask[0, 0, 0] = 0
+        tracemalloc.start()
+        try:
+            local_thickness(label_volume(mask))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 class TestPaintChords:
@@ -478,7 +461,7 @@ class TestPaintChords:
                             st.integers(1, 300)),
            seed=st.integers(0, 2**32 - 1))
     def test_equals_ball_scatter(self, shape, n_centres, r2_max, seed):
-        # any centres and radii, not only a ridge: balls cross every face,
+        # any centres and radii, not only pore voxels: balls cross every face,
         # and r2_max on each side of 255 switches the grid from u8 to u16
         rng = np.random.default_rng(seed)
         centres = np.zeros(shape, dtype=bool)
