@@ -142,12 +142,67 @@ def euclidean_distance_transform(mask: Volume) -> Volume:
 
 
 def _squared_distances(fg: np.ndarray) -> np.ndarray:
-    """Exact int32 squared distance to the nearest background voxel of fg."""
-    nearest = _ndi.feature_transform(fg)
-    for axis, grid in enumerate(np.ogrid[tuple(slice(n) for n in fg.shape)]):
-        nearest[axis] -= grid
-    nearest *= nearest
-    return nearest.sum(axis=0, dtype=np.int32)
+    """Exact int32 squared distance to the nearest background voxel of fg.
+
+    Separable, one axis at a time (Saito & Toriwaki, Pattern Recogn. 1994;
+    Meijster, Roerdink & Hesselink 2000). Along x, g is the squared
+    distance to the nearest background voxel of the row, from running
+    extrema of the background indices, or the sentinel big, which exceeds
+    every squared distance in the volume, for a row without one. Along y,
+    then z, g becomes min over s of g[i ± s] + s², taken as shifted
+    minima for s = 1, 2, ... until s² >= max(g), checked every fourth
+    shift: as g >= 0, no later shift can lower a value. The cost so grows
+    with the largest distance, as n⁴ when one voxel of an n³ volume is
+    background. g is held in the narrowest unsigned type that holds
+    big + n² for the longest axis n, so no sum overflows.
+    """
+    shape = fg.shape
+    nx = shape[-1]
+    big = sum((n - 1) ** 2 for n in shape) + 1
+    dtype = np.min_scalar_type(big + max(shape) ** 2)
+
+    # x pass: nearest background index at or left of x (-nx if none) and at
+    # or right of x (2nx - 1 if none), so a row without one gives d >= nx
+    index = np.min_scalar_type(-2 * nx)
+    x = np.arange(nx, dtype=index)
+    left = np.where(fg, index.type(-nx), x)
+    np.maximum.accumulate(left, axis=-1, out=left)
+    np.subtract(x, left, out=left)
+    right = np.where(fg, index.type(2 * nx - 1), x)
+    np.minimum.accumulate(right[..., ::-1], axis=-1, out=right[..., ::-1])
+    np.subtract(right, x, out=right)
+    np.minimum(left, right, out=left)
+    g = left.astype(dtype)
+    far = left >= nx
+    del left, right
+    np.multiply(g, g, out=g, where=~far)
+    g[far] = big
+    del far
+
+    shifts = []
+    out = np.empty_like(g)
+    scratch = np.empty_like(g)
+    for axis in (1, 0):
+        np.copyto(out, g)
+        n = shape[axis]
+        s = 1
+        while s < n:
+            if s % 4 == 1 and s * s >= out.max():
+                break
+            lo = (slice(None),) * axis + (slice(None, -s),)
+            hi = (slice(None),) * axis + (slice(s, None),)
+            tmp = scratch[lo]
+            np.add(g[lo], s * s, out=tmp)
+            np.minimum(out[hi], tmp, out=out[hi])
+            np.add(g[hi], s * s, out=tmp)
+            np.minimum(out[lo], tmp, out=out[lo])
+            s += 1
+        shifts.append(s - 1)
+        g, out = out, g
+    del out, scratch
+    log.debug("squared EDT: shape %s, %s, %d y shifts, %d z shifts",
+              shape, dtype.name, *shifts)
+    return g.astype(np.int32)
 
 
 def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
@@ -155,8 +210,8 @@ def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
 
     thickness(v) = 2 * voxel_size * max{ r(c) : |c - v| <= r(c) } over
     foreground voxels c, and 0 on background. Computed on the exact integer
-    r², summed from the offsets to the nearest background voxel that scipy's
-    feature transform returns. The voxel size defaults to the mask's.
+    r² to the nearest background voxel, from ``_squared_distances``. The
+    voxel size defaults to the mask's.
 
     Every pore voxel's ball is painted as x-chords (``_paint_chords``). A
     ball of r² = s is the union of one chord per (dz, dy) with e = dz² + dy²
@@ -268,7 +323,8 @@ def _paint_chords(centres: np.ndarray, r2: np.ndarray) -> np.ndarray:
     out = np.zeros(shape, dtype=dtype)
     pair = np.empty(shape[:2] + (shape[2] - 1,), dtype=dtype)
 
-    order = np.argsort(r2, kind="stable")
+    # the same stable order, but a narrow dtype lets numpy sort by radix
+    order = np.argsort(r2.astype(dtype), kind="stable")
     flat_centres, r2 = flat_centres[order], r2[order]
     values, starts = np.unique(r2, return_index=True)
     groups = np.split(flat_centres, starts[1:])

@@ -432,14 +432,16 @@ class TestAnalyze:
             rc = main(["-v"] + argv + ["--out", str(tmp_path / "loud")])
         assert rc == 0
         assert capsys.readouterr().out == f"{tmp_path / 'loud' / 'analysis.json'}\n"
-        painted = [r.getMessage() for r in caplog.records
-                   if r.name == "drt.morphology"]
+        edt, painted = [r.getMessage() for r in caplog.records
+                        if r.name == "drt.morphology"]
         stage = [r.getMessage() for r in caplog.records if r.name == "drt"]
-        assert len(painted) == 1 and len(stage) == 1
+        assert len(stage) == 1
+        assert re.fullmatch(r"squared EDT: shape \(\d+, \d+, \d+\), uint\d+, "
+                            r"\d+ y shifts, \d+ z shifts", edt)
         pore = int((load_volume(segmented).data == 0).sum())
         assert re.fullmatch(rf"local thickness: {pore} pore voxels, \d+ r2 "
                             r"groups, \d+ chord entries in \d+ levels",
-                            painted[0])
+                            painted)
         n = json.loads((analyzed / "analysis.json").read_text())["n_components"]
         assert re.fullmatch(rf"analyze: {n} components, \d+\.\d{{3}} s", stage[0])
         match, mismatch, errors = filecmp.cmpfiles(

@@ -27,6 +27,7 @@ from drt import (
     euclidean_distance_transform,
     fit_intensity_calibration,
     local_thickness,
+    make_phantom,
     throat_distribution,
 )
 from drt.morphology import (_ball, _paint, _paint_chords, _prominent_peaks,
@@ -290,6 +291,50 @@ class TestDistanceTransform:
 _axis = st.one_of(st.integers(1, 2), st.integers(1, 40))
 
 
+def rounded_float_edt(fg):
+    """The squared scipy EDT rounded to integers: exact r² by another route."""
+    from scipy import ndimage
+    return np.rint(ndimage.distance_transform_edt(fg) ** 2)
+
+
+class TestSquaredDistances:
+    def test_uint32_passes(self, caplog):
+        # 39² + 2·149² + 1 + 150² > 2**16: the passes hold g in uint32
+        fg = np.ones((40, 150, 150), dtype=bool)
+        fg[0, 0, 0] = False
+        with caplog.at_level(logging.DEBUG, logger="drt.morphology"):
+            got = _squared_distances(fg)
+        assert "uint32" in caplog.records[0].getMessage()
+        assert got.max() == 39**2 + 2 * 149**2
+        np.testing.assert_array_equal(got, rounded_float_edt(fg))
+
+    def test_logs_shape_dtype_and_shifts_at_debug(self, caplog):
+        # a hollow box whose r² is at most 4: y runs to the end of its axis,
+        # and z stops at the check before shift 5, as 5² >= 4, not after 19
+        fg = np.ones((20, 5, 5), dtype=bool)
+        fg[[0, -1]] = False
+        fg[:, [0, -1]] = False
+        fg[..., [0, -1]] = False
+        with caplog.at_level(logging.DEBUG, logger="drt.morphology"):
+            _squared_distances(fg)
+        assert [r.getMessage() for r in caplog.records] == [
+            "squared EDT: shape (20, 5, 5), uint16, 4 y shifts, 4 z shifts"]
+
+    def test_memory_below_12_bytes_per_voxel(self):
+        # the passes hold at most three uint16 grids, and one of them beside
+        # the int32 result: about 8 bytes per voxel
+        _, labels = make_phantom("sphere_pack", (64, 64, 64), n_spheres=40,
+                                 radius_range=(4.0, 12.0), seed=1)
+        fg = labels.data == 0
+        tracemalloc.start()
+        try:
+            _squared_distances(fg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * fg.size
+
+
 class TestLocalThickness:
     def test_matches_quadratic_reference(self):
         rng = np.random.default_rng(2)
@@ -314,25 +359,30 @@ class TestLocalThickness:
         got = local_thickness(label_volume(mask))
         np.testing.assert_array_equal(got.data, thickness_reference(mask, 1.0))
 
-    @settings(max_examples=100, deadline=None)
-    @given(shape=st.tuples(*[st.integers(1, 40)] * 3),
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.tuples(_axis, _axis, _axis),
            flat_axis=st.sampled_from([None, 0, 1, 2]),
            pore_fraction=st.one_of(st.floats(0.0, 1.0), st.floats(0.99, 1.0)),
+           lone=st.sampled_from([None, "corner", "centre"]),
            seed=st.integers(0, 2**32 - 1))
     def test_squared_radii_equal_rounded_float_edt(self, shape, flat_axis,
-                                                   pore_fraction, seed):
+                                                   pore_fraction, lone, seed):
         # the float EDT squared and rounded to the nearest integer is an
-        # independent route to the same exact r²
-        from scipy import ndimage
+        # independent route to the same exact r²; a lone background voxel
+        # gives the longest distances, rows and planes without background,
+        # and the most shifts
         if flat_axis is not None:
             shape = shape[:flat_axis] + (1,) + shape[flat_axis + 1:]
         rng = np.random.default_rng(seed)
         fg = rng.random(shape) < pore_fraction
         fg.flat[rng.integers(fg.size)] = False  # at least one background voxel
+        if lone is not None:
+            fg = np.ones(shape, dtype=bool)
+            centre = tuple(n // 2 for n in shape)
+            fg[(0, 0, 0) if lone == "corner" else centre] = False
         got = _squared_distances(fg)
         assert got.dtype == np.int32
-        want = np.rint(ndimage.distance_transform_edt(fg) ** 2)
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, rounded_float_edt(fg))
 
     def test_voxel_size_scales_output(self):
         mask = np.zeros((5, 5, 5), dtype=np.uint8)
@@ -427,7 +477,7 @@ class TestLocalThickness:
         with caplog.at_level(logging.DEBUG, logger="drt.morphology"):
             local_thickness(label_volume(mask))
         [line] = [r.getMessage() for r in caplog.records
-                  if r.name == "drt.morphology"]
+                  if r.getMessage().startswith("local thickness")]
         # one chord entry per pore voxel and (dz, dy) with dz² + dy² <= r²
         r2 = _squared_distances(mask)[mask]
         e = (np.arange(-6, 7)[:, None] ** 2 + np.arange(-6, 7) ** 2).ravel()

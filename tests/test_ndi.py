@@ -6,8 +6,11 @@ by making the direct path fail.
 """
 
 import logging
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,8 +53,7 @@ def some_calls():
     fg = rng.random((6, 5, 7)) < 0.6
     return (_ndi.correlate1d(data, gaussian_kernel_1d(1.0), 1, "reflect",
                              np.float64),
-            *_ndi.label(fg, _STRUCTS[26]),
-            _ndi.feature_transform(fg))
+            *_ndi.label(fg, _STRUCTS[26]))
 
 
 class TestMatchesPublicScipy:
@@ -82,36 +84,55 @@ class TestMatchesPublicScipy:
         assert n == n_want
         assert same_bytes(got, want)
 
-    @settings(max_examples=150, deadline=None)
-    @given(shape=shapes, seed=seeds, density=densities)
-    def test_feature_transform(self, shape, seed, density):
-        from scipy import ndimage
-        fg = np.random.default_rng(seed).random(shape) < density
-        got = _ndi.feature_transform(fg)
-        want = ndimage.distance_transform_edt(fg, return_distances=False,
-                                              return_indices=True)
-        assert same_bytes(got, want)
-
 
 class TestPathChoice:
-    def test_self_check_passes_on_the_direct_kernels(self):
-        _ndi._self_check(_ndi._Direct(_ndi._load("_nd_image"),
-                                      _ndi._load("_ni_label")))
+    @pytest.mark.parametrize("module", sorted(_ndi._MODULES))
+    def test_self_check_passes_on_the_direct_kernels(self, module):
+        direct, public, _ = _ndi._MODULES[module]
+        _ndi._self_check(module, direct(_ndi._load(module)))
+        _ndi._self_check(module, public)
 
-    def test_self_check_rejects_a_wrong_answer(self, monkeypatch):
-        kernels = _ndi._Public()
-        monkeypatch.setattr(kernels, "feature_transform",
-                            lambda fg: np.zeros((3, *fg.shape), np.int32))
-        with pytest.raises(RuntimeError, match="feature transform"):
-            _ndi._self_check(kernels)
+    def test_self_check_rejects_a_wrong_answer(self):
+        def merged(mask, structure):
+            return np.where(mask, 1, 0).astype(np.int32), 1
+        with pytest.raises(RuntimeError, match="6-connected label"):
+            _ndi._self_check("_ni_label", merged)
 
     def test_logs_the_direct_path_once(self, fresh_choice, caplog):
         caplog.set_level(logging.DEBUG, logger="drt._ndi")
         some_calls()
         some_calls()
         records = [r.getMessage() for r in caplog.records]
-        assert len(records) == 1
-        assert "direct from" in records[0]
+        assert len(records) == 2
+        assert records[0].startswith("scipy.ndimage._nd_image: direct from")
+        assert records[1].startswith("scipy.ndimage._ni_label: direct from")
+
+    @pytest.mark.parametrize("kernel, module, absent", [
+        ("correlate1d", "_nd_image", ["scipy.ndimage._ni_label", "scipy"]),
+        ("label", "_ni_label", ["scipy.ndimage._nd_image"]),
+    ])
+    def test_loads_only_the_module_of_the_kernel_called(self, kernel, module,
+                                                        absent):
+        # a fresh process, as the test session itself has loaded scipy
+        call = {"correlate1d": "_ndi.correlate1d(np.ones(5), np.ones(3), 0, "
+                               "'reflect')",
+                "label": "_ndi.label(np.ones((2, 2, 2), bool), "
+                         "np.ones((3, 3, 3), bool))"}[kernel]
+        code = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "from drt import _ndi",
+            "loaded, load = [], _ndi._load",
+            "_ndi._load = lambda name: loaded.append(name) or load(name)",
+            call,
+            "print(loaded, [m for m in %r if m in sys.modules])" % absent,
+        ])
+        src = str(Path(_ndi.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == f"{[module]} []"
 
     @pytest.mark.parametrize("failure", ["load", "self-check"])
     def test_falls_back_to_the_public_functions(self, fresh_choice, caplog,
@@ -123,18 +144,22 @@ class TestPathChoice:
                 raise ImportError(f"no extension file for {name}")
             monkeypatch.setattr(_ndi, "_load", no_file)
         else:
-            monkeypatch.setattr(_ndi._Direct, "label",
-                                lambda self, mask, structure: (mask, 0))
+            _, public, check = _ndi._MODULES["_ni_label"]
+            monkeypatch.setitem(
+                _ndi._MODULES, "_ni_label",
+                (lambda module: lambda mask, structure: (mask, 0), public, check))
         caplog.set_level(logging.DEBUG, logger="drt._ndi")
         public = some_calls()
-        assert isinstance(_ndi._kernels(), _ndi._Public)
         assert len(direct) == len(public)
         for got, want in zip(public, direct):
             assert same_bytes(np.asarray(got), np.asarray(want))
-        records = [r.getMessage() for r in caplog.records]
-        assert len(records) == 1
-        assert "public functions" in records[0]
-        assert ("ImportError" if failure == "load" else "label") in records[0]
+        # the path is chosen per module: a failed label check leaves
+        # correlate1d direct
+        correlate1d, label = [r.getMessage() for r in caplog.records]
+        assert ("public functions" in correlate1d) == (failure == "load")
+        assert label.startswith("scipy.ndimage._ni_label: public functions")
+        assert ("ImportError" if failure == "load" else "label") in label
+        assert _ndi._kernel("_ni_label") is _ndi._public_label
 
     def test_concurrent_first_calls_choose_once(self, fresh_choice, caplog):
         caplog.set_level(logging.DEBUG, logger="drt._ndi")
@@ -161,7 +186,7 @@ class TestPathChoice:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert len(results) == 8
-        assert len(caplog.records) == 1
+        assert len(caplog.records) == 2
         for other in results[1:]:
             assert all(same_bytes(np.asarray(a), np.asarray(b))
                        for a, b in zip(results[0], other))
