@@ -31,11 +31,11 @@ def pcd_from_permeability(k_md: float, phi: float, pfn) -> float:
     """Displacement pressure p_cd = c * (phi / k)**e in psi."""
     c, e = float(pfn[0]), float(pfn[1])
     k_md, phi = float(k_md), float(phi)
-    if k_md <= 0:
+    if not k_md > 0:
         raise NonPositiveInput(f"permeability must be > 0 mD, got {k_md}")
     if not 0.0 < phi < 1.0:
         raise NonPositiveInput(f"porosity must be in (0, 1), got {phi}")
-    if c <= 0:
+    if not c > 0:
         raise NonPositiveInput(f"coefficient c must be > 0, got {c}")
     return c * (phi / k_md) ** e
 

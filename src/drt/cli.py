@@ -347,27 +347,13 @@ def _rows_from_analysis(path: Path) -> list[dict]:
                    "modality": modality.get("modality")}]
 
 
-def _finite(text: str, name: str) -> float:
-    """The number in ``text``, held to the finite-number rule of json_typed."""
-    return json_typed(float(text), float, name)
-
-
 def _rows_from_csv(path: Path) -> list[dict]:
     """Parse rows of k,p_cd,p_cu,s_wi[,phi[,class]] with optional header."""
-    rows: list[dict] = []
-    for where, row in read_csv(path, "k,p_cd,p_cu,s_wi[,phi[,class]]",
-                               range(4, 7)):
-        fields = row + [""] * (6 - len(row))
-        try:
-            k, p_cd, p_cu, s_wi = (_finite(v, name) for v, name in
-                                   zip(fields, ("k", "p_cd", "p_cu", "s_wi")))
-            phi = _finite(fields[4], "phi") if fields[4].strip() else None
-        except (TypeError, ValueError) as exc:
-            raise BadParams(f"{where}: {exc}") from exc
-        rows.append({"k_md": k, "p_cd_psi": p_cd, "p_cu_psi": p_cu,
-                     "s_wi": s_wi, "phi": phi,
-                     "camo_class": fields[5].strip() or None, "modality": None})
-    return rows
+    return [{"k_md": k, "p_cd_psi": p_cd, "p_cu_psi": p_cu, "s_wi": s_wi,
+             "phi": phi, "camo_class": camo_class, "modality": None}
+            for _, (k, p_cd, p_cu, s_wi, phi, camo_class)
+            in read_csv(path, "k,p_cd,p_cu,s_wi[,phi[,class]]",
+                        (float, float, float, float, float, str))]
 
 
 def cmd_classify(args) -> int:

@@ -7,10 +7,11 @@ payload holding NaN or an infinity, which JSON has not, raises ValueError. A
 writer serialises its payload before it opens the file, so a payload that
 cannot be encoded leaves no truncated file behind. A failed read or write
 raises IoFailure; bytes that are not UTF-8, text that is not JSON, or a
-document of the wrong top-level type raise the caller's input error. CSV
-inputs are split into rows here too, so every reader shares one header
-rule and one ``path:row`` error form. Every JSON reader takes each field
-through ``json_typed`` or ``json_array``, the one rule for JSON values.
+document of the wrong top-level type raise the caller's input error. Every
+JSON reader takes each field through ``json_typed`` or ``json_array``, the
+one rule for JSON values. CSV inputs are parsed here too, each field as
+the type its reader names, so every reader shares one header rule, one
+``path:row`` error form, and json_typed's rule for every number.
 """
 
 from __future__ import annotations
@@ -85,16 +86,21 @@ def json_array(value, kind: type, name: str) -> list:
     return value
 
 
-def read_csv(path, layout: str, n_fields: int | range):
-    """Yield ``(where, fields)`` for each non-blank CSV row at path.
+def read_csv(path, layout: str, kinds: tuple[type, ...]):
+    """Yield ``(where, values)`` for each non-blank CSV row at path.
 
-    ``where`` is ``path:row``, rows counted from 1 with blank ones included.
-    A leading byte-order mark is dropped. The first non-blank row is a
-    header, and skipped, when none of its fields parses as a number; every
-    data row holds a number. A row whose field count is not ``n_fields``
-    (or in it, for a range) raises BadParams naming ``where`` and ``layout``.
+    ``layout`` names the fields, the optional trailing ones in brackets, as
+    in ``"k,p_cd,p_cu,s_wi[,phi[,class]]"``. ``kinds`` gives each field's
+    type: int() of the text, float() under json_typed's finite-number rule,
+    or the stripped str; an optional field missing or blank reads as None.
+    A row of too few or too many fields, or a field that does not parse,
+    raises BadParams naming ``where``: ``path:row``, rows counted from 1
+    with blank ones included. A leading byte-order mark is dropped. The
+    first non-blank row is a header, and skipped, when none of its fields
+    parses as a number; every data row holds a number.
     """
-    counts = range(n_fields, n_fields + 1) if isinstance(n_fields, int) else n_fields
+    names = layout.replace("[", "").replace("]", "").split(",")
+    required = layout.split("[", 1)[0].count(",") + 1
     text = read_text(path).removeprefix("\ufeff")
     header_checked = False
     for row_no, fields in enumerate(csv.reader(io.StringIO(text)), start=1):
@@ -105,10 +111,26 @@ def read_csv(path, layout: str, n_fields: int | range):
             if not any(map(_is_number, fields)):
                 continue
         where = f"{path}:{row_no}"
-        if len(fields) not in counts:
+        if not required <= len(fields) <= len(names):
             raise BadParams(f"{where}: expected {layout}, "
                             f"got {len(fields)} fields")
-        yield where, fields
+        fields += [""] * (len(names) - len(fields))
+        yield where, [None if i >= required and not field.strip()
+                      else _csv_value(field, kind, name, where)
+                      for i, (field, kind, name)
+                      in enumerate(zip(fields, kinds, names))]
+
+
+def _csv_value(field: str, kind: type, name: str, where: str):
+    if kind is str:
+        return field.strip()
+    try:
+        return json_typed(kind(field), kind, name)
+    except ValueError as exc:
+        raise BadParams(f"{where}: non-{_JSON_KINDS[kind]} field {name}: "
+                        f"{field!r}") from exc
+    except TypeError as exc:
+        raise BadParams(f"{where}: {exc}") from exc
 
 
 def _is_number(field: str) -> bool:

@@ -578,11 +578,7 @@ def load_labels_csv(path, dims: tuple[int, int, int] | None = None):
     """
     coords: list[tuple[int, int, int]] = []
     labels: list[int] = []
-    for where, row in read_csv(path, "x,y,z,class_id", 4):
-        try:
-            x, y, z, c = (int(v) for v in row)
-        except ValueError as exc:
-            raise BadParams(f"{where}: non-integer field: {exc}") from exc
+    for where, (x, y, z, c) in read_csv(path, "x,y,z,class_id", (int,) * 4):
         if c < 0:
             raise BadParams(f"{where}: class_id must be >= 0, got {c}")
         if dims is not None:

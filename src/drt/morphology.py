@@ -131,13 +131,12 @@ def euclidean_distance_transform(mask: Volume) -> Volume:
     background voxel exists every distance is the +inf sentinel.
     """
     fg = mask.data != 0
-    out = np.zeros(fg.shape, dtype=np.float64)
-    if fg.all():
-        out[:] = np.inf
-    elif fg.any():
+    if fg.any() and not fg.all():
         # scipy's EDT sums the same integer squares in float64, exactly
         # below 2**53, so this square root equals it bit for bit
         out = np.sqrt(_squared_distances(fg))
+    else:
+        out = np.full(fg.shape, np.inf if fg.any() else 0.0)
     return mask.with_data(out, value_kind="distance", element_encoding="f32")
 
 
@@ -237,15 +236,7 @@ def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
         return mask.with_data(np.full(fg.shape, np.inf), value_kind="throat_size",
                               element_encoding="f32")
 
-    r2 = _squared_distances(fg)[fg]
-    if log.isEnabledFor(logging.DEBUG):
-        # a chord per (dz, dy) offset of the ball, by e = dz² + dy²
-        e, _ = _ball(fg.shape[:2] + (1,), int(r2.max()))
-        log.debug("local thickness: %d pore voxels, %d r2 groups, "
-                  "%d chord entries in %d levels", r2.size, np.unique(r2).size,
-                  int(np.searchsorted(e, r2, side="right").sum()),
-                  math.isqrt(int(r2.max())) + 1)
-    th2 = np.where(fg, _paint_chords(fg, r2), 0)
+    th2 = np.where(fg, _paint_chords(fg, _squared_distances(fg)[fg]), 0)
     out = 2.0 * vs * np.sqrt(th2.astype(np.float64))
     return mask.with_data(out, value_kind="throat_size", element_encoding="f32")
 
@@ -307,31 +298,35 @@ def _paint_chords(centres: np.ndarray, r2: np.ndarray) -> np.ndarray:
     R = isqrt(max r2) down to 0. Each is scattered into a grid padded in z
     and y, in ascending r² order so that the largest r² written to a voxel
     stays, and folded into the output by maximum. Before each lower level
-    the output is widened by one voxel each way along x.
+    the output is widened by one voxel each way along x. The count of
+    entries, one per centre and (dz, dy) of its ball, is logged first.
     """
     shape = centres.shape
     r2_max = int(r2.max())
     levels = math.isqrt(r2_max) + 1
     # the (dz, dy) offsets by e: a ball from _ball of a volume one voxel wide
     e, steps = _ball(shape[:2] + (1,), r2_max)
+    dtype = np.min_scalar_type(r2_max)
+    # the same stable order, but a narrow dtype lets numpy sort by radix
+    order = np.argsort(r2.astype(dtype), kind="stable")
+    values, starts, sizes = np.unique(r2[order], return_index=True,
+                                      return_counts=True)
+    # cuts[g, w]: the offsets of group g with e <= s - w², so level w of
+    # the group is cuts[g, w + 1]:cuts[g, w]
+    w2 = np.arange(levels + 1) ** 2
+    cuts = np.searchsorted(e, values[:, None] - w2, side="right")
+    log.debug("local thickness: %d pore voxels, %d r2 groups, "
+              "%d chord entries in %d levels", r2.size, values.size,
+              int(sizes @ cuts[:, 0]), levels)
+
     pad = steps.max(axis=1).tolist()
     flat_centres = np.flatnonzero(np.pad(centres, [(p, p) for p in pad]))
-    dtype = np.min_scalar_type(r2_max)
+    groups = np.split(flat_centres[order], starts[1:])
     grid = np.empty([n + 2 * p for n, p in zip(shape, pad)], dtype=dtype)
     interior = grid[tuple(slice(p, p + n) for p, n in zip(pad, shape))]
     offsets = np.array(grid.strides) // grid.itemsize @ steps
     out = np.zeros(shape, dtype=dtype)
     pair = np.empty(shape[:2] + (shape[2] - 1,), dtype=dtype)
-
-    # the same stable order, but a narrow dtype lets numpy sort by radix
-    order = np.argsort(r2.astype(dtype), kind="stable")
-    flat_centres, r2 = flat_centres[order], r2[order]
-    values, starts = np.unique(r2, return_index=True)
-    groups = np.split(flat_centres, starts[1:])
-    # cuts[g, w]: the offsets of group g with e <= s - w², so level w of
-    # the group is cuts[g, w + 1]:cuts[g, w]
-    w2 = np.arange(levels + 1) ** 2
-    cuts = np.searchsorted(e, values[:, None] - w2, side="right")
     flat = grid.reshape(-1)
     for w in range(levels - 1, -1, -1):
         grid.fill(0)

@@ -175,7 +175,7 @@ class CamoCoefficients:
     phi_max: float
 
     def permeability(self, phi: float) -> float:
-        if phi < 0:
+        if not phi >= 0:
             raise NonPositiveValue(f"porosity must be >= 0, got {phi}")
         if phi == 0.0:
             if self.b > 0:
@@ -247,6 +247,9 @@ def fit_camo(samples) -> CamoRelation:
     by_class: dict[str, list[tuple[float, float]]] = {}
     for i, (phi, k, name) in enumerate(samples):
         phi, k = float(phi), float(k)
+        if not (math.isfinite(phi) and math.isfinite(k)):
+            raise NonPositiveValue(
+                f"sample {i}: phi and k must be finite, got ({phi}, {k})")
         if phi <= 0 or k <= 0:
             raise NonPositiveValue(
                 f"sample {i}: phi and k must be > 0, got ({phi}, {k})")
@@ -272,13 +275,8 @@ def fit_camo(samples) -> CamoRelation:
 
 def load_camo_samples_csv(path) -> list[tuple[float, float, str]]:
     """Read (phi, k_mD, class) fit samples from CSV rows with an optional header."""
-    rows: list[tuple[float, float, str]] = []
-    for where, row in read_csv(path, "phi,k_mD,class", 3):
-        try:
-            rows.append((float(row[0]), float(row[1]), row[2].strip()))
-        except ValueError as exc:
-            raise BadParams(f"{where}: {exc}") from exc
-    return rows
+    return [tuple(row) for _, row in
+            read_csv(path, "phi,k_mD,class", (float, float, str))]
 
 
 def select_camo_class(profile: ModalityProfile,

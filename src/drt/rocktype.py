@@ -211,9 +211,9 @@ def classify(k_md: float, pc: tuple[float, float, float],
     """
     p_cd_psi, p_cu_psi, s_wi = (float(v) for v in pc)
     k_md = float(k_md)
-    if k_md <= 0:
+    if not k_md > 0:
         raise NonPositiveValue(f"permeability must be positive, got {k_md}")
-    if p_cu_psi <= 0 or p_cd_psi <= 0:
+    if not (p_cu_psi > 0 and p_cd_psi > 0):
         raise NonPositiveValue(
             f"pressures must be positive, got p_cu={p_cu_psi}, p_cd={p_cd_psi}")
     if not 0 <= s_wi < 1:
@@ -307,11 +307,11 @@ def camo_check(relation: CamoRelation, phi: float, k_md: float,
     deviation = |log10 k - log10(a * phi**b)|; consistent iff the
     deviation is at most tol_decades.
     """
-    if phi <= 0 or k_md <= 0:
+    if not (phi > 0 and k_md > 0):
         raise NonPositiveValue(
             f"phi and k must be positive, got phi={phi}, k={k_md}")
     predicted = relation[camo_class].permeability(float(phi))
-    if predicted <= 0:
+    if not predicted > 0:
         raise NonPositiveValue(
             f"class '{camo_class}' curve gives non-positive k at phi={phi}")
     deviation = abs(math.log10(k_md) - math.log10(predicted))
@@ -414,7 +414,7 @@ def emit_camo_chart(relation: CamoRelation, samples: list[ChartSample],
     tabulates the plotted values when csv_path is given.
     """
     for s in samples:
-        if s.phi <= 0 or s.k_md <= 0:
+        if not (s.phi > 0 and s.k_md > 0):
             raise NonPositiveValue(
                 f"chart sample needs positive phi and k, got "
                 f"({s.phi}, {s.k_md})")

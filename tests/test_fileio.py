@@ -125,6 +125,17 @@ def _data_row(draw):
 _HEADER = st.lists(st.text("abcxyz_ ,\"\n", max_size=6), min_size=1, max_size=5)
 
 
+# six text fields, all but the first optional
+_TEXTS = ("a[,b[,c[,d[,e[,f]]]]]", (str,) * 6)
+
+
+def _as_texts(row):
+    """What read_csv gives for row under _TEXTS: stripped text, None for an
+    optional field that is blank or missing."""
+    texts = [f.strip() for f in row] + [""] * (6 - len(row))
+    return texts[:1] + [t or None for t in texts[1:]]
+
+
 class TestReadCsv:
     @settings(max_examples=200, deadline=None)
     @given(header=st.none() | _HEADER,
@@ -133,38 +144,85 @@ class TestReadCsv:
         path = tmp_path_factory.mktemp("csv") / "rows.csv"
         written = rows if header is None else [[], header] + rows
         write_csv(path, written)
-        want = [(f"{path}:{n}", row) for n, row in enumerate(written, start=1)
+        want = [(f"{path}:{n}", _as_texts(row))
+                for n, row in enumerate(written, start=1)
                 if row and row is not header]
-        assert list(read_csv(path, "any", range(1, 7))) == want
+        assert list(read_csv(path, *_TEXTS)) == want
 
     @settings(max_examples=100, deadline=None)
     @given(first=_data_row())
     def test_first_row_with_a_number_is_data(self, tmp_path_factory, first):
         path = tmp_path_factory.mktemp("csv") / "rows.csv"
         write_csv(path, [first, ["1"]])
-        assert list(read_csv(path, "any", range(1, 7))) == [
-            (f"{path}:1", first), (f"{path}:2", ["1"])]
+        assert list(read_csv(path, *_TEXTS)) == [
+            (f"{path}:1", _as_texts(first)), (f"{path}:2", _as_texts(["1"]))]
 
     def test_header_is_only_the_first_non_blank_row(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("\nx,y\n1,2\nx,y\n", encoding="utf-8")
-        assert list(read_csv(path, "x,y", 2)) == [
+        assert list(read_csv(path, "x,y", (str, str))) == [
             (f"{path}:3", ["1", "2"]), (f"{path}:4", ["x", "y"])]
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_bytes(b"\xef\xbb\xbfx,y\n1,2\n")
-        assert list(read_csv(path, "x,y", 2)) == [(f"{path}:2", ["1", "2"])]
+        assert list(read_csv(path, "x,y", (int, int))) == [
+            (f"{path}:2", [1, 2])]
         path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
-        assert [row for _, row in read_csv(path, "x,y", 2)] == [["1", "2"],
-                                                                ["3", "4"]]
+        assert [row for _, row in read_csv(path, "x,y", (int, int))] == [
+            [1, 2], [3, 4]]
 
-    def test_field_count_error_names_row_and_layout(self, tmp_path):
+    @pytest.mark.parametrize("layout, kinds, row", [
+        ("a,b", (str, str), "1,2,3"),
+        ("a,b[,c]", (str, str, str), "1"),
+        ("a,b[,c]", (str, str, str), "1,2,3,4"),
+    ])
+    def test_field_count_error_names_row_and_layout(self, tmp_path, layout,
+                                                    kinds, row):
         path = tmp_path / "a.csv"
-        path.write_text("a,b\n1,2\n\n1,2,3\n", encoding="utf-8")
+        path.write_text(f"a,b\n1,2\n\n{row}\n", encoding="utf-8")
         with pytest.raises(BadParams, match=re.escape(
-                f"{path}:4: expected a,b, got 3 fields")):
-            list(read_csv(path, "a,b", 2))
+                f"{path}:4: expected {layout}, got {row.count(',') + 1} "
+                f"fields")):
+            list(read_csv(path, layout, kinds))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers().map(str),
+           x=st.one_of(st.integers(), st.floats(allow_nan=False,
+                                                allow_infinity=False)).map(str),
+           blank=st.sampled_from([None, "", " ", "\t"]))
+    def test_typed_fields_read_back(self, tmp_path_factory, n, x, blank):
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        write_csv(path, [["n", "x", "t"], [n, x] + ([] if blank is None
+                                                   else [blank])])
+        assert list(read_csv(path, "n,x[,t]", (int, float, str))) == [
+            (f"{path}:2", [int(n), float(x), None])]
+
+    @settings(max_examples=50, deadline=None)
+    @given(bad=st.sampled_from(["nan", "inf", "-Infinity", "1e400", "NaN",
+                                "-inf", "9" * 400]),
+           blank_lines=st.integers(0, 2))
+    def test_non_finite_float_names_row_and_column(self, tmp_path_factory,
+                                                   bad, blank_lines):
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        path.write_text("n,x\n1,2.5\n" + "\n" * blank_lines + f"3,{bad}\n",
+                        encoding="utf-8")
+        with pytest.raises(BadParams, match=re.escape(
+                f"{path}:{3 + blank_lines}: x must be a JSON number that "
+                f"fits a float")):
+            list(read_csv(path, "n,x", (int, float)))
+
+    @pytest.mark.parametrize("text, kinds, message", [
+        ("1.5,2", (int, float), "non-integer field n: '1.5'"),
+        ("1,x", (int, float), "non-number field x: 'x'"),
+        ("1,", (int, float), "non-number field x: ''"),
+    ])
+    def test_unparsed_field_names_row_and_field(self, tmp_path, text, kinds,
+                                                message):
+        path = tmp_path / "a.csv"
+        path.write_text(f"n,x\n{text}\n", encoding="utf-8")
+        with pytest.raises(BadParams, match=re.escape(f"{path}:2: {message}")):
+            list(read_csv(path, "n,x", kinds))
 
 
 def _load_volume_of_sidecar(sidecar):

@@ -1,6 +1,7 @@
 """Porosity, modality archetypes, and porosity-permeability relations."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,21 @@ class TestCamoSamplesCsv:
         path = tmp_path / "samples.csv"
         path.write_text("0.2,4.0,connected\nx,4.0,connected\n")
         with pytest.raises(BadParams, match="2"):
+            load_camo_samples_csv(path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_rejects_non_finite_numbers(self, tmp_path, text, column):
+        # fit_camo would fail inside numpy's least squares on them, or fit
+        # a law that no JSON file can hold
+        fields = ["0.2", "4.0", "connected"]
+        fields[column] = text
+        path = tmp_path / "samples.csv"
+        path.write_text("phi,k_mD,class\n0.1,0.5,connected\n"
+                        + ",".join(fields) + "\n")
+        name = ("phi", "k_mD")[column]
+        with pytest.raises(BadParams, match=re.escape(
+                f"{path}:3: {name} must be a JSON number that fits a float")):
             load_camo_samples_csv(path)
 
 

@@ -16,15 +16,19 @@ from drt import (
     ChartSample,
     DEFAULT_CAMO,
     MalformedCode,
+    NonPositiveInput,
     NonPositiveValue,
     PERM_CLASS_BOUNDS,
+    PFunction,
     SWI_CLASS_BOUNDS,
     camo_check,
     classify,
     decode_code,
     default_catalog,
     emit_camo_chart,
+    fit_camo,
     load_catalog,
+    pcd_from_permeability,
     save_catalog,
 )
 from drt.rocktype import _geomspace
@@ -387,3 +391,44 @@ class TestChartSpacing:
         emit_camo_chart(DEFAULT_CAMO, samples, tmp_path / "chart.svg")
         digest = hashlib.sha256((tmp_path / "chart.svg").read_bytes())
         assert digest.hexdigest() == sha256
+
+
+def _chart(phi, k_md):
+    def call(tmp_path):
+        emit_camo_chart(DEFAULT_CAMO, [ChartSample(phi, k_md, "connected")],
+                        tmp_path / "chart.svg")
+    return call
+
+
+NAN = math.nan
+
+
+# every comparison with NaN is false, so a guard written as x <= 0 lets
+# NaN through; each entry point must refuse it as a non-positive value
+@pytest.mark.parametrize("call, error", [
+    (lambda _: classify(NAN, (50, 300, 0.1)), NonPositiveValue),
+    (lambda _: classify(80, (NAN, 300, 0.1)), NonPositiveValue),
+    (lambda _: classify(80, (50, NAN, 0.1)), NonPositiveValue),
+    (lambda _: camo_check(DEFAULT_CAMO, NAN, 4.0, "connected"),
+     NonPositiveValue),
+    (lambda _: camo_check(DEFAULT_CAMO, 0.2, NAN, "connected"),
+     NonPositiveValue),
+    (lambda _: pcd_from_permeability(NAN, 0.2, PFunction(1.0)),
+     NonPositiveInput),
+    (lambda _: pcd_from_permeability(80, 0.2, PFunction(NAN)),
+     NonPositiveInput),
+    (lambda _: DEFAULT_CAMO["connected"].permeability(NAN), NonPositiveValue),
+    (_chart(NAN, 4.0), NonPositiveValue),
+    (_chart(0.2, NAN), NonPositiveValue),
+    (lambda _: fit_camo([(NAN, 1.0, "x"), (0.2, 2.0, "x")]), NonPositiveValue),
+    (lambda _: fit_camo([(0.1, NAN, "x"), (0.2, 2.0, "x")]), NonPositiveValue),
+    (lambda _: fit_camo([(0.1, math.inf, "x"), (0.2, 2.0, "x")]),
+     NonPositiveValue),
+], ids=["classify-k", "classify-p_cd", "classify-p_cu", "camo_check-phi",
+        "camo_check-k", "pcd_from_permeability-k", "pcd_from_permeability-c",
+        "permeability-phi", "chart-phi", "chart-k", "fit_camo-phi",
+        "fit_camo-k", "fit_camo-k-inf"])
+def test_nan_is_refused(tmp_path, call, error):
+    with pytest.raises(error):
+        call(tmp_path)
+    assert not (tmp_path / "chart.svg").exists()
