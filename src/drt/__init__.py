@@ -35,8 +35,8 @@ _EXPORTS = {
                "SizeMismatch", "TooFewPoints", "UnknownClassId",
                "VersionMismatch"),
     "filters": ("build_feature_stack", "difference_of_gaussian",
-                "FeatureStack", "fit_histogram_gmm", "gaussian_kernel_1d",
-                "gaussian_smooth", "iroga_threshold"),
+                "fit_histogram_gmm", "gaussian_kernel_1d", "gaussian_smooth",
+                "iroga_threshold"),
     "forest": ("ForestModel", "load_labels_csv", "load_model",
                "MODEL_FORMAT_VERSION", "save_model", "segment_volume",
                "train_forest", "TrainingSet"),

@@ -37,6 +37,8 @@ def pcd_from_permeability(k_md: float, phi: float, pfn) -> float:
         raise NonPositiveInput(f"porosity must be in (0, 1), got {phi}")
     if not c > 0:
         raise NonPositiveInput(f"coefficient c must be > 0, got {c}")
+    if not math.isfinite(e):
+        raise BadParams(f"exponent e must be finite, got {e}")
     return c * (phi / k_md) ** e
 
 
@@ -91,8 +93,9 @@ class PcCurve:
     def evaluate(self, s_w):
         scalar = np.isscalar(s_w)
         s_w = np.atleast_1d(np.asarray(s_w, dtype=np.float64))
-        if ((s_w <= self.s_wi) | (s_w > 1.0)).any():
-            bad = s_w[(s_w <= self.s_wi) | (s_w > 1.0)][0]
+        outside = ~((s_w > self.s_wi) & (s_w <= 1.0))
+        if outside.any():
+            bad = s_w[outside][0]
             raise SaturationOutOfRange(
                 f"s_w must satisfy {self.s_wi} < s_w <= 1, got {bad}")
         if math.isinf(self.lam):

@@ -15,18 +15,13 @@ from .fileio import json_array, json_typed
 
 _BOUNDARY_TO_SCIPY = {"mirror": "reflect", "clamp": "nearest"}
 
-def _format_sigma(sigma: float) -> str:
-    if float(sigma).is_integer():
-        return str(int(sigma))
-    return repr(float(sigma))
-
 
 @dataclass(frozen=True)
 class FeatureBankConfig:
     """Scales and switches defining the per-voxel feature vector.
 
     Features are ordered [raw?, G(s1)..G(sk), DoG(s1,s2)..DoG(s{k-1},sk)],
-    so the count is (1 if include_raw) + k + (k - 1).
+    where DoG(a, b) = G(a) - G(b); the count is (1 if include_raw) + k + (k - 1).
     """
 
     sigmas_vox: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
@@ -37,7 +32,7 @@ class FeatureBankConfig:
         sigmas = tuple(float(s) for s in self.sigmas_vox)
         if not sigmas:
             raise ValueError("sigmas_vox must not be empty")
-        if any(s <= 0 for s in sigmas):
+        if not all(s > 0 for s in sigmas):
             raise ValueError(f"sigmas must be positive, got {sigmas}")
         if any(b >= a for a, b in zip(sigmas[1:], sigmas)):
             raise ValueError(f"sigmas must be strictly ascending, got {sigmas}")
@@ -49,15 +44,6 @@ class FeatureBankConfig:
     def feature_count(self) -> int:
         k = len(self.sigmas_vox)
         return (1 if self.include_raw else 0) + k + (k - 1)
-
-    def feature_names(self) -> list[str]:
-        names = ["raw"] if self.include_raw else []
-        names += [f"gauss_{_format_sigma(s)}" for s in self.sigmas_vox]
-        names += [
-            f"dog_{_format_sigma(a)}_{_format_sigma(b)}"
-            for a, b in zip(self.sigmas_vox, self.sigmas_vox[1:])
-        ]
-        return names
 
     def to_json_dict(self) -> dict:
         return {

@@ -7,9 +7,12 @@ with a sampled Gaussian kernel truncated at radius ceil(3*sigma) and
 renormalized to sum 1; filter math runs in float64 and results are stored
 as float32.
 
-``map_slabs`` streams the bank in z-slabs on a thread pool: each slab's
-features equal the same planes of ``build_feature_stack``, which stays as
-the whole-volume reference.
+``build_feature_stack`` builds the whole volume as one (nz, ny, nx, F)
+float32 array and stays as the reference. ``slab_features`` builds planes
+[z0, z1), equal to ``build_feature_stack(v, cfg)[z0:z1]``;
+``sample_features`` gives the rows at (x, y, z) voxels, equal to
+``build_feature_stack(v, cfg)[z, y, x]``; ``map_slabs`` streams the slabs
+on a thread pool.
 
 ``iroga_threshold`` segments a grayscale volume by fitting a 1-D Gaussian
 mixture to its 256-bin intensity histogram with EM and cutting at the
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +64,7 @@ def _smooth_array(data: np.ndarray, sigma: float, boundary_mode: str,
 
 
 def _check_sigma(sigma: float, dims: tuple[int, int, int]) -> None:
-    if sigma <= 0:
+    if not sigma > 0:
         raise SigmaTooLarge(f"sigma must be positive, got {sigma}")
     if sigma > min(dims) / 2:
         raise SigmaTooLarge(f"sigma {sigma} exceeds min(dims)/2 = {min(dims) / 2}")
@@ -89,36 +91,11 @@ def difference_of_gaussian(volume: Volume, sigma_lo: float, sigma_hi: float,
                             element_encoding="f32")
 
 
-@dataclass
-class FeatureStack:
-    """Per-voxel feature vectors for one volume; data shaped (nz, ny, nx, F)."""
-
-    dims: tuple[int, int, int]
-    names: list[str]
-    data: np.ndarray = field(repr=False)
-
-    @property
-    def feature_count(self) -> int:
-        return self.data.shape[-1]
-
-    def feature(self, name: str) -> np.ndarray:
-        return self.data[..., self.names.index(name)]
-
-    def sample_at(self, coords_xyz: np.ndarray) -> np.ndarray:
-        """Feature matrix (N, F) at integer voxel coordinates (N, 3) as x,y,z."""
-        coords = np.asarray(coords_xyz, dtype=np.int64)
-        return self.data[coords[:, 2], coords[:, 1], coords[:, 0], :]
-
-    def as_matrix(self) -> np.ndarray:
-        """All voxels as an (n_voxels, F) matrix in flat (x-fastest) order."""
-        return self.data.reshape(-1, self.data.shape[-1])
-
-
-def build_feature_stack(volume: Volume, cfg: FeatureBankConfig) -> FeatureStack:
+def build_feature_stack(volume: Volume, cfg: FeatureBankConfig) -> np.ndarray:
     """Raw, Gaussian, and consecutive-pair DoG channels in declared order.
 
-    Builds the whole volume at once; the reference that slab_features is
-    tested against.
+    Builds the whole volume at once as one (nz, ny, nx, F) float32 array;
+    the reference that slab_features and sample_features are tested against.
     """
     channels: list[np.ndarray] = []
     if cfg.include_raw:
@@ -126,12 +103,11 @@ def build_feature_stack(volume: Volume, cfg: FeatureBankConfig) -> FeatureStack:
     smoothed = [gaussian_smooth(volume, s, cfg.boundary_mode) for s in cfg.sigmas_vox]
     channels += [s.data for s in smoothed]
     channels += [lo.data - hi.data for lo, hi in zip(smoothed, smoothed[1:])]
-    data = np.stack(channels, axis=-1)
-    return FeatureStack(dims=volume.dims, names=cfg.feature_names(), data=data)
+    return np.stack(channels, axis=-1)
 
 
 def slab_features(volume: Volume, cfg: FeatureBankConfig, z0: int, z1: int) -> np.ndarray:
-    """Features of planes [z0, z1), equal to build_feature_stack(...).data[z0:z1].
+    """Features of planes [z0, z1), equal to build_feature_stack(volume, cfg)[z0:z1].
 
     For each scale the z pass reads the planes within its kernel radius
     ceil(3*sigma) of the slab, clipped to the volume, so it sees the real
@@ -163,8 +139,8 @@ def sample_features(volume: Volume, cfg: FeatureBankConfig, coords_xyz: np.ndarr
                     *, threads: int = 1) -> np.ndarray:
     """Feature rows (N, F) at integer voxel coordinates (N, 3) as x,y,z.
 
-    Equal to build_feature_stack(volume, cfg).sample_at(coords_xyz), row for
-    row; only the slabs that hold one of the voxels are computed.
+    Row i equals build_feature_stack(volume, cfg)[z, y, x] at coords_xyz[i]
+    = (x, y, z); only the slabs that hold one of the voxels are computed.
     """
     coords = np.asarray(coords_xyz, dtype=np.int64)
     rows = np.empty((coords.shape[0], cfg.feature_count), dtype=np.float32)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _ndi
 from .errors import BadParams, NoPoreVoxels, TooFewPoints
-from .fileio import write_csv, write_json
+from .fileio import json_array, write_csv, write_json
 from .volume import Volume
 
 log = logging.getLogger(__name__)
@@ -227,7 +227,7 @@ def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
     """
     fg = mask.data != 0
     vs = mask.header.voxel_size_um if voxel_size_um is None else float(voxel_size_um)
-    if vs <= 0:
+    if not vs > 0:
         raise BadParams(f"voxel size must be positive, got {vs}")
     if not fg.any():
         return mask.with_data(np.zeros(fg.shape), value_kind="throat_size",
@@ -500,8 +500,11 @@ class IntensityThroatCalibration:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "IntensityThroatCalibration":
-        return cls(knots_intensity=tuple(float(v) for v in d["knots_intensity"]),
-                   knots_throat_um=tuple(float(v) for v in d["knots_throat_um"]))
+        try:
+            return cls(**{key: tuple(float(v) for v in json_array(d[key], float, key))
+                          for key in ("knots_intensity", "knots_throat_um")})
+        except (KeyError, TypeError) as exc:
+            raise BadParams(f"bad calibration JSON: {exc}") from exc
 
 
 def fit_intensity_calibration(pairs) -> IntensityThroatCalibration:

@@ -50,7 +50,7 @@ def porosity_from_labels(labels: Volume, pore_classes,
         raise BadParams(f"micro_weight must be in [0, 1], got {micro_weight}")
     data = labels.data
     if n_classes is not None:
-        top = int(data.max()) if data.size else 0
+        top = int(data.max())
         if top >= n_classes or int(data.min()) < 0:
             raise UnknownClassId(
                 f"label {top} outside the declared range [0, {n_classes})")
@@ -59,12 +59,9 @@ def porosity_from_labels(labels: Volume, pore_classes,
             raise UnknownClassId(
                 f"class ids {sorted(bad)} outside the declared range "
                 f"[0, {n_classes})")
-    total = data.size
-    if total == 0:
-        raise BadParams("empty label volume")
     n_pore = int(np.isin(data, sorted(pore)).sum())
     n_micro = int(np.isin(data, sorted(micro)).sum()) if micro else 0
-    return (n_pore + micro_weight * n_micro) / total
+    return (n_pore + micro_weight * n_micro) / data.size
 
 
 @dataclass(frozen=True)
@@ -146,7 +143,7 @@ def classify_modality(distribution: PoreThroatDistribution,
     if not 0.0 < epsilon < 1.0 / 3.0:
         raise BadParams(f"epsilon must be in (0, 1/3), got {epsilon}")
     fr = distribution.fractions
-    if any(f < 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
+    if not (all(f >= 0 for f in fr) and abs(sum(fr) - 1.0) <= 1e-9):
         raise BadParams(f"band fractions must be >= 0 and sum to 1, got {fr}")
     present = tuple(f >= epsilon for f in fr)
     candidates = [a for a in MODALITY_ARCHETYPES if a.present(epsilon) == present]

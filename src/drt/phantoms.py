@@ -64,14 +64,14 @@ def make_phantom(
     nx, ny, nz = dims
     if min(dims) < 8:
         raise BadParams(f"phantom dims must be >= 8 per axis, got {dims}")
-    if noise_sigma < 0:
+    if not noise_sigma >= 0:
         raise BadParams(f"noise_sigma must be >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
 
     if kind == "single_sphere":
         if radius is None:
             raise BadParams("single_sphere needs radius")
-        if radius <= 0 or 2 * radius >= min(dims):
+        if not 0 < 2 * radius < min(dims):
             raise BadParams(f"radius {radius} does not fit inside dims {dims}")
         labels = np.ones((nz, ny, nx), dtype=np.uint8)
         center = ((nx - 1) / 2.0, (ny - 1) / 2.0, (nz - 1) / 2.0)
@@ -81,7 +81,7 @@ def make_phantom(
         if n_spheres is None or n_spheres < 1:
             raise BadParams("sphere_pack needs n_spheres >= 1")
         r_lo, r_hi = radius_range if radius_range is not None else (3.0, 6.0)
-        if r_lo <= 0 or r_hi < r_lo:
+        if not 0 < r_lo <= r_hi:
             raise BadParams(f"bad radius_range ({r_lo}, {r_hi})")
         if 2 * r_hi >= min(dims):
             raise BadParams(f"radius_range upper bound {r_hi} does not fit dims {dims}")

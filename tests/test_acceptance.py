@@ -23,7 +23,6 @@ from drt import (
     TrainingSet,
     Volume,
     VolumeHeader,
-    build_feature_stack,
     build_pc_curve,
     classify,
     classify_modality,
@@ -45,6 +44,7 @@ from drt import (
     train_forest,
 )
 from drt.cli import main
+from drt.filters import sample_features
 
 _PAD_MODE = {"mirror": "symmetric", "clamp": "edge"}
 
@@ -140,7 +140,6 @@ def test_criterion_03_segmentation_quality():
                                    n_spheres=60, radius_range=(6.0, 14.0),
                                    noise_sigma=noise)
         bank = FeatureBankConfig()
-        stack = build_feature_stack(gray, bank)
         rng = SplitMix64(3)
         coords, labels = [], []
         for cls in (0, 1):
@@ -148,7 +147,7 @@ def test_criterion_03_segmentation_quality():
             pick = rng.sample_without_replacement(len(zyx), 500)
             coords.append(zyx[pick][:, ::-1])
             labels.append(np.full(500, cls))
-        training = TrainingSet(stack.sample_at(np.concatenate(coords)),
+        training = TrainingSet(sample_features(gray, bank, np.concatenate(coords)),
                                np.concatenate(labels), ("pore", "matrix"))
         model = train_forest(training, ForestHyperparameters(n_trees=25),
                              bank, seed=0)

@@ -49,18 +49,12 @@ def gray_volume(data, voxel_size=1.0):
 
 
 class TestFeatureBankConfig:
-    def test_default_count_and_names(self):
-        cfg = FeatureBankConfig()
-        assert cfg.feature_count == 8
-        assert cfg.feature_names() == [
-            "raw", "gauss_1", "gauss_2", "gauss_4", "gauss_8",
-            "dog_1_2", "dog_2_4", "dog_4_8",
-        ]
+    def test_default_count(self):
+        assert FeatureBankConfig().feature_count == 8
 
     def test_count_without_raw(self):
         cfg = FeatureBankConfig(sigmas_vox=(1.0, 2.0), include_raw=False)
         assert cfg.feature_count == 3
-        assert cfg.feature_names() == ["gauss_1", "gauss_2", "dog_1_2"]
 
     def test_rejects_empty_sigmas(self):
         with pytest.raises(ValueError):
@@ -160,43 +154,31 @@ class TestDifferenceOfGaussian:
             difference_of_gaussian(vol, 2.0, 2.0)
 
 
-class TestFeatureStack:
-    def test_shape_and_names(self):
+class TestWholeVolumeFeatures:
+    def test_shape_and_dtype(self):
         vol = gray_volume(np.random.default_rng(3).random((6, 7, 8)))
-        cfg = FeatureBankConfig(sigmas_vox=(1.0, 2.0))
-        stack = build_feature_stack(vol, cfg)
-        assert stack.data.shape == (6, 7, 8, 4)
-        assert stack.names == cfg.feature_names()
-        assert stack.feature_count == 4
+        stack = build_feature_stack(vol, FeatureBankConfig(sigmas_vox=(1.0, 2.0)))
+        assert stack.shape == (6, 7, 8, 4)
+        assert stack.dtype == np.float32
 
     def test_raw_channel_equals_input(self):
         vol = gray_volume(np.random.default_rng(4).random((6, 6, 6)))
         stack = build_feature_stack(vol, FeatureBankConfig(sigmas_vox=(1.0, 2.0)))
-        np.testing.assert_array_equal(stack.feature("raw"), vol.data)
+        np.testing.assert_array_equal(stack[..., 0], vol.data)
 
-    def test_dog_channel_consistent_with_gauss_channels(self):
-        vol = gray_volume(np.random.default_rng(5).random((6, 6, 6)))
-        stack = build_feature_stack(vol, FeatureBankConfig(sigmas_vox=(1.0, 2.0)))
-        np.testing.assert_allclose(stack.feature("dog_1_2"),
-                                   stack.feature("gauss_1") - stack.feature("gauss_2"),
-                                   atol=1e-6)
-
-    def test_sample_at_uses_xyz_order(self):
-        rng = np.random.default_rng(6)
-        vol = gray_volume(rng.random((5, 6, 7)))
-        stack = build_feature_stack(vol, FeatureBankConfig(sigmas_vox=(1.0, 2.0)))
-        coords = np.array([[0, 0, 0], [6, 5, 4], [2, 3, 1]])
-        rows = stack.sample_at(coords)
-        assert rows.shape == (3, 4)
-        for (x, y, z), row in zip(coords, rows):
-            assert row[0] == vol.at(x, y, z)
-
-    def test_as_matrix_is_flat_order(self):
-        vol = gray_volume(np.random.default_rng(7).random((4, 4, 4)))
-        stack = build_feature_stack(vol, FeatureBankConfig(sigmas_vox=(1.0, 2.0)))
-        mat = stack.as_matrix()
-        assert mat.shape == (64, 4)
-        np.testing.assert_array_equal(mat[:, 0], vol.flat)
+    @pytest.mark.parametrize("include_raw", [True, False])
+    def test_channels_in_declared_order(self, include_raw):
+        # [raw?, G(1), G(2), G(3), G(1)-G(2), G(2)-G(3)]
+        vol = gray_volume(np.random.default_rng(5).random((7, 7, 7)))
+        sigmas = (1.0, 2.0, 3.0)
+        stack = build_feature_stack(vol, FeatureBankConfig(sigmas_vox=sigmas,
+                                                           include_raw=include_raw))
+        g = int(include_raw)  # the raw channel is checked above
+        gauss, dog = stack[..., g:g + 3], stack[..., g + 3:]
+        assert dog.shape[-1] == 2
+        for j, sigma in enumerate(sigmas):
+            np.testing.assert_array_equal(gauss[..., j], gaussian_smooth(vol, sigma).data)
+        np.testing.assert_allclose(dog, gauss[..., :-1] - gauss[..., 1:], atol=1e-6)
 
 
 @st.composite
@@ -225,7 +207,7 @@ class TestSlabFeatures:
     @given(case=slab_cases())
     def test_slab_equals_whole_volume_stack(self, case):
         vol, cfg, z0, z1 = case
-        whole = build_feature_stack(vol, cfg).data
+        whole = build_feature_stack(vol, cfg)
         np.testing.assert_array_equal(slab_features(vol, cfg, z0, z1), whole[z0:z1])
 
     @pytest.mark.parametrize("mode", ["mirror", "clamp"])
@@ -233,7 +215,7 @@ class TestSlabFeatures:
         # sigma 4 reaches 12 planes each way, past both faces of 8 planes
         vol = gray_volume(np.random.default_rng(9).random((8, 9, 10)))
         cfg = FeatureBankConfig(sigmas_vox=(1.0, 4.0), boundary_mode=mode)
-        whole = build_feature_stack(vol, cfg).data
+        whole = build_feature_stack(vol, cfg)
         for z0 in range(8):
             np.testing.assert_array_equal(slab_features(vol, cfg, z0, z0 + 1),
                                           whole[z0:z0 + 1])
@@ -247,7 +229,8 @@ class TestSlabFeatures:
         z = np.concatenate([rng.integers(0, 10, 20), rng.integers(20, 30, 20), [3, 3]])
         coords = np.column_stack([rng.integers(0, 7, z.size),
                                   rng.integers(0, 6, z.size), z])
-        expected = build_feature_stack(vol, cfg).sample_at(coords)
+        x, y, z = coords.T
+        expected = build_feature_stack(vol, cfg)[z, y, x]
         rows = sample_features(vol, cfg, coords, threads=threads)
         assert rows.dtype == np.float32
         np.testing.assert_array_equal(rows, expected)

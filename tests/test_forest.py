@@ -31,7 +31,7 @@ from drt import (
     segment_volume,
     train_forest,
 )
-from drt.filters import slab_bounds
+from drt.filters import sample_features, slab_bounds
 from drt.forest import _distinct, _Tree
 
 
@@ -585,11 +585,9 @@ class TestSegmentVolume:
         vol = Volume(header=header, data=gray.astype(np.float32))
         truth = (gray > 125).astype(np.int64)
 
-        from drt import build_feature_stack
         bank = FeatureBankConfig(sigmas_vox=(1.0, 2.0))
-        stack = build_feature_stack(vol, bank)
         coords = np.argwhere(np.ones((12, 12, 12), dtype=bool))[:, ::-1][:200]
-        feats = stack.sample_at(coords)
+        feats = sample_features(vol, bank, coords)
         labels = truth.reshape(12, 12, 12)[coords[:, 2], coords[:, 1], coords[:, 0]]
         ts = TrainingSet(features=feats, labels=labels,
                          class_names=["dark", "bright"])
@@ -631,7 +629,7 @@ class TestSegmentVolume:
         vol = Volume(header=VolumeHeader(dims=(12, 12, 14), voxel_size_um=1.0),
                      data=gray.astype(np.float32))
         bank = FeatureBankConfig(sigmas_vox=sigmas)
-        x = build_feature_stack(vol, bank).as_matrix()
+        x = build_feature_stack(vol, bank).reshape(-1, bank.feature_count)
         pick = rng.choice(x.shape[0], 300, replace=False)
         ts = TrainingSet(features=x[pick], labels=(gray.ravel()[pick] > 125),
                          class_names=["dark", "bright"])

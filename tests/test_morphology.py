@@ -680,6 +680,18 @@ class TestCalibration:
         again = IntensityThroatCalibration.from_json_dict(cal.to_json_dict())
         assert again == cal
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"knots_intensity": ["1", True], "knots_throat_um": [1, 2]},
+         "knots_intensity"),
+        ({"knots_intensity": [1, 2], "knots_throat_um": [math.nan, 2]},
+         "knots_throat_um"),
+        ({"knots_intensity": [1, 2], "knots_throat_um": 2.0}, "knots_throat_um"),
+        ({"knots_intensity": [1, 2]}, "knots_throat_um"),
+    ])
+    def test_json_values_follow_the_json_rule(self, doc, key):
+        with pytest.raises(BadParams, match=key):
+            IntensityThroatCalibration.from_json_dict(doc)
+
     def test_apply_calibration_maps_volume(self):
         cal = fit_intensity_calibration([(0.0, 0.0), (100.0, 50.0)])
         gray = np.full((4, 4, 4), 40.0, dtype=np.float32)
