@@ -8,11 +8,12 @@ renormalized to sum 1; filter math runs in float64 and results are stored
 as float32.
 
 ``build_feature_stack`` builds the whole volume as one (nz, ny, nx, F)
-float32 array and stays as the reference. ``slab_features`` builds planes
-[z0, z1), equal to ``build_feature_stack(v, cfg)[z0:z1]``;
-``sample_features`` gives the rows at (x, y, z) voxels, equal to
+float32 array and stays as the reference. ``slab_channels`` yields the
+channels of planes [z0, z1) one at a time, and ``slab_features`` stacks
+them, equal to ``build_feature_stack(v, cfg)[z0:z1]``; ``sample_features``
+gives the rows at (x, y, z) voxels, equal to
 ``build_feature_stack(v, cfg)[z, y, x]``; ``map_slabs`` streams the slabs
-on a thread pool.
+on a thread pool, handing each one's channels to a callback.
 
 ``iroga_threshold`` segments a grayscale volume by fitting a 1-D Gaussian
 mixture to its 256-bin intensity histogram with EM and cutting at the
@@ -106,32 +107,47 @@ def build_feature_stack(volume: Volume, cfg: FeatureBankConfig) -> np.ndarray:
     return np.stack(channels, axis=-1)
 
 
-def slab_features(volume: Volume, cfg: FeatureBankConfig, z0: int, z1: int) -> np.ndarray:
-    """Features of planes [z0, z1), equal to build_feature_stack(volume, cfg)[z0:z1].
+def slab_channels(volume: Volume, cfg: FeatureBankConfig, z0: int, z1: int):
+    """Yield (f, channel f of planes [z0, z1)) as float32 (z1 - z0, ny, nx).
 
+    Stacked by f, the channels equal build_feature_stack(volume, cfg)[z0:z1].
+    The raw channel comes first, then each Gaussian, each DoG right after
+    the second Gaussian it needs, so at most one earlier Gaussian is held.
     For each scale the z pass reads the planes within its kernel radius
     ceil(3*sigma) of the slab, clipped to the volume, so it sees the real
     neighbour planes inside and the whole volume's boundary extension at
-    its faces; the y and x passes run on the slab's planes only. The
-    channels are written in place into one (z1 - z0, ny, nx, F) float32
-    array. Sigmas are not checked here: map_slabs checks them against the
-    whole volume.
+    its faces; the y and x passes run on the slab's planes only. Sigmas are
+    not checked here: map_slabs checks them against the whole volume. The
+    raw channel may be a view of the volume's data.
     """
     nz = volume.data.shape[0]
-    out = np.empty((z1 - z0, *volume.data.shape[1:], cfg.feature_count),
-                   dtype=np.float32)
     g = 0
     if cfg.include_raw:
-        out[..., 0] = volume.data[z0:z1]
+        yield 0, np.asarray(volume.data[z0:z1], dtype=np.float32)
         g = 1
     k = len(cfg.sigmas_vox)
+    prev = None
     for j, sigma in enumerate(cfg.sigmas_vox):
         r = math.ceil(3.0 * sigma)
         lo, hi = max(0, z0 - r), min(nz, z1 + r)
-        out[..., g + j] = _smooth_array(volume.data[lo:hi], sigma, cfg.boundary_mode,
-                                        keep=slice(z0 - lo, z1 - lo))
-    for j in range(k - 1):
-        np.subtract(out[..., g + j], out[..., g + j + 1], out=out[..., g + k + j])
+        cur = _smooth_array(volume.data[lo:hi], sigma, cfg.boundary_mode,
+                            keep=slice(z0 - lo, z1 - lo)).astype(np.float32)
+        yield g + j, cur
+        if prev is not None:
+            yield g + k + j - 1, prev - cur
+        prev = cur
+
+
+def slab_features(volume: Volume, cfg: FeatureBankConfig, z0: int, z1: int) -> np.ndarray:
+    """Features of planes [z0, z1), equal to build_feature_stack(volume, cfg)[z0:z1].
+
+    The channels of slab_channels, stacked into one (z1 - z0, ny, nx, F)
+    float32 array.
+    """
+    out = np.empty((z1 - z0, *volume.data.shape[1:], cfg.feature_count),
+                   dtype=np.float32)
+    for f, channel in slab_channels(volume, cfg, z0, z1):
+        out[..., f] = channel
     return out
 
 
@@ -140,15 +156,18 @@ def sample_features(volume: Volume, cfg: FeatureBankConfig, coords_xyz: np.ndarr
     """Feature rows (N, F) at integer voxel coordinates (N, 3) as x,y,z.
 
     Row i equals build_feature_stack(volume, cfg)[z, y, x] at coords_xyz[i]
-    = (x, y, z); only the slabs that hold one of the voxels are computed.
+    = (x, y, z); only the slabs that hold one of the voxels are computed,
+    and each is read one channel at a time.
     """
     coords = np.asarray(coords_xyz, dtype=np.int64)
     rows = np.empty((coords.shape[0], cfg.feature_count), dtype=np.float32)
     x, y, z = coords.T
 
-    def take(z0: int, z1: int, features: np.ndarray) -> None:
+    def take(z0: int, z1: int, channels) -> None:
         hit = np.nonzero((z >= z0) & (z < z1))[0]
-        rows[hit] = features[z[hit] - z0, y[hit], x[hit]]
+        at = (z[hit] - z0, y[hit], x[hit])
+        for f, channel in channels:
+            rows[hit, f] = channel[at]
 
     map_slabs(volume, cfg, take, threads=threads, planes=z)
     return rows
@@ -171,14 +190,16 @@ def slab_bounds(dims: tuple[int, int, int], cfg: FeatureBankConfig,
 
 def map_slabs(volume: Volume, cfg: FeatureBankConfig, fn, *, threads: int = 1,
               planes: np.ndarray | None = None) -> None:
-    """Call fn(z0, z1, slab_features(volume, cfg, z0, z1)) for each z-slab.
+    """Call fn(z0, z1, slab_channels(volume, cfg, z0, z1)) for each z-slab.
 
     The slabs run on a pool of min(threads, slabs) threads; scipy's
     correlate1d and the numpy kernels release the GIL, so they run in
     parallel. fn is called from the pool and must write only what belongs
-    to its slab. With `planes`, only the slabs holding one of those z
-    indices are computed. The sigmas are checked against the whole volume
-    first, whichever slabs run. A worker's exception is raised here.
+    to its slab; the channels are computed as fn iterates over them, so a
+    slab's feature stack is never built. With `planes`, only the slabs
+    holding one of those z indices are computed. The sigmas are checked
+    against the whole volume first, whichever slabs run. A worker's
+    exception is raised here.
     """
     _check_sigma(max(cfg.sigmas_vox), volume.dims)
     nz = volume.dims[2]
@@ -196,7 +217,7 @@ def map_slabs(volume: Volume, cfg: FeatureBankConfig, fn, *, threads: int = 1,
               max((z1 - z0 for z0, z1 in bounds), default=0), workers, halo)
 
     def run(zs: tuple[int, int]) -> None:
-        fn(*zs, slab_features(volume, cfg, *zs))
+        fn(*zs, slab_channels(volume, cfg, *zs))
 
     # imported here so that the stages without slabs do not load it
     from concurrent.futures import ThreadPoolExecutor

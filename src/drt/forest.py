@@ -14,9 +14,10 @@ parent in the arrays, so a walk from the root ends within n_nodes steps.
 Prediction is exact through threshold bins: rows whose features fall in the
 same bin between the sorted distinct thresholds of the forest meet every
 split alike. Each feature is binned once per batch, the rows are grouped by
-their bins, and only the first row of each group is predicted. Each tree
-predicts it by one lookup in a table of its cells, the combinations of its
-own threshold intervals.
+their bins, and each group is predicted once. Each tree predicts it by one
+lookup in a table of its cells, the combinations of its own threshold
+intervals, or else by walking the group's bins against the positions of
+its thresholds among the forest's.
 """
 
 from __future__ import annotations
@@ -103,6 +104,18 @@ class _Tree:
             node[active] = np.where(go_left, self.left[cur], self.right[cur])
             active = active[self.feature[node[active]] >= 0]
         return node
+
+    def on_bins(self, edges: list[np.ndarray]) -> "_Tree":
+        """This tree with each threshold replaced by its position j among
+        edges[f], the sorted distinct thresholds of its feature f, so that
+        it walks bins (_bin) as this tree walks values: x <= edges[f][j]
+        exactly when x's bin is at most j, and NaN's bin, past every edge,
+        goes right."""
+        position = np.zeros(self.threshold.size)
+        for f in _sorted_distinct(self.feature[self.feature >= 0]):
+            node = self.feature == f
+            position[node] = np.searchsorted(edges[f], self.threshold[node])
+        return _Tree(self.feature, position, self.left, self.right, self.probs)
 
     def depth(self) -> int:
         """Edges from the root to the deepest leaf; 0 for a lone leaf."""
@@ -294,36 +307,46 @@ class ForestModel:
     def _predict_distinct(self, x: np.ndarray, tables: list | None = None
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Class ids and mean leaf probabilities of the distinct bin codes of
-        x, and each row's index into them. Callers gather only what they
-        keep through the index.
-
-        A row's bin on feature f is the number of the forest's distinct
-        thresholds on f that lie below x[f] (NaN counts all of them, and
-        goes right like a value above them all); rows with equal bins on
-        every feature meet every split alike. The bins are searched once,
-        held in their narrowest unsigned type and grouped by _distinct.
-        Each tree predicts the first row of each group by one lookup in its
-        cell table (_cell_table): from `tables`, built ahead (_cell_tables)
-        for callers that predict many batches, or else built here when the
-        tree has no more cells than there are groups. A tree without a
-        table walks the rows. The probabilities are summed in tree order,
-        as in _walk, so the sums are bit-identical.
+        the rows of x, and each row's index into them (_predict_bins on the
+        bins of x's columns). Callers gather only what they keep through the
+        index.
         """
         edges = self._edges()
-        bins = [np.searchsorted(u, x[:, f].astype(np.float64), "left")
-                .astype(np.min_scalar_type(u.size)) for f, u in enumerate(edges)]
+        return self._predict_bins([_bin(u, x[:, f]) for f, u in enumerate(edges)],
+                                  edges, tables)
+
+    def _predict_bins(self, bins: list[np.ndarray], edges: list[np.ndarray],
+                      tables: list | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Class ids and mean leaf probabilities of the distinct bin codes,
+        and each row's index into them.
+
+        bins[f] holds every row's bin on feature f (_bin against edges[f],
+        from _edges): the number of the forest's distinct thresholds on f
+        that lie below x[f] (NaN counts all of them, and goes right like a
+        value above them all). Rows with equal bins on every feature meet
+        every split alike; _distinct groups them. Each tree predicts each
+        group by one lookup in its cell table (_cell_table): from `tables`,
+        built ahead (_cell_tables) for callers that predict many batches,
+        or else built here when the tree has no more cells than there are
+        groups. A tree without a table walks the groups' bins (_Tree.on_bins),
+        held in their narrow types. The probabilities are summed in tree
+        order, as in _walk, so the sums are bit-identical.
+        """
         first, inverse = _distinct(bins, [u.size + 1 for u in edges])
         bins = [b[first] for b in bins]
-        x = x[first]
         n = first.size
         probs = np.zeros((self.n_classes, n), dtype=np.float64)
+        stacked = None
         n_tables = 0
         for t, tree in enumerate(self.trees):
             table = None if tables is None else tables[t]
             if table is None:
                 table = self._cell_table(tree, edges, n)
             if table is None:
-                leaf_probs, index = tree.probs.T, tree.apply(x)
+                if stacked is None:
+                    stacked = np.stack(bins, axis=1)
+                leaf_probs, index = tree.probs.T, tree.on_bins(edges).apply(stacked)
             else:
                 n_tables += 1
                 offsets, leaf_probs = table
@@ -347,14 +370,15 @@ class ForestModel:
         """Per feature, the sorted distinct thresholds of all trees."""
         feature = np.concatenate([t.feature for t in self.trees])
         threshold = np.concatenate([t.threshold for t in self.trees])
-        return [np.unique(threshold[feature == f]) for f in range(self.n_features)]
+        return [_sorted_distinct(threshold[feature == f])
+                for f in range(self.n_features)]
 
     def _cell_table(self, tree: _Tree, edges: list[np.ndarray], max_cells: int):
         """The tree's cell table, or None when it has more than max_cells cells.
 
         A tree's own distinct thresholds cut each feature it splits on into
         intervals, and a cell is one interval per feature: rows in one cell
-        reach the same leaf. Bin b on feature f (as in _predict_distinct)
+        reach the same leaf. Bin b on feature f (as in _predict_bins)
         lies in the tree's interval searchsorted(pos, b, "left"), where pos
         are the positions of the tree's thresholds among the forest's,
         because x <= edges[f][j] exactly when b <= j. The table is a pair: per split
@@ -364,8 +388,9 @@ class ForestModel:
         per interval: its upper threshold, or +inf for the last.
         """
         inner = tree.feature >= 0
-        used = np.unique(tree.feature[inner])
-        cuts = [np.unique(tree.threshold[inner & (tree.feature == f)]) for f in used]
+        used = _sorted_distinct(tree.feature[inner])
+        cuts = [_sorted_distinct(tree.threshold[inner & (tree.feature == f)])
+                for f in used]
         n_cells = math.prod(c.size + 1 for c in cuts)
         if n_cells > max_cells:
             return None
@@ -467,6 +492,24 @@ def train_forest(training: TrainingSet, hp: ForestHyperparameters,
                        trees=trees, oob_accuracy=oob_accuracy)
 
 
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a, as np.unique(a) gives them.
+
+    np.unique without a return flag loads numpy.ma to test for a mask.
+    """
+    a = np.sort(a)
+    new = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return a[new]
+
+
+def _bin(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The bin of each value among sorted edges: the number of edges below
+    it, all of them for NaN, in the narrowest unsigned type that holds it."""
+    return (np.searchsorted(edges, values.astype(np.float64), "left")
+            .astype(np.min_scalar_type(edges.size)))
+
+
 def _distinct(bins: list[np.ndarray], radices: list[int]
               ) -> tuple[np.ndarray, np.ndarray]:
     """The first row of each distinct combination of bins, and each row's
@@ -482,13 +525,31 @@ def _distinct(bins: list[np.ndarray], radices: list[int]
     size = 1  # every code so far is below size
     for b, radix in zip(bins, radices):
         if size * radix > 2 ** 63:
-            seen, code = np.unique(code, return_inverse=True)
-            size = seen.size
+            first, code = _group(code)
+            size = first.size
         code *= radix
         code += b
         size *= radix
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    return first, inverse
+    return _group(code)
+
+
+def _group(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct code, in code order, and each
+    code's index among the distinct codes.
+
+    One stable argsort orders the codes and keeps equal codes in index
+    order, so the first of each run is its first index; the runs are
+    numbered by a cumulative sum of where the sorted code changes. The
+    code's buffer is reused for the result.
+    """
+    perm = np.argsort(code, kind="stable")
+    ordered = code[perm]
+    new = np.ones(code.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    np.cumsum(new, out=ordered)
+    ordered -= 1
+    code[perm] = ordered
+    return perm[new], code
 
 
 def segment_volume(model: ForestModel, volume: Volume, *, threads: int = 1,
@@ -497,12 +558,14 @@ def segment_volume(model: ForestModel, volume: Volume, *, threads: int = 1,
 
     Returns the label volume and a confidence volume holding each voxel's
     maximum class probability. The features are streamed in z-slabs on
-    `threads` threads (map_slabs); each slab predicts its distinct bin
-    codes once and gathers only the uint8 label and float32 confidence
-    back to its voxels. The cell tables are built once for all slabs, for
-    the trees with at most SLAB_VOXELS / n_trees cells, so that together
-    they hold no more cells than a slab has voxels; a tree with more is
-    handled per slab, as by predict_batch. The output does not depend on
+    `threads` threads (map_slabs), one channel at a time: each channel is
+    binned as it arrives, so a slab holds its bins, never its features.
+    Each slab predicts its distinct bin codes once (_predict_bins) and
+    gathers only the uint8 label and float32 confidence back to its
+    voxels. The cell tables are built once for all slabs, for the trees
+    with at most SLAB_VOXELS / n_trees cells, so that together they hold
+    no more cells than a slab has voxels; a tree with more is handled per
+    slab, as by predict_batch. The output does not depend on
     the thread count or the slab height. A model with more than 256 classes
     is refused, as its ids do not fit the uint8 labels. A `stats` dict is
     given the counts of slabs, rows, distinct bin codes (summed over the
@@ -515,12 +578,15 @@ def segment_volume(model: ForestModel, volume: Volume, *, threads: int = 1,
     plane = ny * nx
     labels = np.empty(nz * plane, dtype=np.uint8)
     confidence = np.empty(nz * plane, dtype=np.float32)
+    edges = model._edges()
     tables = model._cell_tables(SLAB_VOXELS // len(model.trees))
     codes: list[int] = []  # per slab, appended from the pool's threads
 
-    def predict(z0: int, z1: int, features: np.ndarray) -> None:
-        ids, probs, inverse = model._predict_distinct(
-            features.reshape(-1, features.shape[-1]), tables)
+    def predict(z0: int, z1: int, channels) -> None:
+        bins = [None] * len(edges)
+        for f, channel in channels:
+            bins[f] = _bin(edges[f], channel.ravel())
+        ids, probs, inverse = model._predict_bins(bins, edges, tables)
         conf = probs.max(axis=1).astype(np.float32)
         labels[z0 * plane:z1 * plane] = ids.astype(np.uint8)[inverse]
         confidence[z0 * plane:z1 * plane] = conf[inverse]

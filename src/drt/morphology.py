@@ -20,7 +20,7 @@ import numpy as np
 from . import _ndi
 from .errors import BadParams, NoPoreVoxels, TooFewPoints
 from .fileio import json_array, write_csv, write_json
-from .volume import Volume
+from .volume import in_classes, Volume
 
 log = logging.getLogger(__name__)
 
@@ -50,8 +50,7 @@ def _as_class_set(foreground) -> frozenset[int]:
 
 def binary_mask(labels: Volume, foreground) -> Volume:
     """0/1 mask volume marking voxels whose label is in the foreground set."""
-    classes = _as_class_set(foreground)
-    mask = np.isin(labels.data, sorted(classes))
+    mask = in_classes(labels.data, _as_class_set(foreground))
     return labels.with_data(mask.astype(np.uint8), value_kind="label",
                             element_encoding="u8")
 
@@ -104,8 +103,7 @@ def connected_components(labels: Volume, foreground=frozenset({0}),
     """
     if connectivity not in _STRUCTS:
         raise BadParams(f"connectivity must be 6 or 26, got {connectivity}")
-    classes = _as_class_set(foreground)
-    mask = np.isin(labels.data, sorted(classes))
+    mask = in_classes(labels.data, _as_class_set(foreground))
     # scipy gives each component the smallest provisional label among its
     # voxels, which is its first voxel's: ids come in flat scan order
     comp, n_raw = _ndi.label(mask, _STRUCTS[connectivity])
@@ -116,9 +114,7 @@ def connected_components(labels: Volume, foreground=frozenset({0}),
                  comp[:, 0, :], comp[:, -1, :],   # y low, y high
                  comp[0, :, :], comp[-1, :, :]]   # z low, z high
         for col, face in enumerate(faces):
-            ids = np.unique(face)
-            ids = ids[ids > 0]
-            face_touch[ids - 1, col] = True
+            face_touch[face[face > 0] - 1, col] = True
     volume = labels.with_data(comp, value_kind="label", element_encoding="u16")
     return ComponentMap(volume=volume, n_components=int(n_raw), sizes=sizes,
                         face_touch=face_touch)

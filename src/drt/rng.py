@@ -20,6 +20,18 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """_mix of each element of a uint64 array.
+
+    Every constant is an np.uint64, so numpy 1.24's value-based casting
+    and NEP 50 both keep the arithmetic in uint64, where array products
+    wrap mod 2**64 without a warning.
+    """
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 class SplitMix64:
     """Sequential SplitMix64 stream."""
 
@@ -55,8 +67,27 @@ class SplitMix64:
         return pool[:k].copy()
 
     def bootstrap_indices(self, n: int, draws: int) -> np.ndarray:
-        """draws indices from [0, n) with replacement."""
-        return np.array([self.randint(n) for _ in range(draws)], dtype=np.int64)
+        """draws indices from [0, n) with replacement.
+
+        Equal to `draws` calls of randint(n), values and state after. The
+        stream is counter-based, its i-th next output being
+        mix(state + i * golden), so each block of outputs is one array
+        expression; the rejected ones are dropped in order and the block
+        is refilled from the stream.
+        """
+        if n <= 0:
+            raise ValueError("n must be positive")
+        limit = np.uint64(_MASK - (_MASK % n))
+        blocks = [np.zeros(0, dtype=np.uint64)]
+        need = draws
+        while need > 0:
+            step = np.arange(1, need + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+            u = _mix_array(np.uint64(self._state) + step)
+            self._state = (self._state + need * _GOLDEN) & _MASK
+            u = u[u < limit]
+            blocks.append(u % np.uint64(n))
+            need -= u.size
+        return np.concatenate(blocks).astype(np.int64)
 
     def spawn(self, index: int) -> "SplitMix64":
         """Independent child stream; deterministic in (seed, index)."""

@@ -988,6 +988,22 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("stage", ["segment", "analyze"])
+    def test_segment_and_analyze_do_not_load_numpy_ma(self, workdir, trained,
+                                                      tmp_path, stage):
+        # np.unique without a return flag imports numpy.ma to test for a mask
+        code = ("import sys; from drt.cli import main; "
+                "rc = main(sys.argv[1:]); "
+                "sys.exit(rc or 'numpy.ma' in sys.modules)")
+        argv = (["segment", "--volume", str(workdir / "gray.raw"),
+                 "--model", str(trained), "--out", str(tmp_path / "seg.raw")]
+                if stage == "segment" else
+                ["analyze", "--labels", str(workdir / "truth.raw"),
+                 "--out", str(tmp_path / "out")])
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("stage", ["classify", "report"])
     def test_classify_and_report_do_not_load_scipy(self, analyzed, tmp_path,
                                                    stage):

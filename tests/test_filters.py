@@ -26,7 +26,8 @@ from drt import (
     gaussian_smooth,
     iroga_threshold,
 )
-from drt.filters import map_slabs, sample_features, slab_bounds, slab_features
+from drt.filters import (map_slabs, sample_features, slab_bounds, slab_channels,
+                         slab_features)
 
 _PAD_MODE = {"mirror": "symmetric", "clamp": "edge"}
 
@@ -209,6 +210,22 @@ class TestSlabFeatures:
         vol, cfg, z0, z1 = case
         whole = build_feature_stack(vol, cfg)
         np.testing.assert_array_equal(slab_features(vol, cfg, z0, z1), whole[z0:z1])
+
+    @pytest.mark.parametrize("include_raw", [True, False])
+    def test_channels_stacked_by_index_equal_whole_volume_stack(self, include_raw):
+        vol = gray_volume(np.random.default_rng(12).normal(size=(20, 9, 10))
+                          .astype(np.float32))
+        cfg = FeatureBankConfig(sigmas_vox=(0.5, 1.0, 2.0), include_raw=include_raw)
+        whole = build_feature_stack(vol, cfg)
+        for z0, z1 in [(0, 20), (0, 6), (6, 13), (13, 20)]:
+            channels = list(slab_channels(vol, cfg, z0, z1))
+            order = [f for f, _ in channels]
+            # raw, then each Gaussian, each DoG right after its second one
+            g = int(include_raw)
+            assert order == [0] * g + [g, g + 1, g + 3, g + 2, g + 4]
+            for f, channel in channels:
+                assert channel.dtype == np.float32
+                np.testing.assert_array_equal(channel, whole[z0:z1, ..., f])
 
     @pytest.mark.parametrize("mode", ["mirror", "clamp"])
     def test_volume_thinner_than_the_halo(self, mode):

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,11 +28,12 @@ from drt import (
     build_feature_stack,
     load_labels_csv,
     load_model,
+    make_phantom,
     save_model,
     segment_volume,
     train_forest,
 )
-from drt.filters import sample_features, slab_bounds
+from drt.filters import map_slabs, sample_features, slab_bounds
 from drt.forest import _distinct, _Tree
 
 
@@ -664,6 +666,65 @@ class TestSegmentVolume:
                             lambda *args, **kwargs: pytest.fail("a slab ran"))
         with pytest.raises(BadParams, match=f"{n_classes} classes"):
             segment_volume(model, vol)
+
+
+def sphere_pack_model(dims, n_spheres, flip=0.0):
+    """A noisy 96³-style sphere pack and a default forest trained on 500
+    labelled voxels per class, the labels of a `flip` fraction swapped."""
+    gray, truth = make_phantom("sphere_pack", dims, seed=1, n_spheres=n_spheres,
+                               radius_range=(4.0, 9.0), noise_sigma=60.0)
+    rng = np.random.default_rng(5)
+    zyx = np.concatenate([rng.choice(np.argwhere(truth.data == c), 500,
+                                     replace=False) for c in (0, 1)])
+    labels = truth.data[tuple(zyx.T)].astype(np.int64)
+    swap = rng.random(labels.size) < flip
+    labels[swap] = 1 - labels[swap]
+    bank = FeatureBankConfig()
+    ts = TrainingSet(sample_features(gray, bank, zyx[:, ::-1]), labels,
+                     ["pore", "matrix"])
+    return gray, train_forest(ts, ForestHyperparameters(), bank, seed=0)
+
+
+class TestStreamedSegment:
+    def test_deep_noisy_forest_walks_bins_like_rows(self):
+        # 8% of the labels swapped grow trees of depth 16 whose cells
+        # outnumber the rows, so most trees walk the bins
+        gray, model = sphere_pack_model((48, 48, 48), 10, flip=0.08)
+        assert sum(t.feature.size for t in model.trees) > 10000
+        rng = np.random.default_rng(0)
+        x = build_feature_stack(gray, model.feature_bank)
+        x = x.reshape(-1, model.n_features)[rng.choice(48 ** 3, 3000, replace=False)]
+        # and rows at, beside and at the float32 roundings of thresholds,
+        # NaN and the infinities
+        x = np.vstack([x, threshold_rows(model.trees, 1000, model.n_features, rng)
+                       .astype(np.float32)])
+        labels, probs, _, n_tables, _ = predict_distinct(model, x)
+        assert n_tables < len(model.trees) // 2
+        direct_labels, direct_probs = model._walk(x)
+        assert np.array_equal(labels, direct_labels)
+        assert np.array_equal(probs, direct_probs)
+
+    def test_slab_working_set_per_voxel(self, monkeypatch):
+        # one 24-plane slab of a 96³ volume, featured and predicted: its
+        # bins, one Gaussian's z pass over the slab and its halo, and the
+        # grouping of the bin codes. Building the float32 feature stack and
+        # grouping with np.unique took about 98 B/voxel here
+        gray, model = sphere_pack_model((96, 96, 96), 84)
+        assert (48, 72) in slab_bounds(gray.dims, model.feature_bank, 1)
+
+        def one_slab(volume, cfg, fn, *, threads):
+            map_slabs(volume, cfg, fn, threads=threads, planes=np.array([48]))
+
+        monkeypatch.setattr("drt.forest.map_slabs", one_slab)
+        tracemalloc.start()
+        try:
+            seg, conf = segment_volume(model, gray)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # less the whole volume's label and confidence outputs
+        peak -= seg.data.nbytes + conf.data.nbytes
+        assert peak <= 60 * 24 * 96 * 96
 
 
 def leaf_model(n_classes, bank):

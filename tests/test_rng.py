@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drt import SplitMix64
 
@@ -82,6 +83,31 @@ class TestSampling:
         a = SplitMix64(4).bootstrap_indices(100, 100)
         b = SplitMix64(4).bootstrap_indices(100, 100)
         np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1),
+           n=st.sampled_from([1, 2, 3, 1000, 2 ** 62 + 1, 2 ** 63 - 25]),
+           draws=st.integers(0, 300))
+    def test_bootstrap_equals_scalar_randint_stream(self, seed, n, draws):
+        # n = 2**62 + 1 rejects about a quarter of the draws, so blocks are
+        # refilled; n = 1 rejects only the output 2**64 - 1. Warnings are
+        # errors here, so no uint64 overflow warning may escape
+        fast, slow = SplitMix64(seed), SplitMix64(seed)
+        got = fast.bootstrap_indices(n, draws)
+        want = [slow.randint(n) for _ in range(draws)]
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert fast._state == slow._state
+        assert fast.next_u64() == slow.next_u64()
+
+    def test_bootstrap_skips_the_rejected_output(self):
+        # find a stream whose next output is rejected for n = 2**62 + 1
+        n = 2 ** 62 + 1
+        limit = (2 ** 64 - 1) - (2 ** 64 - 1) % n
+        seed = next(s for s in range(100) if SplitMix64(s).next_u64() >= limit)
+        fast, slow = SplitMix64(seed), SplitMix64(seed)
+        assert fast.bootstrap_indices(n, 1).tolist() == [slow.randint(n)]
+        assert fast._state == slow._state
 
 
 class TestSpawn:
