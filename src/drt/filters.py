@@ -9,9 +9,9 @@ as float32.
 
 ``build_feature_stack`` builds the whole volume as one (nz, ny, nx, F)
 float32 array and stays as the reference. ``slab_channels`` yields the
-channels of planes [z0, z1) one at a time, and ``slab_features`` stacks
-them, equal to ``build_feature_stack(v, cfg)[z0:z1]``; ``sample_features``
-gives the rows at (x, y, z) voxels, equal to
+channels of planes [z0, z1) one at a time, which stacked by index equal
+``build_feature_stack(v, cfg)[z0:z1]``; ``sample_features`` gives the
+rows at (x, y, z) voxels, equal to
 ``build_feature_stack(v, cfg)[z, y, x]``; ``map_slabs`` streams the slabs
 on a thread pool, handing each one's channels to a callback.
 
@@ -96,7 +96,7 @@ def build_feature_stack(volume: Volume, cfg: FeatureBankConfig) -> np.ndarray:
     """Raw, Gaussian, and consecutive-pair DoG channels in declared order.
 
     Builds the whole volume at once as one (nz, ny, nx, F) float32 array;
-    the reference that slab_features and sample_features are tested against.
+    the reference that slab_channels and sample_features are tested against.
     """
     channels: list[np.ndarray] = []
     if cfg.include_raw:
@@ -136,19 +136,6 @@ def slab_channels(volume: Volume, cfg: FeatureBankConfig, z0: int, z1: int):
         if prev is not None:
             yield g + k + j - 1, prev - cur
         prev = cur
-
-
-def slab_features(volume: Volume, cfg: FeatureBankConfig, z0: int, z1: int) -> np.ndarray:
-    """Features of planes [z0, z1), equal to build_feature_stack(volume, cfg)[z0:z1].
-
-    The channels of slab_channels, stacked into one (z1 - z0, ny, nx, F)
-    float32 array.
-    """
-    out = np.empty((z1 - z0, *volume.data.shape[1:], cfg.feature_count),
-                   dtype=np.float32)
-    for f, channel in slab_channels(volume, cfg, z0, z1):
-        out[..., f] = channel
-    return out
 
 
 def sample_features(volume: Volume, cfg: FeatureBankConfig, coords_xyz: np.ndarray,

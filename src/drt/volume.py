@@ -151,18 +151,6 @@ class Volume:
         return Volume(header, data)
 
 
-def in_classes(data: np.ndarray, classes) -> np.ndarray:
-    """Boolean array marking the elements of data equal to one of classes.
-
-    Equal to np.isin(data, list(classes)); an OR of one comparison per
-    class, which on few classes is about a hundred times faster.
-    """
-    mask = np.zeros(np.shape(data), dtype=bool)
-    for c in classes:
-        mask |= data == c
-    return mask
-
-
 def load_volume(raw_path: str | Path) -> Volume:
     """Read a RAW blob plus its JSON sidecar into a Volume.
 

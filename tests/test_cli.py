@@ -991,7 +991,13 @@ class TestConsoleScript:
     @pytest.mark.parametrize("stage", ["segment", "analyze"])
     def test_segment_and_analyze_do_not_load_numpy_ma(self, workdir, trained,
                                                       tmp_path, stage):
-        # np.unique without a return flag imports numpy.ma to test for a mask
+        # np.unique without a return flag imports numpy.ma to test for a mask;
+        # numpy 1.x imports numpy.ma with numpy itself, so there is no cost
+        bare = subprocess.run([sys.executable, "-c",
+                               "import sys, numpy; "
+                               "sys.exit('numpy.ma' in sys.modules)"])
+        if bare.returncode:
+            pytest.skip("importing numpy already loads numpy.ma")
         code = ("import sys; from drt.cli import main; "
                 "rc = main(sys.argv[1:]); "
                 "sys.exit(rc or 'numpy.ma' in sys.modules)")

@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from drt import (
     BadHeader,
@@ -17,7 +16,6 @@ from drt import (
     save_volume,
     sidecar_path,
 )
-from drt.volume import in_classes
 
 
 def make_volume(dims=(4, 3, 2), value_kind="grayscale", encoding="f32",
@@ -27,21 +25,6 @@ def make_volume(dims=(4, 3, 2), value_kind="grayscale", encoding="f32",
                           value_kind=value_kind, element_encoding=encoding)
     data = np.arange(nx * ny * nz, dtype=np.float64)
     return Volume(header=header, data=data)
-
-
-class TestInClasses:
-    @settings(max_examples=200, deadline=None)
-    @given(dtype=st.sampled_from([np.uint8, np.uint16, np.int32, np.int64]),
-           shape=st.tuples(*[st.integers(0, 6)] * 3),
-           classes=st.sets(st.integers(-2, 70000), max_size=5),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_equals_isin(self, dtype, shape, classes, seed):
-        # class ids beyond the dtype's range and negative ones match nothing
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 6, size=shape).astype(dtype)
-        got = in_classes(data, classes)
-        assert got.dtype == np.bool_ and got.shape == data.shape
-        np.testing.assert_array_equal(got, np.isin(data, sorted(classes)))
 
 
 class TestVolumeHeader:
