@@ -165,14 +165,17 @@ def load_config(path: str | None) -> PipelineConfig:
     return config_from_json_dict(read_json(path, ConfigError))
 
 
-def _checked(value, kind: type, where: str):
+def _checked(value, kind, where: str):
     """A JSON value that is null or of ``kind``, as json_typed reads it.
 
-    Anything else raises BadParams naming ``where``, the file and key.
+    ``kind`` may be [t], an array of t as json_array reads it. Anything
+    else raises BadParams naming ``where``, the file and key.
     """
     if value is None:
         return None
     try:
+        if isinstance(kind, list):
+            return json_array(value, kind[0], where)
         return json_typed(value, kind, where)
     except TypeError as exc:
         raise BadParams(str(exc)) from exc
@@ -278,10 +281,8 @@ def cmd_analyze(args) -> int:
     porosity = porosity_from_labels(
         labels, cfg.pore_classes, cfg.micropore_classes,
         micro_weight=cfg.micro_weight, n_classes=n_classes)
-    comp = connected_components(labels, set(cfg.pore_classes),
-                                connectivity=cfg.connectivity)
-
-    pore_mask = binary_mask(labels, set(cfg.pore_classes))
+    pore_mask = binary_mask(labels, cfg.pore_classes)
+    comp = connected_components(pore_mask, connectivity=cfg.connectivity)
     thickness = local_thickness(pore_mask)
     dist = throat_distribution(thickness, cutoffs=cfg.cutoffs_um,
                                n_bins=cfg.n_bins)
@@ -344,7 +345,8 @@ def _rows_from_analysis(path: Path) -> list[dict]:
     modality = _checked(a.get("modality"), dict, f"{path}: modality") or {}
     camo_class = _checked(a["camo_class"], str, f"{path}: camo_class")
     return [row | {"camo_class": camo_class,
-                   "modality": modality.get("modality")}]
+                   "modality": _checked(modality.get("modality"), str,
+                                        f"{path}: modality.modality")}]
 
 
 def _rows_from_csv(path: Path) -> list[dict]:
@@ -443,25 +445,31 @@ def cmd_report(args) -> int:
         value = _checked(a.get(key), float, f"{analysis_path}: {key}")
         return "n/a" if value is None else fmt.format(value)
 
+    def text(doc, key, where, default="n/a"):
+        value = _checked(doc.get(key), str, f"{analysis_path}: {where}")
+        return default if value is None else value
+
     rock = _checked(a.get("rock_type"), dict, f"{analysis_path}: rock_type") or {}
     modality = _checked(a.get("modality"), dict, f"{analysis_path}: modality") or {}
     distance = _checked(modality.get("distance"), float,
                         f"{analysis_path}: modality.distance")
-    violations = _checked(rock.get("violations"), list,
+    violations = _checked(rock.get("violations"), [str],
                           f"{analysis_path}: rock_type.violations") or []
+    code = text(rock, "code", "rock_type.code")
+    nearest = text(rock, "nearest_code", "rock_type.nearest_code")
     lines = [
         "# Digital rock typing report",
         "",
-        f"Source: `{a.get('source', 'unknown')}`",
+        f"Source: `{text(a, 'source', 'source', 'unknown')}`",
         "",
         "## Petrophysics",
         "",
         f"- Porosity: {num('porosity')}",
-        f"- Modality: {modality.get('modality', 'n/a')} "
-        f"(archetype: {modality.get('archetype', 'n/a')}, "
+        f"- Modality: {text(modality, 'modality', 'modality.modality')} "
+        f"(archetype: {text(modality, 'archetype', 'modality.archetype')}, "
         f"distance {(math.nan if distance is None else distance):.4g})",
         f"- Permeability: {num('permeability_md')} mD "
-        f"(CAMO class: {a.get('camo_class', 'n/a')})",
+        f"(CAMO class: {text(a, 'camo_class', 'camo_class')})",
         "",
         "## Capillary pressure",
         "",
@@ -472,10 +480,10 @@ def cmd_report(args) -> int:
         "",
         "## Rock type",
         "",
-        f"- Code: {rock.get('code', 'n/a')}",
+        f"- Code: {code}",
     ]
-    if rock.get("code") == "UNCLASSIFIED":
-        lines.append(f"- Nearest rule: {rock.get('nearest_code', 'n/a')}")
+    if code == "UNCLASSIFIED":
+        lines.append(f"- Nearest rule: {nearest}")
         for v in violations:
             lines.append(f"  - {v}")
     lines.append("")

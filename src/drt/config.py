@@ -57,7 +57,7 @@ class FeatureBankConfig:
         return cls(
             sigmas_vox=tuple(json_array(d["sigmas_vox"], float, "sigmas_vox")),
             include_raw=json_typed(d["include_raw"], bool, "include_raw"),
-            boundary_mode=d["boundary_mode"],
+            boundary_mode=json_typed(d["boundary_mode"], str, "boundary_mode"),
         )
 
 

@@ -609,12 +609,12 @@ def save_model(model: ForestModel, path) -> None:
 
 def load_model(path) -> ForestModel:
     raw = read_json(path, BadModelFile, dict)
-    version = raw.get("version")
-    if version != MODEL_FORMAT_VERSION:
-        raise VersionMismatch(
-            f"model format version {version!r} is not supported "
-            f"(expected {MODEL_FORMAT_VERSION})")
     try:
+        version = json_typed(raw.get("version"), int, "version")
+        if version != MODEL_FORMAT_VERSION:
+            raise VersionMismatch(
+                f"model format version {version!r} is not supported "
+                f"(expected {MODEL_FORMAT_VERSION})")
         hp = ForestHyperparameters.from_json_dict(raw["hyperparameters"])
         bank = FeatureBankConfig.from_json_dict(raw["feature_bank"])
         class_names = list(json_array(raw["class_names"], str, "class_names"))

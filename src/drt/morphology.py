@@ -1,18 +1,18 @@
 """Pore-space morphology: components, distance fields, throat sizes.
 
-Connectivity analysis takes a label volume plus the set of class ids
-regarded as foreground; the distance and thickness transforms take a
-binary mask volume (nonzero = foreground). Component ids are scipy's, in
-order of each component's first voxel in flat x-fastest scan order, with 0
-reserved for background. Distances are Euclidean and exact; local
-thickness at a voxel is the diameter of the largest inscribed ball
-covering it, in physical units.
+``binary_mask`` turns a label volume and a set of class ids into a mask
+volume (nonzero = foreground), which every transform here takes. Component
+ids are scipy's, in order of each component's first voxel in flat
+x-fastest scan order, with 0 reserved for background. Distances are
+Euclidean and exact; local thickness at a voxel is the diameter of the
+largest inscribed ball covering it, in physical units.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,22 +38,25 @@ _STRUCTS = {
 _SCATTER_BATCH = 1 << 18
 
 
-def _as_class_set(foreground) -> frozenset[int]:
-    classes = {int(foreground)} if isinstance(foreground, (int, np.integer)) \
-        else {int(c) for c in foreground}
-    if not classes:
-        raise BadParams("foreground class set must not be empty")
-    if any(c < 0 for c in classes):
-        raise BadParams(f"class ids must be >= 0, got {sorted(classes)}")
-    return frozenset(classes)
+def binary_mask(labels: Volume, classes) -> Volume:
+    """0/1 mask volume marking voxels whose label is in ``classes``.
 
-
-def binary_mask(labels: Volume, foreground) -> Volume:
-    """0/1 mask volume marking voxels whose label is in the foreground set."""
-    classes = _as_class_set(foreground)
+    The one reader of a class set: a class id or a non-empty iterable of
+    them, each an integer >= 0, else BadParams (0.7 and "0" included).
+    """
+    if isinstance(classes, (int, np.integer)):
+        classes = [classes]
+    try:
+        ids = sorted({operator.index(c) for c in classes})
+    except TypeError as exc:
+        raise BadParams(f"class ids must be integers, got {classes!r}") from exc
+    if not ids:
+        raise BadParams("class set must not be empty")
+    if ids[0] < 0:
+        raise BadParams(f"class ids must be >= 0, got {ids}")
     # kind="sort" ORs one comparison per class when there are few; the
     # default lookup-table path takes milliseconds on a 96^3 volume
-    mask = np.isin(labels.data, sorted(classes), kind="sort")
+    mask = np.isin(labels.data, ids, kind="sort")
     return labels.with_data(mask.astype(np.uint8), value_kind="label",
                             element_encoding="u8")
 
@@ -97,20 +100,19 @@ class ComponentMap:
         return int(np.argmax(self.sizes)) + 1
 
 
-def connected_components(labels: Volume, foreground=frozenset({0}),
-                         connectivity: int = 26) -> ComponentMap:
-    """Label foreground components under 6- or 26-connectivity.
+def connected_components(mask: Volume, connectivity: int = 26) -> ComponentMap:
+    """Label the nonzero voxels of a mask under 6- or 26-connectivity.
 
-    ``foreground`` is a class id or set of class ids. An empty foreground
-    is not an error: the result has zero components.
+    A mask without foreground is not an error: the result has zero
+    components.
     """
     if connectivity not in _STRUCTS:
         raise BadParams(f"connectivity must be 6 or 26, got {connectivity}")
-    classes = _as_class_set(foreground)
-    mask = np.isin(labels.data, sorted(classes), kind="sort")
+    # a bool mask: drt._ndi checks its label kernel on bool masks only
+    fg = mask.data != 0
     # scipy gives each component the smallest provisional label among its
     # voxels, which is its first voxel's: ids come in flat scan order
-    comp, n_raw = _ndi.label(mask, _STRUCTS[connectivity])
+    comp, n_raw = _ndi.label(fg, _STRUCTS[connectivity])
     sizes = np.bincount(comp.ravel(), minlength=n_raw + 1)[1:].astype(np.int64)
     face_touch = np.zeros((n_raw, 6), dtype=bool)
     if n_raw:
@@ -119,7 +121,7 @@ def connected_components(labels: Volume, foreground=frozenset({0}),
                  comp[0, :, :], comp[-1, :, :]]   # z low, z high
         for col, face in enumerate(faces):
             face_touch[face[face > 0] - 1, col] = True
-    volume = labels.with_data(comp, value_kind="label", element_encoding="u16")
+    volume = mask.with_data(comp, value_kind="label", element_encoding="u16")
     return ComponentMap(volume=volume, n_components=int(n_raw), sizes=sizes,
                         face_touch=face_touch)
 

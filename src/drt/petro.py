@@ -39,15 +39,16 @@ def porosity_from_labels(labels: Volume, pore_classes,
     """
     import numpy as np
 
-    pore = frozenset(int(c) for c in pore_classes)
-    micro = frozenset(int(c) for c in micropore_classes)
-    if not pore:
-        raise BadParams("pore_classes must not be empty")
+    from .morphology import binary_mask
+
+    pore, micro = frozenset(pore_classes), frozenset(micropore_classes)
     if pore & micro:
         raise BadParams(
             f"pore and micropore classes overlap: {sorted(pore & micro)}")
     if not 0.0 <= micro_weight <= 1.0:
         raise BadParams(f"micro_weight must be in [0, 1], got {micro_weight}")
+    n_pore = np.count_nonzero(binary_mask(labels, pore).data)
+    n_micro = np.count_nonzero(binary_mask(labels, micro).data) if micro else 0
     data = labels.data
     if n_classes is not None:
         top = int(data.max())
@@ -59,8 +60,6 @@ def porosity_from_labels(labels: Volume, pore_classes,
             raise UnknownClassId(
                 f"class ids {sorted(bad)} outside the declared range "
                 f"[0, {n_classes})")
-    n_pore = np.count_nonzero(np.isin(data, sorted(pore), kind="sort"))
-    n_micro = np.count_nonzero(np.isin(data, sorted(micro), kind="sort"))
     return (n_pore + micro_weight * n_micro) / data.size
 
 

@@ -98,16 +98,16 @@ class CatalogRule:
     @classmethod
     def from_json_dict(cls, d: dict) -> "CatalogRule":
         def pressure(key):
-            entry = d.get(key)
-            if entry is None:
+            if d.get(key) is None:
                 return None
-            op = entry["op"]
+            entry = json_typed(d[key], dict, key)
+            op = json_typed(entry["op"], str, f"{key}.op")
             if op not in ("lt", "gt"):
                 raise BadParams(f"pressure op must be 'lt' or 'gt', got {op!r}")
             return (op, float(json_typed(entry["psi"], float, f"{key}.psi")))
 
-        code = d["code"]
-        if not isinstance(code, str) or not code:
+        code = json_typed(d["code"], str, "code")
+        if not code:
             raise BadParams("rule code must be a non-empty string")
         opt = lambda key: (None if d.get(key) is None
                            else float(json_typed(d[key], float, key)))
@@ -328,7 +328,8 @@ def load_catalog(path) -> list[CatalogRule]:
     if not raw:
         raise BadParams(f"{path} must hold at least one rule")
     try:
-        return [CatalogRule.from_json_dict(d) for d in raw]
+        return [CatalogRule.from_json_dict(json_typed(d, dict, "catalog rule"))
+                for d in raw]
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParams(f"{path} holds a malformed rule: {exc}") from exc
 

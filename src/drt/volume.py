@@ -211,7 +211,7 @@ def save_volume(volume: Volume, raw_path: str | Path) -> None:
     dtype = volume.header.storage_dtype
     data = np.ascontiguousarray(volume.data, dtype=dtype)
     try:
-        raw_path.write_bytes(data.tobytes())
+        raw_path.write_bytes(data)
     except OSError as exc:
         raise IoFailure(f"cannot write volume to {raw_path}: {exc}") from exc
     write_json(header_path, volume.header.to_json_dict())

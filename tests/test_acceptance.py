@@ -236,7 +236,7 @@ def test_criterion_05_geometry_oracles():
     t0 = time.perf_counter()
     for trial in range(100):
         mask = rng.random((20, 20, 20)) < rng.uniform(0.25, 0.65)
-        vol = label_volume(np.where(mask, 0, 1))
+        vol = label_volume(mask)
         for connectivity in (6, 26):
             got = connected_components(vol, connectivity=connectivity)
             want = flood_components(mask, connectivity)

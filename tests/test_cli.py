@@ -638,12 +638,15 @@ class TestReport:
 WRONG_TYPE_FIELDS = {
     "classify": [("porosity", "high"), ("permeability_md", [80.0]),
                  ("p_cd_psi", True), ("p_cu_psi", {}), ("s_wi", "0.1"),
-                 ("modality", "Dual")],
+                 ("modality", "Dual"), ("modality.modality", [1, 2])],
     "report": [("porosity", "high"), ("permeability_md", [80.0]),
                ("p_cd_psi", True), ("p_cu_psi", {}), ("s_wi", "0.1"),
                ("lambda", "steep"), ("modality", "Dual"),
                ("modality.distance", "far"), ("rock_type", "L111"),
-               ("rock_type.violations", 3)],
+               ("rock_type.violations", 3), ("source", {"x": 1}),
+               ("camo_class", 5), ("modality.modality", [1, 2]),
+               ("modality.archetype", 3), ("rock_type.code", 7),
+               ("rock_type.nearest_code", 7), ("rock_type.violations", [3])],
 }
 
 
@@ -670,7 +673,9 @@ class TestMalformedAnalysis:
             argv = ["report", "--run", str(run)]
         rc = main(argv + ["--out", str(tmp_path / "out")])
         assert rc == 2
-        assert f"analysis.json: {key} must be a JSON" in caplog.text
+        # an array names its key, and a wrong entry the key's entry
+        assert re.search(rf"analysis\.json: {re.escape(key)}( entry)? must be "
+                         rf"a JSON", caplog.text)
 
 
     @pytest.mark.parametrize("stage", ["classify", "report"])
@@ -890,6 +895,7 @@ WRONG_TYPE_CONFIG = [
     ("forest", "min_samples_split", "2", "integer"),
     ("forest", "features_per_split", 1.5, "integer"),
     ("feature_bank", "include_raw", "false", "boolean"),
+    ("feature_bank", "boundary_mode", ["mirror"], "string"),
     # float values and arrays, which float() and tuple() used to coerce
     ("throat", "cutoffs_um", "12", "array"),
     ("throat", "cutoffs_um", [10, "100"], "number"),

@@ -1,5 +1,6 @@
 """Text artifact I/O: encoding, error mapping, and its single home."""
 
+import inspect
 import json
 import re
 from pathlib import Path
@@ -23,6 +24,16 @@ def test_only_fileio_opens_or_encodes_text():
     hits = sorted({path.name for path in package.glob("*.py")
                    if _RAW_TEXT_IO.search(path.read_text(encoding="utf-8"))})
     assert hits == ["fileio.py"]
+
+
+def test_only_binary_mask_tests_class_membership():
+    # one reader of class sets: a second isin path would bring back a
+    # second validation rule
+    package = Path(drt.__file__).parent
+    hits = {path.name: len(re.findall(r"\bisin\b", path.read_text(encoding="utf-8")))
+            for path in package.glob("*.py")}
+    assert {name: n for name, n in hits.items() if n} == {"morphology.py": 1}
+    assert "np.isin(" in inspect.getsource(drt.binary_mask)
 
 
 def test_json_encoding(tmp_path):

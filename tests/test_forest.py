@@ -781,6 +781,28 @@ class TestModelIo:
         with pytest.raises(VersionMismatch):
             load_model(path)
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("version", True, "version must be a JSON integer"),
+        ("version", 1.0, "version must be a JSON integer"),
+        ("version", "1", "version must be a JSON integer"),
+        ("version", None, "version must be a JSON integer"),
+        ("feature_bank", {"sigmas_vox": [1.0, 2.0], "include_raw": True,
+                          "boundary_mode": ["mirror"]},
+         "boundary_mode must be a JSON string"),
+    ])
+    def test_fields_of_the_wrong_json_type_are_malformed(self, tmp_path, key,
+                                                         value, match):
+        model = train_forest(two_blob_training(),
+                             ForestHyperparameters(n_trees=2), bank_for(2),
+                             seed=0)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadModelFile, match=match):
+            load_model(path)
+
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{broken")

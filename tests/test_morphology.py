@@ -131,9 +131,10 @@ def thickness_volume(data, voxel_size=1.0):
 class TestBinaryMask:
     def test_single_class(self):
         labels = label_volume([[[0, 1], [2, 0]], [[1, 1], [0, 2]]])
-        mask = binary_mask(labels, 0)
-        np.testing.assert_array_equal(mask.data,
-                                      [[[1, 0], [0, 1]], [[0, 0], [1, 0]]])
+        for class_id in (0, np.uint8(0), [np.int64(0)]):
+            mask = binary_mask(labels, class_id)
+            np.testing.assert_array_equal(mask.data,
+                                          [[[1, 0], [0, 1]], [[0, 0], [1, 0]]])
 
     def test_class_set(self):
         labels = label_volume([[[0, 1], [2, 0]], [[1, 1], [0, 2]]])
@@ -145,6 +146,12 @@ class TestBinaryMask:
         labels = label_volume(np.zeros((2, 2, 2)))
         with pytest.raises(BadParams):
             binary_mask(labels, set())
+
+    @pytest.mark.parametrize("classes", [{-1}, [0, -1], {0.7}, {"0"}, "0", 0.0])
+    def test_rejects_ids_that_are_not_integers_from_zero(self, classes):
+        labels = label_volume(np.zeros((2, 2, 2)))
+        with pytest.raises(BadParams, match="class ids must be"):
+            binary_mask(labels, classes)
 
 
 class TestConnectedComponents:
@@ -159,17 +166,42 @@ class TestConnectedComponents:
         # first-voxel scan order
         mask = np.random.default_rng(seed).random(shape) < pore_fraction
         mask = mask.astype(np.uint8)
-        got = connected_components(label_volume(1 - mask), {0}, connectivity)
+        got = connected_components(label_volume(mask), connectivity)
         want, n_want = flood_components(mask, connectivity)
         assert got.n_components == n_want
         np.testing.assert_array_equal(got.volume.data, want)
         np.testing.assert_array_equal(got.sizes, np.bincount(want.ravel())[1:])
 
+    @settings(max_examples=120, deadline=None)
+    @given(shape=st.tuples(*[st.integers(1, 10)] * 3),
+           n_labels=st.integers(1, 5),
+           classes=st.sets(st.integers(0, 5), min_size=1),
+           connectivity=st.sampled_from([6, 26]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_class_set_masks_match_flood_fill(self, shape, n_labels, classes,
+                                              connectivity, seed):
+        data = np.random.default_rng(seed).integers(0, n_labels, shape)
+        got = connected_components(binary_mask(label_volume(data), classes),
+                                   connectivity)
+        mask = np.zeros(shape, dtype=bool)
+        for c in classes:
+            mask |= data == c
+        want, n_want = flood_components(mask, connectivity)
+        assert got.n_components == n_want
+        np.testing.assert_array_equal(got.volume.data, want)
+        np.testing.assert_array_equal(
+            got.sizes, np.bincount(want.ravel(), minlength=n_want + 1)[1:])
+        faces = [want[:, :, 0], want[:, :, -1], want[:, 0, :], want[:, -1, :],
+                 want[0], want[-1]]
+        touch = [[i in face for face in faces] for i in range(1, n_want + 1)]
+        np.testing.assert_array_equal(
+            got.face_touch, np.array(touch, dtype=bool).reshape(n_want, 6))
+
     def test_ids_follow_first_scan_encounter(self):
         data = np.ones((3, 3, 3), dtype=np.uint8)
         data[2, 2, 0] = 0  # later in scan order
         data[0, 0, 2] = 0  # earlier in scan order
-        got = connected_components(label_volume(data), {0}, 6)
+        got = connected_components(label_volume(data == 0), 6)
         assert got.volume.data[0, 0, 2] == 1
         assert got.volume.data[2, 2, 0] == 2
 
@@ -177,20 +209,20 @@ class TestConnectedComponents:
         data = np.ones((3, 3, 3), dtype=np.uint8)
         data[0, 0, 0] = 0
         data[1, 1, 1] = 0
-        labels = label_volume(data)
-        assert connected_components(labels, {0}, 26).n_components == 1
-        assert connected_components(labels, {0}, 6).n_components == 2
+        mask = label_volume(data == 0)
+        assert connected_components(mask, 26).n_components == 1
+        assert connected_components(mask, 6).n_components == 2
 
     def test_sizes(self):
         data = np.ones((4, 4, 4), dtype=np.uint8)
         data[0, 0, 0:3] = 0
         data[3, 3, 3] = 0
-        got = connected_components(label_volume(data), {0}, 6)
+        got = connected_components(label_volume(data == 0), 6)
         assert got.sizes.tolist() == [3, 1]
 
     def test_empty_foreground_yields_zero_components(self):
         data = np.ones((3, 3, 3), dtype=np.uint8)
-        got = connected_components(label_volume(data), {0}, 26)
+        got = connected_components(label_volume(data == 0), 26)
         assert got.n_components == 0
         assert got.largest_component() == 0
         assert (got.volume.data == 0).all()
@@ -199,13 +231,13 @@ class TestConnectedComponents:
         data = np.full((3, 3, 3), 2, dtype=np.uint8)
         data[0, 0, 0] = 0
         data[0, 0, 1] = 1
-        got = connected_components(label_volume(data), {0, 1}, 6)
+        got = connected_components(binary_mask(label_volume(data), {0, 1}), 6)
         assert got.n_components == 1
         assert got.sizes.tolist() == [2]
 
     def test_rejects_bad_connectivity(self):
         with pytest.raises(BadParams):
-            connected_components(label_volume(np.zeros((3, 3, 3))), {0}, 18)
+            connected_components(label_volume(np.ones((3, 3, 3))), 18)
 
     @pytest.mark.parametrize("connectivity, rank", [(6, 1), (26, 3)])
     def test_structures_equal_scipy(self, connectivity, rank):
@@ -217,7 +249,7 @@ class TestConnectedComponents:
     def test_percolation_flags(self):
         data = np.ones((5, 5, 5), dtype=np.uint8)
         data[2, 2, :] = 0  # a column spanning x
-        got = connected_components(label_volume(data), {0}, 6)
+        got = connected_components(label_volume(data == 0), 6)
         assert got.n_components == 1
         assert got.percolates("x").tolist() == [True]
         assert got.percolates("y").tolist() == [False]
@@ -228,13 +260,13 @@ class TestConnectedComponents:
         data = np.ones((4, 4, 4), dtype=np.uint8)
         data[0, 0, 0] = 0
         data[3, 3, 3] = 0
-        got = connected_components(label_volume(data), {0}, 6)
+        got = connected_components(label_volume(data == 0), 6)
         assert got.sizes.tolist() == [1, 1]
         assert got.largest_component() == 1
 
     def test_component_volume_metadata(self):
         data = np.zeros((3, 3, 3), dtype=np.uint8)
-        got = connected_components(label_volume(data), {0}, 26)
+        got = connected_components(label_volume(data == 0), 26)
         assert got.volume.header.value_kind == "label"
         assert got.volume.header.element_encoding == "u16"
 

@@ -77,6 +77,15 @@ class TestPorosity:
         with pytest.raises(BadParams):
             porosity_from_labels(label_volume(np.zeros((2, 2, 2))), set())
 
+    @pytest.mark.parametrize("pore, micro", [
+        ({-1}, ()), ({0}, {-1}), ({0.7}, ()), ({"0"}, ()), ({0}, {1.0})])
+    def test_rejects_class_ids_binary_mask_refuses(self, pore, micro):
+        # binary_mask is the one reader of a class set: a negative id no
+        # longer counts as an empty class, nor 0.7 or "0" as class 0
+        vol = label_volume(np.zeros((2, 2, 2)))
+        with pytest.raises(BadParams, match="class ids must be"):
+            porosity_from_labels(vol, pore, micro)
+
     def test_rejects_overlapping_sets(self):
         with pytest.raises(BadParams):
             porosity_from_labels(label_volume(np.zeros((2, 2, 2))), {0}, {0, 1})
@@ -315,12 +324,12 @@ class TestSelectCamoClass:
     def percolating_components(self):
         data = np.ones((5, 5, 5), dtype=np.uint8)
         data[2, 2, :] = 0
-        return connected_components(label_volume(data), {0}, 26)
+        return connected_components(label_volume(data == 0), 26)
 
     def isolated_components(self):
         data = np.ones((5, 5, 5), dtype=np.uint8)
         data[2, 2, 2] = 0
-        return connected_components(label_volume(data), {0}, 26)
+        return connected_components(label_volume(data == 0), 26)
 
     def test_percolating_dominant_is_connected(self):
         profile = classify_modality(dist_with(0.6, 0.3, 0.1))
@@ -344,7 +353,7 @@ class TestSelectCamoClass:
 
     def test_no_components_falls_back_to_fractions(self):
         data = np.ones((5, 5, 5), dtype=np.uint8)  # no pore voxels at all
-        comps = connected_components(label_volume(data), {0}, 26)
+        comps = connected_components(label_volume(data == 0), 26)
         profile = classify_modality(dist_with(0.7, 0.2, 0.1))
         assert select_camo_class(profile, comps) == "micropore"
 
@@ -353,7 +362,7 @@ class TestEstimatePermeability:
     def test_combines_class_selection_and_law(self):
         data = np.ones((5, 5, 5), dtype=np.uint8)
         data[2, 2, :] = 0
-        comps = connected_components(label_volume(data), {0}, 26)
+        comps = connected_components(label_volume(data == 0), 26)
         profile = classify_modality(dist_with(0.2, 0.5, 0.3))
         est = estimate_permeability(DEFAULT_CAMO, 0.2, profile, comps)
         assert est.camo_class == "connected"
@@ -364,7 +373,7 @@ class TestEstimatePermeability:
     def test_out_of_range_porosity_is_flagged(self):
         data = np.ones((5, 5, 5), dtype=np.uint8)
         data[2, 2, :] = 0
-        comps = connected_components(label_volume(data), {0}, 26)
+        comps = connected_components(label_volume(data == 0), 26)
         profile = classify_modality(dist_with(0.2, 0.5, 0.3))
         est = estimate_permeability(DEFAULT_CAMO, 0.45, profile, comps)
         assert est.phi_in_range is False
@@ -372,7 +381,7 @@ class TestEstimatePermeability:
     def test_json_dict(self):
         data = np.ones((5, 5, 5), dtype=np.uint8)
         data[2, 2, 2] = 0
-        comps = connected_components(label_volume(data), {0}, 26)
+        comps = connected_components(label_volume(data == 0), 26)
         profile = classify_modality(dist_with(0.2, 0.5, 0.3))
         doc = estimate_permeability(DEFAULT_CAMO, 0.1, profile, comps).to_json_dict()
         assert set(doc) == {"k_md", "camo_class", "phi", "phi_in_range"}

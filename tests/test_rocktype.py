@@ -274,6 +274,20 @@ class TestCatalogIo:
         with pytest.raises(BadParams):
             CatalogRule.from_json_dict({"code": ""})
 
+    @pytest.mark.parametrize("rule, match", [
+        ({"code": "X1", "p_cu": 3}, "p_cu must be a JSON object"),
+        ({"code": "X1", "p_cd": ["lt", 5.0]}, "p_cd must be a JSON object"),
+        ({"code": "X1", "p_cu": {"op": ["lt"], "psi": 5.0}},
+         "p_cu.op must be a JSON string"),
+        ({"code": 7}, "code must be a JSON string"),
+        (5, "catalog rule must be a JSON object"),
+    ])
+    def test_rejects_fields_of_the_wrong_json_type(self, tmp_path, rule, match):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([rule]))
+        with pytest.raises(BadParams, match=match):
+            load_catalog(path)
+
 
 class TestCamoChart:
     def samples(self):

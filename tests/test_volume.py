@@ -1,6 +1,7 @@
 """Volume container and RAW+JSON sidecar round trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,11 +197,26 @@ class TestVolumeIo:
         with pytest.raises(BadParams, match="ends in .json"):
             load_volume(tmp_path / name)
 
+    def test_save_holds_no_second_copy(self, tmp_path):
+        # a volume already in its storage type is written from its own array
+        v = Volume(VolumeHeader((64, 64, 64), 1.0),
+                   np.arange(64 ** 3, dtype=np.float32))
+        path = tmp_path / "vol.raw"
+        tracemalloc.start()
+        try:
+            save_volume(v, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * v.data.nbytes
+        np.testing.assert_array_equal(load_volume(path).data, v.data)
+
     def test_loaded_data_is_native_order(self, tmp_path):
         header = VolumeHeader(dims=(2, 2, 2), voxel_size_um=1.0, byte_order="big")
         v = Volume(header=header, data=np.arange(8, dtype=np.float32))
         path = tmp_path / "vol.raw"
         save_volume(v, path)
+        assert path.read_bytes() == np.arange(8, dtype=">f4").tobytes()
         loaded = load_volume(path)
         assert loaded.data.dtype.isnative
 
@@ -236,8 +252,8 @@ class TestStorableRange:
         # components under 6-connectivity, more than u16 holds
         data = np.ones((81, 81, 81), dtype=np.uint8)
         data[::2, ::2, ::2] = 0
-        labels = Volume(VolumeHeader((81, 81, 81), 1.0, "label", "u8"), data)
-        comp = connected_components(labels, 0, connectivity=6)
+        mask = Volume(VolumeHeader((81, 81, 81), 1.0, "label", "u8"), data == 0)
+        comp = connected_components(mask, connectivity=6)
         assert comp.n_components == 41 ** 3
         with pytest.raises(BadParams, match="68921 do not fit the u16"):
             save_volume(comp.volume, tmp_path / "comp.raw")
