@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, field
@@ -52,8 +53,13 @@ class PipelineConfig:
     s_w_anchor: float | None = None
 
     def __post_init__(self):
-        self.pore_classes = tuple(int(c) for c in self.pore_classes)
-        self.micropore_classes = tuple(int(c) for c in self.micropore_classes)
+        for name in ("pore_classes", "micropore_classes"):
+            try:
+                ids = tuple(operator.index(c) for c in getattr(self, name))
+            except TypeError as exc:
+                raise ConfigError(
+                    f"{name} must hold integer class ids: {exc}") from exc
+            setattr(self, name, ids)
         self.cutoffs_um = tuple(float(c) for c in self.cutoffs_um)
         if not self.pore_classes:
             raise ConfigError("pore_classes must not be empty")
@@ -227,7 +233,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    start = time.perf_counter()
     import numpy as np
 
     from .forest import load_model, segment_volume
@@ -237,22 +242,16 @@ def cmd_segment(args) -> int:
     sidecar_path(out)  # refuses a .json raw path before any work
     volume = load_volume(args.volume)
     model = load_model(args.model)
-    stats: dict = {}
-    label_vol, conf_vol = segment_volume(model, volume, threads=args.threads,
-                                         stats=stats)
+    label_vol, conf_vol = segment_volume(model, volume, threads=args.threads)
     conf_out = out.with_name(out.stem + "_confidence" + (out.suffix or ".raw"))
     _ensure_dir(out.parent)
     save_volume(label_vol, out)
     save_volume(conf_vol, conf_out)
     counts = np.bincount(label_vol.data.ravel(), minlength=model.n_classes)
     if log.isEnabledFor(logging.DEBUG):
-        seconds = time.perf_counter() - start
         deciles = np.percentile(conf_vol.data, np.arange(10, 100, 10))
-        log.debug("segment: %d slabs, %d threads, %d rows, %d bin codes, "
-                  "%d table trees, confidence deciles %s, %.3f s",
-                  stats["slabs"], args.threads, stats["rows"],
-                  stats["bin_codes"], stats["table_trees"],
-                  " ".join(f"{q:.3f}" for q in deciles), seconds)
+        log.debug("segment: %d threads, confidence deciles %s", args.threads,
+                  " ".join(f"{q:.3f}" for q in deciles))
     for class_id, name in enumerate(model.class_names):
         print(f"{class_id} {name} {int(counts[class_id])}")
     print(out)
@@ -261,7 +260,6 @@ def cmd_segment(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    start = time.perf_counter()
     from .capillary import (build_pc_curve, export_pc_csv, pc_shape_features,
                             pcd_from_permeability, PFunction,
                             save_pc_curve_json)
@@ -327,8 +325,7 @@ def cmd_analyze(args) -> int:
         "rock_type": rock.to_json_dict(),
     }
     write_json(out_dir / "analysis.json", payload)
-    log.debug("analyze: %d components, %.3f s", comp.n_components,
-              time.perf_counter() - start)
+    log.debug("analyze: %d components", comp.n_components)
     print(out_dir / "analysis.json")
     return 0
 
@@ -359,7 +356,6 @@ def _rows_from_csv(path: Path) -> list[dict]:
 
 
 def cmd_classify(args) -> int:
-    start = time.perf_counter()
     from .petro import DEFAULT_CAMO, load_camo
     from .rocktype import (camo_check, ChartSample, classify, decode_code,
                            default_catalog, emit_camo_chart, load_catalog,
@@ -423,10 +419,9 @@ def cmd_classify(args) -> int:
     write_json(out_dir / "results.json", results)
     emit_camo_chart(relation, chart_samples, out_dir / "camo_chart.svg",
                     out_dir / "camo_chart.csv")
-    log.debug("classify: %d samples, %d catalog rules, %d unclassified, "
-              "%.3f s", len(results), len(catalog),
-              sum(r["code"] == UNCLASSIFIED for r in results),
-              time.perf_counter() - start)
+    log.debug("classify: %d samples, %d catalog rules, %d unclassified",
+              len(results), len(catalog),
+              sum(r["code"] == UNCLASSIFIED for r in results))
     print(out_dir / "results.json")
     return 0
 
@@ -581,7 +576,10 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise BadParams(f"--threads must be >= 1, got {args.threads}")
-        return args.func(args)
+        start = time.perf_counter()
+        code = args.func(args)
+        log.debug("%s: %.3f s", args.command, time.perf_counter() - start)
+        return code
     except InputError as exc:
         log.error("%s", exc)
         return 2

@@ -281,7 +281,15 @@ class ForestModel:
     def n_features(self) -> int:
         return self.feature_bank.feature_count
 
-    def _check_features(self, x: np.ndarray) -> np.ndarray:
+    def predict_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Class ids and mean leaf probabilities for a feature matrix.
+
+        Ids are the argmax of the averaged probability rows; ties break to
+        the lowest class id. Each column is binned against the forest's
+        thresholds (_bin), only the distinct bin codes are predicted
+        (_predict_bins), and the results are gathered back to every row.
+        The output is bit-identical to walking every row through every tree.
+        """
         # float32 rows are used as they are: `x <= threshold` promotes them
         # to float64 exactly, so a float64 copy would only cost memory
         x = np.asarray(x)
@@ -290,30 +298,10 @@ class ForestModel:
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise DimensionMismatch(
                 f"expected feature matrix (N, {self.n_features}), got {x.shape}")
-        return x
-
-    def predict_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Class ids and mean leaf probabilities for a feature matrix.
-
-        Ids are the argmax of the averaged probability rows; ties break to
-        the lowest class id. Only the first row of each distinct bin code is
-        predicted (_predict_distinct), and the results are gathered back to
-        every row. The output is bit-identical to walking every row through
-        every tree.
-        """
-        labels, probs, inverse = self._predict_distinct(self._check_features(x))
-        return labels[inverse], probs[inverse]
-
-    def _predict_distinct(self, x: np.ndarray, tables: list | None = None
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Class ids and mean leaf probabilities of the distinct bin codes of
-        the rows of x, and each row's index into them (_predict_bins on the
-        bins of x's columns). Callers gather only what they keep through the
-        index.
-        """
         edges = self._edges()
-        return self._predict_bins([_bin(u, x[:, f]) for f, u in enumerate(edges)],
-                                  edges, tables)
+        labels, probs, inverse = self._predict_bins(
+            [_bin(u, x[:, f]) for f, u in enumerate(edges)], edges)
+        return labels[inverse], probs[inverse]
 
     def _predict_bins(self, bins: list[np.ndarray], edges: list[np.ndarray],
                       tables: list | None = None
@@ -327,11 +315,11 @@ class ForestModel:
         value above them all). Rows with equal bins on every feature meet
         every split alike; _distinct groups them. Each tree predicts each
         group by one lookup in its cell table (_cell_table): from `tables`,
-        built ahead (_cell_tables) for callers that predict many batches,
-        or else built here when the tree has no more cells than there are
-        groups. A tree without a table walks the groups' bins (_Tree.on_bins),
-        held in their narrow types. The probabilities are summed in tree
-        order, as in _walk, so the sums are bit-identical.
+        built ahead by segment_volume for all of its slabs, or else built
+        here when the tree has no more cells than there are groups. A tree
+        without a table walks the groups' bins (_Tree.on_bins), held in
+        their narrow types. The probabilities are summed in tree order, as
+        in _walk, so the sums are bit-identical.
         """
         first, inverse = _distinct(bins, [u.size + 1 for u in edges])
         bins = [b[first] for b in bins]
@@ -406,11 +394,6 @@ class ForestModel:
             stride *= c.size + 1
         return offsets, tree.probs[tree.apply(reps)].T
 
-    def _cell_tables(self, max_cells: int) -> list:
-        """Per tree, its cell table, or None when it has more than max_cells."""
-        edges = self._edges()
-        return [self._cell_table(tree, edges, max_cells) for tree in self.trees]
-
     def _walk(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Class ids and mean leaf probabilities by walking every row.
 
@@ -422,16 +405,6 @@ class ForestModel:
         probs /= len(self.trees)
         labels = np.argmax(probs, axis=1).astype(np.int64)
         return labels, probs
-
-    def predict(self, x: np.ndarray) -> tuple[int, np.ndarray]:
-        """Class id and probability vector for one feature vector."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise DimensionMismatch(
-                f"expected a feature vector of length {self.n_features}, "
-                f"got shape {x.shape}")
-        labels, probs = self.predict_batch(x[None, :])
-        return int(labels[0]), probs[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -552,8 +525,8 @@ def _group(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm[new], code
 
 
-def segment_volume(model: ForestModel, volume: Volume, *, threads: int = 1,
-                   stats: dict | None = None) -> tuple[Volume, Volume]:
+def segment_volume(model: ForestModel, volume: Volume, *, threads: int = 1
+                   ) -> tuple[Volume, Volume]:
     """Per-voxel classification of a grayscale volume.
 
     Returns the label volume and a confidence volume holding each voxel's
@@ -567,9 +540,7 @@ def segment_volume(model: ForestModel, volume: Volume, *, threads: int = 1,
     no more cells than a slab has voxels; a tree with more is handled per
     slab, as by predict_batch. The output does not depend on
     the thread count or the slab height. A model with more than 256 classes
-    is refused, as its ids do not fit the uint8 labels. A `stats` dict is
-    given the counts of slabs, rows, distinct bin codes (summed over the
-    slabs) and trees with a shared cell table.
+    is refused, as its ids do not fit the uint8 labels.
     """
     if model.n_classes > 256:
         raise BadParams(f"the model has {model.n_classes} classes, but a u8 "
@@ -579,8 +550,10 @@ def segment_volume(model: ForestModel, volume: Volume, *, threads: int = 1,
     labels = np.empty(nz * plane, dtype=np.uint8)
     confidence = np.empty(nz * plane, dtype=np.float32)
     edges = model._edges()
-    tables = model._cell_tables(SLAB_VOXELS // len(model.trees))
-    codes: list[int] = []  # per slab, appended from the pool's threads
+    tables = [model._cell_table(tree, edges, SLAB_VOXELS // len(model.trees))
+              for tree in model.trees]
+    log.debug("segment: %d of %d trees have a cell table shared by every slab",
+              sum(t is not None for t in tables), len(tables))
 
     def predict(z0: int, z1: int, channels) -> None:
         bins = [None] * len(edges)
@@ -590,12 +563,8 @@ def segment_volume(model: ForestModel, volume: Volume, *, threads: int = 1,
         conf = probs.max(axis=1).astype(np.float32)
         labels[z0 * plane:z1 * plane] = ids.astype(np.uint8)[inverse]
         confidence[z0 * plane:z1 * plane] = conf[inverse]
-        codes.append(ids.size)
 
     map_slabs(volume, model.feature_bank, predict, threads=threads)
-    if stats is not None:
-        stats.update(slabs=len(codes), rows=labels.size, bin_codes=sum(codes),
-                     table_trees=sum(t is not None for t in tables))
     label_vol = volume.with_data(labels.reshape(nz, ny, nx), value_kind="label",
                                  element_encoding="u8")
     conf_vol = volume.with_data(confidence.reshape(nz, ny, nx),

@@ -119,7 +119,8 @@ class TestTrain:
         assert rc == 0
         oob_line = capsys.readouterr().out.splitlines()[0]
         assert out.read_bytes() == trained.read_bytes()
-        [line] = [r.getMessage() for r in caplog.records if r.name == "drt"]
+        [line, seconds] = [r.getMessage() for r in caplog.records
+                           if r.name == "drt"]
         trees = json.loads(out.read_text())["trees"]
 
         def depth(tree, node=0):
@@ -134,6 +135,7 @@ class TestTrain:
             rf"train: {len(trees)} trees, {nodes} nodes, max depth "
             rf"{max(map(depth, trees))}, oob accuracy {re.escape(oob)}, "
             r"fit \d+\.\d{3} s", line)
+        assert re.fullmatch(r"train: \d+\.\d{3} s", seconds)
 
     def test_labels_beyond_named_classes(self, workdir, tmp_path):
         bad = tmp_path / "bad_labels.csv"
@@ -308,8 +310,10 @@ class TestSegment:
             rc = main(["-v"] + argv + ["--out", str(tmp_path / "loud.raw")])
         assert rc == 0
         assert capsys.readouterr().out == quiet.replace("quiet", "loud")
-        lines = [r.getMessage() for r in caplog.records
-                 if r.name == "drt.forest"]
+        shared, *lines = [r.getMessage() for r in caplog.records
+                          if r.name == "drt.forest"]
+        assert re.fullmatch(r"segment: \d of 8 trees have a cell table shared "
+                            r"by every slab", shared)
         assert len(lines) == 1
         assert lines[0].startswith("forest predict: 8 trees, ")
         assert f", {24 ** 3} rows, " in lines[0]
@@ -327,18 +331,28 @@ class TestSegment:
                        "--model", str(trained), "--threads", "2",
                        "--out", str(out)])
         assert rc == 0
-        [line] = [r.getMessage() for r in caplog.records if r.name == "drt"]
-        # each slab's predict line ends in its count of distinct bin codes
-        codes = sum(int(r.getMessage().rsplit(", ", 1)[1].split()[0])
-                    for r in caplog.records if r.name == "drt.forest")
+        lines = [r.getMessage() for r in caplog.records if r.name == "drt"]
+        [slabs] = [r.getMessage() for r in caplog.records if r.name == "drt.filters"]
+        shared, *predicts = [r.getMessage() for r in caplog.records
+                             if r.name == "drt.forest"]
         conf = load_volume(tmp_path / "s_confidence.raw").data
         deciles = " ".join(f"{q:.3f}" for q in
                            np.percentile(conf, np.arange(10, 100, 10)))
-        match = re.fullmatch(
-            rf"segment: 2 slabs, 2 threads, {24 ** 3} rows, {codes} bin "
-            rf"codes, (\d) table trees, confidence deciles {deciles}, "
-            r"\d+\.\d{3} s", line)
-        assert match and int(match[1]) <= 8
+        assert lines[0] == f"segment: 2 threads, confidence deciles {deciles}"
+        assert re.fullmatch(r"segment: \d+\.\d{3} s", lines[1])
+        assert len(lines) == 2
+        assert slabs.startswith("feature slabs: 2 slabs, ")
+        # the slabs' predict lines count every voxel once, and each slab
+        # looks up at least the trees with a shared table
+        match = re.fullmatch(r"segment: (\d) of 8 trees have a cell table "
+                             r"shared by every slab", shared)
+        assert match
+        counts = [re.fullmatch(r"forest predict: 8 trees, (\d) by table, \d+ "
+                               r"nodes, (\d+) rows, \d+ bin codes", m).groups()
+                  for m in predicts]
+        assert len(counts) == 2
+        assert sum(int(rows) for _, rows in counts) == 24 ** 3
+        assert all(int(by_table) >= int(match[1]) for by_table, _ in counts)
         assert out.read_bytes() == segmented.read_bytes()
 
     def test_verbose_logs_one_slab_line_per_stage(self, workdir, trained, tmp_path,
@@ -361,7 +375,8 @@ class TestSegment:
             assert capsys.readouterr().out == expected.replace("quiet", "loud")
             slab_lines = [r.getMessage() for r in caplog.records
                           if r.name == "drt.filters"]
-            predict_lines = [r for r in caplog.records if r.name == "drt.forest"]
+            predict_lines = [r for r in caplog.records if r.name == "drt.forest"
+                             and r.getMessage().startswith("forest predict: ")]
             # 24 planes, a halo of 6: 2 slabs of 12, halos of 3 and 6 planes
             # each way, cut at the volume's faces
             assert slab_lines == ["feature slabs: 2 slabs, height 12, 2 workers, "
@@ -435,7 +450,7 @@ class TestAnalyze:
         edt, painted = [r.getMessage() for r in caplog.records
                         if r.name == "drt.morphology"]
         stage = [r.getMessage() for r in caplog.records if r.name == "drt"]
-        assert len(stage) == 1
+        assert len(stage) == 2
         assert re.fullmatch(r"squared EDT: shape \(\d+, \d+, \d+\), uint\d+, "
                             r"\d+ y shifts, \d+ z shifts", edt)
         pore = int((load_volume(segmented).data == 0).sum())
@@ -443,7 +458,8 @@ class TestAnalyze:
                             r"groups, \d+ chord entries in \d+ levels",
                             painted)
         n = json.loads((analyzed / "analysis.json").read_text())["n_components"]
-        assert re.fullmatch(rf"analyze: {n} components, \d+\.\d{{3}} s", stage[0])
+        assert stage[0] == f"analyze: {n} components"
+        assert re.fullmatch(r"analyze: \d+\.\d{3} s", stage[1])
         match, mismatch, errors = filecmp.cmpfiles(
             analyzed, tmp_path / "loud", [p.name for p in analyzed.iterdir()],
             shallow=False)
@@ -603,9 +619,9 @@ class TestClassify:
         assert rc == 0
         assert capsys.readouterr().out == quiet.replace("quiet", "loud")
         lines = [r.getMessage() for r in caplog.records if r.name == "drt"]
-        assert len(lines) == 1
-        assert re.fullmatch(r"classify: 3 samples, 15 catalog rules, "
-                            r"1 unclassified, \d+\.\d{3} s", lines[0])
+        assert len(lines) == 2
+        assert lines[0] == "classify: 3 samples, 15 catalog rules, 1 unclassified"
+        assert re.fullmatch(r"classify: \d+\.\d{3} s", lines[1])
         match, mismatch, errors = filecmp.cmpfiles(
             tmp_path / "quiet", tmp_path / "loud",
             ["results.json", "camo_chart.svg", "camo_chart.csv"], shallow=False)
@@ -632,13 +648,22 @@ class TestReport:
         rc = main(["report", "--run", str(tmp_path)])
         assert rc == 4
 
+    def test_verbose_logs_stage_seconds(self, analyzed, tmp_path, caplog):
+        with caplog.at_level(logging.DEBUG, logger="drt"):
+            rc = main(["-v", "report", "--run", str(analyzed),
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        [line] = [r.getMessage() for r in caplog.records if r.name == "drt"]
+        assert re.fullmatch(r"report: \d+\.\d{3} s", line)
+
 
 # analysis.json fields each stage reads, with a value of the wrong JSON
 # type; a dotted key names a field inside an object
 WRONG_TYPE_FIELDS = {
     "classify": [("porosity", "high"), ("permeability_md", [80.0]),
                  ("p_cd_psi", True), ("p_cu_psi", {}), ("s_wi", "0.1"),
-                 ("modality", "Dual"), ("modality.modality", [1, 2])],
+                 ("camo_class", 5), ("modality", "Dual"),
+                 ("modality.modality", [1, 2])],
     "report": [("porosity", "high"), ("permeability_md", [80.0]),
                ("p_cd_psi", True), ("p_cu_psi", {}), ("s_wi", "0.1"),
                ("lambda", "steep"), ("modality", "Dual"),
@@ -952,6 +977,19 @@ class TestConfigTypes:
     def test_integers_are_numbers_and_optional_values_may_be_null(
             self, section, key, value):
         config_from_json_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("field", ["pore_classes", "micropore_classes"])
+    @pytest.mark.parametrize("value", [0.7, "0", 1.0])
+    def test_class_ids_are_integers(self, field, value):
+        # the config holds the class ids that binary_mask accepts, no others
+        with pytest.raises(ConfigError, match=f"{field} must hold integer class ids"):
+            PipelineConfig(**{field: (value,)})
+
+    def test_numpy_integer_class_ids_are_accepted(self):
+        cfg = PipelineConfig(pore_classes=(np.int64(0),),
+                             micropore_classes=(np.int64(1),))
+        assert cfg.pore_classes == (0,) and cfg.micropore_classes == (1,)
+        assert type(cfg.pore_classes[0]) is int
 
     def test_integer_bag_fraction_is_stored_as_a_float(self):
         cfg = config_from_json_dict({"forest": {"bag_fraction": 1}})

@@ -36,6 +36,19 @@ def test_only_binary_mask_tests_class_membership():
     assert "np.isin(" in inspect.getsource(drt.binary_mask)
 
 
+def test_only_two_callers_predict_bins():
+    # one prediction core: each caller bins its own input, and a third
+    # layer between the core and its callers would be one more to keep in step
+    package = Path(drt.__file__).parent
+    hits = {path.name: len(re.findall(r"\b_predict_bins\(",
+                                      path.read_text(encoding="utf-8")))
+            for path in package.glob("*.py")}
+    # its def and its two calls
+    assert {name: n for name, n in hits.items() if n} == {"forest.py": 3}
+    for caller in (drt.ForestModel.predict_batch, drt.segment_volume):
+        assert inspect.getsource(caller).count("._predict_bins(") == 1
+
+
 def test_json_encoding(tmp_path):
     path = tmp_path / "a.json"
     write_json(path, {"b": 1, "a": [1, "é"]})

@@ -16,6 +16,7 @@ from drt import (
     BadSigmaOrder,
     DegenerateHistogram,
     FeatureBankConfig,
+    NoConvergence,
     SigmaTooLarge,
     Volume,
     VolumeHeader,
@@ -352,6 +353,17 @@ class TestHistogramGmm:
         values = np.concatenate([np.full(100, 1.0), np.full(100, 2.0)])
         with pytest.raises(DegenerateHistogram):
             fit_histogram_gmm(values, 3)
+
+    @pytest.mark.parametrize("values, max_iter", [
+        # the first change in log-likelihood, from -inf, is infinite
+        (np.concatenate([np.full(100, 1.0), np.full(100, 2.0)]), 1),
+        # one normal mode split into two keeps creeping at the defaults
+        (np.random.default_rng(0).normal(size=1000), 200),
+    ])
+    def test_no_convergence(self, values, max_iter):
+        with pytest.raises(NoConvergence,
+                           match=f"EM did not converge within {max_iter} iterations"):
+            fit_histogram_gmm(values, 2, max_iter=max_iter)
 
 
 class TestIrogaThreshold:

@@ -34,7 +34,7 @@ from drt import (
     train_forest,
 )
 from drt.filters import map_slabs, sample_features, slab_bounds
-from drt.forest import _distinct, _Tree
+from drt.forest import _bin, _distinct, _Tree
 
 
 def bank_for(n_features):
@@ -201,7 +201,7 @@ class TestTraining:
                          labels=np.zeros(10, dtype=int), class_names=["only"])
         model = train_forest(ts, ForestHyperparameters(n_trees=3), bank_for(2),
                              seed=0)
-        cid, probs = model.predict(np.array([0.5, 0.5]))
+        [cid], [probs] = model.predict_batch(np.array([0.5, 0.5])[None, :])
         assert cid == 0
         np.testing.assert_allclose(probs, [1.0])
 
@@ -232,17 +232,10 @@ class TestPrediction:
         ts = two_blob_training()
         model = train_forest(ts, ForestHyperparameters(n_trees=9), bank_for(2),
                              seed=0)
-        cid, probs = model.predict(np.array([0.0, 0.0]))
+        [cid], [probs] = model.predict_batch(np.array([0.0, 0.0])[None, :])
         assert cid == 0
         assert probs.shape == (2,)
         assert probs[0] > probs[1]
-
-    def test_predict_rejects_matrix(self):
-        ts = two_blob_training()
-        model = train_forest(ts, ForestHyperparameters(n_trees=2), bank_for(2),
-                             seed=0)
-        with pytest.raises(DimensionMismatch):
-            model.predict(np.zeros((3, 2)))
 
     def test_predict_batch_rejects_wrong_width(self):
         ts = two_blob_training()
@@ -311,9 +304,19 @@ def bin_groups(model, x):
     return first, inverse.ravel()
 
 
+def cell_tables(model, max_cells):
+    """Per tree, its cell table, or None when it has more than max_cells,
+    as segment_volume builds them ahead of its slabs."""
+    edges = model._edges()
+    return [model._cell_table(tree, edges, max_cells) for tree in model.trees]
+
+
 def predict_distinct(model, x, tables=None):
-    """_predict_distinct gathered back to the rows, its index, and the
-    numbers of table trees and of bin codes that its debug line reports."""
+    """_predict_bins on the bins of x's columns, gathered back to the rows,
+    its index, and the numbers of table trees and of bin codes that its
+    debug line reports."""
+    edges = model._edges()
+    bins = [_bin(u, x[:, f]) for f, u in enumerate(edges)]
     messages = []
     handler = logging.Handler()
     handler.emit = lambda record: messages.append(record.getMessage())
@@ -322,7 +325,7 @@ def predict_distinct(model, x, tables=None):
     logger.addHandler(handler)
     logger.setLevel(logging.DEBUG)
     try:
-        labels, probs, inverse = model._predict_distinct(x, tables)
+        labels, probs, inverse = model._predict_bins(bins, edges, tables)
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
@@ -358,7 +361,7 @@ class TestBinnedPrediction:
             np.nextafter(thresholds, -np.inf), thresholds.astype(np.float32),
             [np.nan, np.inf, -np.inf], rng.normal(size=4)])
         x = rng.choice(pool, size=(300, n_features)).astype(dtype)
-        assert np.array_equal(model._predict_distinct(x)[2], bin_groups(model, x)[1])
+        assert np.array_equal(predict_distinct(model, x)[2], bin_groups(model, x)[1])
         labels, probs = model.predict_batch(x)
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
@@ -481,7 +484,7 @@ class TestCellTables:
                          labels=np.arange(60) % 3, class_names=["a", "b", "c"])
         model = train_forest(ts, ForestHyperparameters(n_trees=5),
                              bank_for(n_features), seed=seed)
-        tables = model._cell_tables(max_cells)
+        tables = cell_tables(model, max_cells)
         cells = [cell_count(t) for t in model.trees]
         assert [t is not None for t in tables] == [c <= max_cells for c in cells]
         x = threshold_rows(model.trees, n_rows, n_features, rng)
@@ -546,7 +549,7 @@ class TestCellTables:
         x = np.vstack([threshold_rows([tree], 400, 1, rng), [[np.inf]], [[np.nan]]])
         # a table built ahead: the rows hold fewer than 257 distinct bins
         labels, probs, _, n_tables, _ = predict_distinct(model, x,
-                                                          model._cell_tables(257))
+                                                          cell_tables(model, 257))
         assert n_tables == 1
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
