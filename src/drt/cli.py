@@ -81,7 +81,7 @@ class PipelineConfig:
         if self.connectivity not in (6, 26):
             raise ConfigError(
                 f"connectivity must be 6 or 26, got {self.connectivity}")
-        if self.n_bins < 1:
+        if not self.n_bins >= 1:
             raise ConfigError(f"n_bins must be >= 1, got {self.n_bins}")
         if len(self.cutoffs_um) != 2 or not 0 < self.cutoffs_um[0] < self.cutoffs_um[1]:
             raise ConfigError(
@@ -92,14 +92,17 @@ class PipelineConfig:
                 f"micro_weight must be in [0, 1], got {self.micro_weight}")
         if not 0.0 < self.epsilon < 1.0 / 3.0:
             raise ConfigError(f"epsilon must be in (0, 1/3), got {self.epsilon}")
-        if self.pfunction_c <= 0:
+        if not self.pfunction_c > 0:
             raise ConfigError(
                 f"capillary c must be positive, got {self.pfunction_c}")
+        if not math.isfinite(self.pfunction_e):
+            raise ConfigError(
+                f"capillary e must be finite, got {self.pfunction_e}")
         if not 0 < self.s_wi < 1:
             raise ConfigError(f"s_wi must lie in (0, 1), got {self.s_wi}")
-        if self.p_cu_psi is not None and self.p_cu_psi <= 0:
+        if self.p_cu_psi is not None and not self.p_cu_psi > 0:
             raise ConfigError(f"p_cu_psi must be positive, got {self.p_cu_psi}")
-        if self.p_cu_ratio < 1:
+        if not self.p_cu_ratio >= 1:
             raise ConfigError(f"p_cu_ratio must be >= 1, got {self.p_cu_ratio}")
         if self.s_w_anchor is not None and not self.s_wi < self.s_w_anchor < 1:
             raise ConfigError(

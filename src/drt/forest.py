@@ -32,7 +32,7 @@ from .config import FeatureBankConfig, ForestHyperparameters
 from .errors import (BadModelFile, BadParams, DimensionMismatch,
                      EmptyClass, VersionMismatch)
 from .fileio import json_array, json_typed, read_csv, read_json, write_json
-from .filters import map_slabs, SLAB_VOXELS
+from .filters import map_slabs
 from .rng import SplitMix64
 from .volume import Volume
 
@@ -290,11 +290,7 @@ class ForestModel:
         (_predict_bins), and the results are gathered back to every row.
         The output is bit-identical to walking every row through every tree.
         """
-        # float32 rows are used as they are: `x <= threshold` promotes them
-        # to float64 exactly, so a float64 copy would only cost memory
         x = np.asarray(x)
-        if x.dtype != np.float32:
-            x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise DimensionMismatch(
                 f"expected feature matrix (N, {self.n_features}), got {x.shape}")
@@ -303,8 +299,7 @@ class ForestModel:
             [_bin(u, x[:, f]) for f, u in enumerate(edges)], edges)
         return labels[inverse], probs[inverse]
 
-    def _predict_bins(self, bins: list[np.ndarray], edges: list[np.ndarray],
-                      tables: list | None = None
+    def _predict_bins(self, bins: list[np.ndarray], edges: list[np.ndarray]
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Class ids and mean leaf probabilities of the distinct bin codes,
         and each row's index into them.
@@ -314,12 +309,11 @@ class ForestModel:
         that lie below x[f] (NaN counts all of them, and goes right like a
         value above them all). Rows with equal bins on every feature meet
         every split alike; _distinct groups them. Each tree predicts each
-        group by one lookup in its cell table (_cell_table): from `tables`,
-        built ahead by segment_volume for all of its slabs, or else built
-        here when the tree has no more cells than there are groups. A tree
-        without a table walks the groups' bins (_Tree.on_bins), held in
-        their narrow types. The probabilities are summed in tree order, as
-        in _walk, so the sums are bit-identical.
+        group by one lookup in its cell table (_cell_table), built when the
+        tree has no more cells than there are groups. A tree without a table
+        walks the groups' bins (_Tree.on_bins), held in their narrow types.
+        The probabilities are summed in tree order, as in _walk, so the sums
+        are bit-identical.
         """
         first, inverse = _distinct(bins, [u.size + 1 for u in edges])
         bins = [b[first] for b in bins]
@@ -327,10 +321,8 @@ class ForestModel:
         probs = np.zeros((self.n_classes, n), dtype=np.float64)
         stacked = None
         n_tables = 0
-        for t, tree in enumerate(self.trees):
-            table = None if tables is None else tables[t]
-            if table is None:
-                table = self._cell_table(tree, edges, n)
+        for tree in self.trees:
+            table = self._cell_table(tree, edges, n)
             if table is None:
                 if stacked is None:
                     stacked = np.stack(bins, axis=1)
@@ -535,12 +527,9 @@ def segment_volume(model: ForestModel, volume: Volume, *, threads: int = 1
     binned as it arrives, so a slab holds its bins, never its features.
     Each slab predicts its distinct bin codes once (_predict_bins) and
     gathers only the uint8 label and float32 confidence back to its
-    voxels. The cell tables are built once for all slabs, for the trees
-    with at most SLAB_VOXELS / n_trees cells, so that together they hold
-    no more cells than a slab has voxels; a tree with more is handled per
-    slab, as by predict_batch. The output does not depend on
-    the thread count or the slab height. A model with more than 256 classes
-    is refused, as its ids do not fit the uint8 labels.
+    voxels. The output does not depend on the thread count or the slab
+    height. A model with more than 256 classes is refused, as its ids do not
+    fit the uint8 labels.
     """
     if model.n_classes > 256:
         raise BadParams(f"the model has {model.n_classes} classes, but a u8 "
@@ -550,16 +539,12 @@ def segment_volume(model: ForestModel, volume: Volume, *, threads: int = 1
     labels = np.empty(nz * plane, dtype=np.uint8)
     confidence = np.empty(nz * plane, dtype=np.float32)
     edges = model._edges()
-    tables = [model._cell_table(tree, edges, SLAB_VOXELS // len(model.trees))
-              for tree in model.trees]
-    log.debug("segment: %d of %d trees have a cell table shared by every slab",
-              sum(t is not None for t in tables), len(tables))
 
     def predict(z0: int, z1: int, channels) -> None:
         bins = [None] * len(edges)
         for f, channel in channels:
             bins[f] = _bin(edges[f], channel.ravel())
-        ids, probs, inverse = model._predict_bins(bins, edges, tables)
+        ids, probs, inverse = model._predict_bins(bins, edges)
         conf = probs.max(axis=1).astype(np.float32)
         labels[z0 * plane:z1 * plane] = ids.astype(np.uint8)[inverse]
         confidence[z0 * plane:z1 * plane] = conf[inverse]

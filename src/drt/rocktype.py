@@ -354,6 +354,8 @@ _CLASS_COLORS = {
     "micropore": "#338844",
 }
 _FALLBACK_COLORS = ("#884499", "#aa3355", "#557788", "#999933")
+# a sample whose class the relation does not list: it has no line to match
+_UNLISTED_COLOR = "#888888"
 
 _VIEW_W, _VIEW_H = 640.0, 480.0
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70.0, 160.0, 20.0, 50.0
@@ -400,6 +402,8 @@ def _geomspace(lo: float, hi: float, num: int) -> list[float]:
 def _class_color(name: str, order: list[str]) -> str:
     if name in _CLASS_COLORS:
         return _CLASS_COLORS[name]
+    if name not in order:
+        return _UNLISTED_COLOR
     extras = [c for c in order if c not in _CLASS_COLORS]
     return _FALLBACK_COLORS[extras.index(name) % len(_FALLBACK_COLORS)]
 
@@ -409,7 +413,8 @@ def emit_camo_chart(relation: CamoRelation, samples: list[ChartSample],
     """Write the porosity-permeability identifier chart as deterministic SVG.
 
     Log-log axes; one power-law line per relation class and one marker per
-    sample, colored by class and labeled with its rock-type code.
+    sample, colored by class (grey for a class the relation does not list)
+    and labeled with its rock-type code.
     Identical inputs produce byte-identical files: fixed palette and
     layout, fixed float formatting, no timestamps. A companion CSV
     tabulates the plotted values when csv_path is given.

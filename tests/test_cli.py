@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from drt import load_volume, make_phantom, save_volume
+from drt import load_model, load_volume, make_phantom, save_volume
 from drt.cli import config_from_json_dict, main, PipelineConfig
 from drt.errors import ConfigError
 
@@ -310,10 +310,7 @@ class TestSegment:
             rc = main(["-v"] + argv + ["--out", str(tmp_path / "loud.raw")])
         assert rc == 0
         assert capsys.readouterr().out == quiet.replace("quiet", "loud")
-        shared, *lines = [r.getMessage() for r in caplog.records
-                          if r.name == "drt.forest"]
-        assert re.fullmatch(r"segment: \d of 8 trees have a cell table shared "
-                            r"by every slab", shared)
+        lines = [r.getMessage() for r in caplog.records if r.name == "drt.forest"]
         assert len(lines) == 1
         assert lines[0].startswith("forest predict: 8 trees, ")
         assert f", {24 ** 3} rows, " in lines[0]
@@ -333,8 +330,8 @@ class TestSegment:
         assert rc == 0
         lines = [r.getMessage() for r in caplog.records if r.name == "drt"]
         [slabs] = [r.getMessage() for r in caplog.records if r.name == "drt.filters"]
-        shared, *predicts = [r.getMessage() for r in caplog.records
-                             if r.name == "drt.forest"]
+        predicts = [r.getMessage() for r in caplog.records
+                    if r.name == "drt.forest"]
         conf = load_volume(tmp_path / "s_confidence.raw").data
         deciles = " ".join(f"{q:.3f}" for q in
                            np.percentile(conf, np.arange(10, 100, 10)))
@@ -343,16 +340,18 @@ class TestSegment:
         assert len(lines) == 2
         assert slabs.startswith("feature slabs: 2 slabs, ")
         # the slabs' predict lines count every voxel once, and each slab
-        # looks up at least the trees with a shared table
-        match = re.fullmatch(r"segment: (\d) of 8 trees have a cell table "
-                             r"shared by every slab", shared)
-        assert match
+        # tabulates the trees with no more cells than it has bin codes
         counts = [re.fullmatch(r"forest predict: 8 trees, (\d) by table, \d+ "
-                               r"nodes, (\d+) rows, \d+ bin codes", m).groups()
+                               r"nodes, (\d+) rows, (\d+) bin codes", m).groups()
                   for m in predicts]
         assert len(counts) == 2
-        assert sum(int(rows) for _, rows in counts) == 24 ** 3
-        assert all(int(by_table) >= int(match[1]) for by_table, _ in counts)
+        assert sum(int(rows) for _, rows, _ in counts) == 24 ** 3
+        model = load_model(trained)
+        edges = model._edges()
+        for by_table, _, codes in counts:
+            assert int(by_table) == sum(
+                model._cell_table(tree, edges, int(codes)) is not None
+                for tree in model.trees)
         assert out.read_bytes() == segmented.read_bytes()
 
     def test_verbose_logs_one_slab_line_per_stage(self, workdir, trained, tmp_path,

@@ -1,5 +1,6 @@
 """Text artifact I/O: encoding, error mapping, and its single home."""
 
+import ast
 import inspect
 import json
 import re
@@ -47,6 +48,28 @@ def test_only_two_callers_predict_bins():
     assert {name: n for name, n in hits.items() if n} == {"forest.py": 3}
     for caller in (drt.ForestModel.predict_batch, drt.segment_volume):
         assert inspect.getsource(caller).count("._predict_bins(") == 1
+
+
+def test_one_cell_table_rule():
+    # the core alone decides, per call, which trees get a cell table: a
+    # table built elsewhere, or handed in, would be a second rule
+    package = Path(drt.__file__).parent
+    hits = {path.name: len(re.findall(r"\b_cell_table\(",
+                                      path.read_text(encoding="utf-8")))
+            for path in package.glob("*.py")}
+    # its def and its one call
+    assert {name: n for name, n in hits.items() if n} == {"forest.py": 2}
+    assert inspect.getsource(drt.ForestModel._predict_bins).count(
+        "._cell_table(") == 1
+    for path in [*package.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", None) == "_predict_bins":
+                assert len(node.args) == 2 and not node.keywords, path.name
+            elif (isinstance(node, ast.FunctionDef)
+                  and node.name == "_predict_bins"):
+                assert [a.arg for a in node.args.args] == ["self", "bins", "edges"]
+                assert not node.args.kwonlyargs and not node.args.vararg
 
 
 def test_json_encoding(tmp_path):

@@ -304,14 +304,7 @@ def bin_groups(model, x):
     return first, inverse.ravel()
 
 
-def cell_tables(model, max_cells):
-    """Per tree, its cell table, or None when it has more than max_cells,
-    as segment_volume builds them ahead of its slabs."""
-    edges = model._edges()
-    return [model._cell_table(tree, edges, max_cells) for tree in model.trees]
-
-
-def predict_distinct(model, x, tables=None):
+def predict_distinct(model, x):
     """_predict_bins on the bins of x's columns, gathered back to the rows,
     its index, and the numbers of table trees and of bin codes that its
     debug line reports."""
@@ -325,7 +318,7 @@ def predict_distinct(model, x, tables=None):
     logger.addHandler(handler)
     logger.setLevel(logging.DEBUG)
     try:
-        labels, probs, inverse = model._predict_bins(bins, edges, tables)
+        labels, probs, inverse = model._predict_bins(bins, edges)
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
@@ -366,6 +359,22 @@ class TestBinnedPrediction:
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)
+
+    def test_integer_rows_and_lists_equal_float64(self):
+        # integer thresholds, so that rows fall on them as well as between
+        model = ForestModel(
+            hyperparameters=ForestHyperparameters(n_trees=2),
+            feature_bank=bank_for(2), class_names=["a", "b"], rng_seed=0,
+            trees=[chain_tree(0, [-2.0, 0.0, 3.0, 7.0]), spine_tree([1, 0], [1.0, 5.0])])
+        x = np.random.default_rng(2).integers(-4, 10, size=(200, 2))
+        want_labels, want_probs = model.predict_batch(x.astype(np.float64))
+        direct_labels, direct_probs = model._walk(x.astype(np.float64))
+        assert np.array_equal(want_labels, direct_labels)
+        assert np.array_equal(want_probs, direct_probs)
+        for rows in (x, x.tolist()):
+            labels, probs = model.predict_batch(rows)
+            assert np.array_equal(labels, want_labels)
+            assert np.array_equal(probs, want_probs)
 
     @pytest.mark.parametrize("n_features, per_feature, overflow", [
         (63, 1, False),  # 2**63 codes: the largest is int64 max
@@ -473,28 +482,6 @@ class TestCellTables:
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_features=st.integers(1, 3),
-           n_rows=st.integers(1, 60), max_cells=st.integers(0, 200))
-    def test_tables_built_ahead_equal_direct_walk(self, seed, n_features, n_rows,
-                                                  max_cells):
-        # tables built ahead serve even trees with more cells than rows
-        rng = np.random.default_rng(seed)
-        ts = TrainingSet(features=rng.normal(size=(60, n_features)),
-                         labels=np.arange(60) % 3, class_names=["a", "b", "c"])
-        model = train_forest(ts, ForestHyperparameters(n_trees=5),
-                             bank_for(n_features), seed=seed)
-        tables = cell_tables(model, max_cells)
-        cells = [cell_count(t) for t in model.trees]
-        assert [t is not None for t in tables] == [c <= max_cells for c in cells]
-        x = threshold_rows(model.trees, n_rows, n_features, rng)
-        labels, probs, inverse, n_tables, n_codes = predict_distinct(model, x, tables)
-        assert np.array_equal(inverse, bin_groups(model, x)[1])
-        assert n_tables == sum(c <= max(max_cells, n_codes) for c in cells)
-        direct_labels, direct_probs = model._walk(x)
-        assert np.array_equal(labels, direct_labels)
-        assert np.array_equal(probs, direct_probs)
-
     @pytest.mark.parametrize("n_rows, n_tables", [
         (11, 3),  # the 11-cell tree fits: every tree has a table
         (10, 2),  # it does not: it walks the rows, the others look up
@@ -541,16 +528,17 @@ class TestCellTables:
     def test_narrow_bins_hold_the_last_bin(self):
         # 256 thresholds make 257 bins, one more than uint8 holds
         rng = np.random.default_rng(256)
-        tree = chain_tree(0, np.sort(rng.normal(size=256)))
+        cuts = np.sort(rng.normal(size=256))
+        tree = chain_tree(0, cuts)
         model = ForestModel(
             hyperparameters=ForestHyperparameters(n_trees=1),
             feature_bank=bank_for(1), class_names=["a", "b"], rng_seed=0,
             trees=[tree])
-        x = np.vstack([threshold_rows([tree], 400, 1, rng), [[np.inf]], [[np.nan]]])
-        # a table built ahead: the rows hold fewer than 257 distinct bins
-        labels, probs, _, n_tables, _ = predict_distinct(model, x,
-                                                          cell_tables(model, 257))
-        assert n_tables == 1
+        # one row in each of the 257 bins, so the 257-cell tree is tabulated:
+        # bin j at threshold j, the last bin at +inf and at NaN
+        x = np.concatenate([cuts, [np.inf, np.nan]])[:, None]
+        labels, probs, _, n_tables, n_codes = predict_distinct(model, x)
+        assert (n_tables, n_codes) == (1, 257)
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)

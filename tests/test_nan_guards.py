@@ -13,6 +13,7 @@ import pytest
 
 from drt import (
     BadParams,
+    ConfigError,
     FeatureBankConfig,
     PFunction,
     PoreThroatDistribution,
@@ -28,6 +29,7 @@ from drt import (
     make_phantom,
     pcd_from_permeability,
 )
+from drt.cli import PipelineConfig
 
 NAN = math.nan
 
@@ -73,6 +75,10 @@ CASES = {
                                          radius_range=(NAN, 2.0))),
     "pcd_from_permeability exponent":
         (BadParams, lambda: pcd_from_permeability(10, 0.2, PFunction(1.0, NAN))),
+    "PipelineConfig capillary c": (ConfigError, lambda: PipelineConfig(pfunction_c=NAN)),
+    "PipelineConfig capillary e": (ConfigError, lambda: PipelineConfig(pfunction_e=NAN)),
+    "PipelineConfig p_cu_psi": (ConfigError, lambda: PipelineConfig(p_cu_psi=NAN)),
+    "PipelineConfig p_cu_ratio": (ConfigError, lambda: PipelineConfig(p_cu_ratio=NAN)),
 }
 
 

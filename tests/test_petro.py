@@ -171,6 +171,17 @@ class TestClassifyModality:
         assert classify_modality(d, epsilon=0.10).modality == "Triple"
         assert classify_modality(d, epsilon=0.15).modality == "Dual"
 
+    def test_pattern_without_archetype_falls_back_to_all(self):
+        # at epsilon 0.25 no Triple archetype has all three bands present,
+        # so every archetype competes
+        assert all(a.present(0.25) != (True, True, True)
+                   for a in MODALITY_ARCHETYPES)
+        profile = classify_modality(dist_with(0.3, 0.3, 0.4), epsilon=0.25)
+        assert profile.present == (True, True, True)
+        assert profile.modality == "Triple"
+        assert profile.archetype == "micro 20% / meso 30% / macro 50%"
+        assert profile.distance == pytest.approx(math.sqrt(0.02))
+
     def test_rejects_bad_epsilon(self):
         with pytest.raises(BadParams):
             classify_modality(dist_with(0.2, 0.5, 0.3), epsilon=0.0)

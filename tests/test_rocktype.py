@@ -356,6 +356,18 @@ class TestCamoChart:
         text = (tmp_path / "v.svg").read_text()
         assert "#884499" in text
 
+    def test_class_outside_the_relation_is_drawn_neutral(self, tmp_path):
+        sample = [ChartSample(phi=0.2, k_md=10.0, camo_class="vuggy", code="L111")]
+        emit_camo_chart(DEFAULT_CAMO, sample, tmp_path / "v.svg", tmp_path / "v.csv")
+        text = (tmp_path / "v.svg").read_text()
+        [marker] = [line for line in text.splitlines() if line.startswith("<circle")]
+        assert 'fill="#888888"' in marker
+        assert ">L111</text>" in text
+        # the legend lists only the relation's classes
+        assert ">vuggy</text>" not in text
+        assert text.count("<polyline") == 3
+        assert (tmp_path / "v.csv").read_text().splitlines()[1] == "0.2,10,vuggy,L111,"
+
     def test_rejects_nonpositive_sample(self, tmp_path):
         bad = [ChartSample(phi=0.0, k_md=1.0, camo_class="connected")]
         with pytest.raises(NonPositiveValue):
