@@ -250,7 +250,11 @@ def cmd_segment(args) -> int:
     _ensure_dir(out.parent)
     save_volume(label_vol, out)
     save_volume(conf_vol, conf_out)
-    counts = np.bincount(label_vol.data.ravel(), minlength=model.n_classes)
+    # plane by plane: bincount widens the labels to intp, and a whole-volume
+    # copy (8 B/voxel) on top of the memory the slab threads' malloc arenas
+    # keep would set segment's peak RSS in some runs and not in others
+    counts = sum(np.bincount(plane.ravel(), minlength=model.n_classes)
+                 for plane in label_vol.data)
     if log.isEnabledFor(logging.DEBUG):
         deciles = np.percentile(conf_vol.data, np.arange(10, 100, 10))
         log.debug("segment: %d threads, confidence deciles %s", args.threads,

@@ -7,11 +7,13 @@ import logging
 import re
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import drt.forest
 from drt import load_model, load_volume, make_phantom, save_volume
 from drt.cli import config_from_json_dict, main, PipelineConfig
 from drt.errors import ConfigError
@@ -211,6 +213,36 @@ class TestSegment:
         assert printed[1].startswith("1 matrix ")
         assert printed[2] == str(out)
         assert printed[3] == str(workdir / "seg_echo_confidence.raw")
+
+    def test_class_counts_copy_no_volume(self, trained, tmp_path, capsys,
+                                         monkeypatch):
+        # the work after the slabs holds less than 1 B/voxel: counting the
+        # whole u8 label volume with one bincount held an 8 B/voxel intp copy
+        gray, _ = make_phantom("sphere_pack", (48, 48, 48), seed=7,
+                               n_spheres=40, radius_range=(3.0, 6.0),
+                               noise_sigma=8.0)
+        save_volume(gray, tmp_path / "gray.raw")
+        real = drt.forest.segment_volume
+
+        def traced(*args, **kwargs):
+            result = real(*args, **kwargs)
+            tracemalloc.start()
+            return result
+
+        monkeypatch.setattr(drt.forest, "segment_volume", traced)
+        out = tmp_path / "seg.raw"
+        try:
+            rc = main(["segment", "--volume", str(tmp_path / "gray.raw"),
+                       "--model", str(trained), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        seg = load_volume(out)
+        assert peak < seg.data.size
+        printed = capsys.readouterr().out.splitlines()
+        counts = np.bincount(seg.data.ravel(), minlength=2)
+        assert printed[:2] == [f"0 pore {counts[0]}", f"1 matrix {counts[1]}"]
 
     def test_deterministic(self, workdir, trained, segmented, tmp_path):
         again = tmp_path / "seg.raw"
