@@ -92,18 +92,20 @@ class PipelineConfig:
                 f"micro_weight must be in [0, 1], got {self.micro_weight}")
         if not 0.0 < self.epsilon < 1.0 / 3.0:
             raise ConfigError(f"epsilon must be in (0, 1/3), got {self.epsilon}")
-        if not self.pfunction_c > 0:
+        if not 0 < self.pfunction_c < math.inf:
             raise ConfigError(
-                f"capillary c must be positive, got {self.pfunction_c}")
+                f"capillary c must be positive and finite, got {self.pfunction_c}")
         if not math.isfinite(self.pfunction_e):
             raise ConfigError(
                 f"capillary e must be finite, got {self.pfunction_e}")
         if not 0 < self.s_wi < 1:
             raise ConfigError(f"s_wi must lie in (0, 1), got {self.s_wi}")
-        if self.p_cu_psi is not None and not self.p_cu_psi > 0:
-            raise ConfigError(f"p_cu_psi must be positive, got {self.p_cu_psi}")
-        if not self.p_cu_ratio >= 1:
-            raise ConfigError(f"p_cu_ratio must be >= 1, got {self.p_cu_ratio}")
+        if self.p_cu_psi is not None and not 0 < self.p_cu_psi < math.inf:
+            raise ConfigError(
+                f"p_cu_psi must be positive and finite, got {self.p_cu_psi}")
+        if not 1 <= self.p_cu_ratio < math.inf:
+            raise ConfigError(
+                f"p_cu_ratio must be >= 1 and finite, got {self.p_cu_ratio}")
         if self.s_w_anchor is not None and not self.s_wi < self.s_w_anchor < 1:
             raise ConfigError(
                 f"s_w_anchor must lie in ({self.s_wi}, 1), got {self.s_w_anchor}")

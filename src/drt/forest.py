@@ -8,22 +8,20 @@ file.
 
 Trees are stored as flat parallel arrays (feature, threshold, left, right,
 class-probability rows); interior nodes route x[feature] <= threshold to
-the left child, and leaves carry feature == -1. Every child comes after its
-parent in the arrays, so a walk from the root ends within n_nodes steps.
+the left child, and leaves carry feature == -1. The nodes are in preorder,
+left subtree first, so the leaves in array order run from left to right.
 
 Prediction is exact through threshold bins: rows whose features fall in the
 same bin between the sorted distinct thresholds of the forest meet every
 split alike. Each feature is binned once per batch, the rows are grouped by
-their bins, and each group is predicted once. Each tree predicts it by one
-lookup in a table of its cells, the combinations of its own threshold
-intervals, or else by walking the group's bins against the positions of
-its thresholds among the forest's.
+their bins, and each group is predicted once. Each tree finds the group's
+leaf by leaf bitvectors (QuickScorer; Lucchese et al., SIGIR 2015): one
+table lookup per split feature, ANDed, and the lowest set bit.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +86,9 @@ class TrainingSet:
 
 @dataclass
 class _Tree:
+    """One tree in preorder: each inner node's left child is the next node,
+    and its right child the first node after the left subtree."""
+
     feature: np.ndarray    # (n_nodes,) int32, -1 at leaves
     threshold: np.ndarray  # (n_nodes,) float64, 0.0 at leaves
     left: np.ndarray       # (n_nodes,) int32, -1 at leaves
@@ -104,18 +105,6 @@ class _Tree:
             node[active] = np.where(go_left, self.left[cur], self.right[cur])
             active = active[self.feature[node[active]] >= 0]
         return node
-
-    def on_bins(self, edges: list[np.ndarray]) -> "_Tree":
-        """This tree with each threshold replaced by its position j among
-        edges[f], the sorted distinct thresholds of its feature f, so that
-        it walks bins (_bin) as this tree walks values: x <= edges[f][j]
-        exactly when x's bin is at most j, and NaN's bin, past every edge,
-        goes right."""
-        position = np.zeros(self.threshold.size)
-        for f in _sorted_distinct(self.feature[self.feature >= 0]):
-            node = self.feature == f
-            position[node] = np.searchsorted(edges[f], self.threshold[node])
-        return _Tree(self.feature, position, self.left, self.right, self.probs)
 
     def depth(self) -> int:
         """Edges from the root to the deepest leaf; 0 for a lone leaf."""
@@ -155,14 +144,23 @@ class _Tree:
         if ((tree.feature < -1) | (tree.feature >= n_features)).any():
             raise BadModelFile(
                 f"tree feature index outside [-1, {n_features})")
-        inner = tree.feature >= 0
-        node = np.arange(n)[inner]
-        for child in (tree.left, tree.right):
-            if ((child[inner] <= node) | (child[inner] >= n)).any():
-                raise BadModelFile(
-                    "tree child index not after its parent or out of range")
-            if (child[~inner] != -1).any():
-                raise BadModelFile("tree leaf carries a child index")
+        leaf = tree.feature < 0
+        if ((tree.left[leaf] != -1) | (tree.right[leaf] != -1)).any():
+            raise BadModelFile("tree leaf carries a child index")
+        # end[v] is one past the last node of v's subtree; the leaf bits of
+        # _predict_bins hold only on this layout
+        feature, left, right = (a.tolist()
+                                for a in (tree.feature, tree.left, tree.right))
+        end = list(range(1, n + 1))
+        for v in reversed(range(n)):
+            if feature[v] < 0:
+                continue
+            if not (left[v] == v + 1 < n and right[v] == end[v + 1] < n):
+                raise BadModelFile(f"tree node {v} is not stored in preorder, "
+                                   f"left subtree first")
+            end[v] = end[right[v]]
+        if end[0] != n:
+            raise BadModelFile(f"tree root reaches {end[0]} of its {n} nodes")
         return tree
 
 
@@ -308,10 +306,23 @@ class ForestModel:
         from _edges): the number of the forest's distinct thresholds on f
         that lie below x[f] (NaN counts all of them, and goes right like a
         value above them all). Rows with equal bins on every feature meet
-        every split alike; _distinct groups them. Each tree predicts each
-        group by one lookup in its cell table (_cell_table), built when the
-        tree has no more cells than there are groups. A tree without a table
-        walks the groups' bins (_Tree.on_bins), held in their narrow types.
+        every split alike; _distinct groups them.
+
+        Each tree finds each group's leaf by leaf bitvectors (QuickScorer).
+        Its L leaves, numbered in array order, are left to right (_Tree),
+        and a set of them is a mask of ceil(L / 64) uint64 words. A group
+        that goes right at node v cannot reach a leaf of v's left subtree,
+        whose leaves are numbered from before[left[v]] up to before[right[v]].
+        Node v goes right exactly when its threshold's position j among
+        edges[f] lies below the group's bin b, as x <= edges[f][j] exactly
+        when b <= j. So the tree's table for feature f holds, for each bin
+        b, the AND of the masks "every leaf but v's left subtree" over its
+        nodes v on f with j < b. The AND of the group's rows of these
+        tables keeps its own leaf, and clears every leaf to the left of
+        it, at the node where the two part. The leaf is thus the lowest set
+        bit, isolated as m & -m, an exact power of two in float64, whose
+        index np.frexp gives. Only one tree's tables live at a time.
+
         The probabilities are summed in tree order, as in _walk, so the sums
         are bit-identical.
         """
@@ -319,31 +330,45 @@ class ForestModel:
         bins = [b[first] for b in bins]
         n = first.size
         probs = np.zeros((self.n_classes, n), dtype=np.float64)
-        stacked = None
-        n_tables = 0
+        widest = 0
         for tree in self.trees:
-            table = self._cell_table(tree, edges, n)
-            if table is None:
-                if stacked is None:
-                    stacked = np.stack(bins, axis=1)
-                leaf_probs, index = tree.probs.T, tree.on_bins(edges).apply(stacked)
-            else:
-                n_tables += 1
-                offsets, leaf_probs = table
-                cell = np.zeros(n, dtype=np.min_scalar_type(leaf_probs.shape[1]))
-                for f, offset in offsets:
-                    # np.take on narrow bins into a narrow cell type: fancy
-                    # indexing would convert the bins to intp on every gather
-                    cell += np.take(offset, bins[f])
-                index = cell.astype(np.intp)
-            for k, row in enumerate(leaf_probs):
+            leaf = tree.feature < 0
+            n_leaves = np.count_nonzero(leaf)
+            widest = max(widest, n_leaves)
+            before = np.cumsum(leaf) - leaf
+            inner = np.flatnonzero(~leaf)
+            bit = np.arange(-(-n_leaves // 64) * 64)
+            keep = ((bit < before[tree.left[inner]][:, None])
+                    | (bit >= before[tree.right[inner]][:, None]))
+            # word-major, (W, n): each word of every row in one run
+            masks = np.packbits(keep, axis=1, bitorder="little").view("<u8").T
+            ones = np.full((masks.shape[0], 1), ~np.uint64(0), dtype=np.uint64)
+            mask = np.repeat(ones, n, axis=1)
+            split = tree.feature[inner]
+            for f in _sorted_distinct(split):
+                node = np.flatnonzero(split == f)
+                position = np.searchsorted(edges[f], tree.threshold[inner[node]])
+                order = np.argsort(position)
+                cleared = np.bitwise_and.accumulate(
+                    np.concatenate([ones, masks[:, node[order]]], axis=1), axis=1)
+                below = np.searchsorted(position[order], np.arange(edges[f].size + 1))
+                # np.take gathers by the narrow bins faster than indexing does
+                mask &= np.take(cleared[:, below], bins[f], axis=1)
+            # each row's lowest nonzero word, written last, sets its leaf
+            index = np.empty(n, dtype=np.intp)
+            for w in reversed(range(mask.shape[0])):
+                m = mask[w]
+                _, exponent = np.frexp((m & (~m + np.uint64(1))).astype(np.float64))
+                np.copyto(index, exponent + (64 * w - 1), where=m != 0)
+            for k, row in enumerate(tree.probs[leaf].T):
                 probs[k] += row[index]
         probs = np.ascontiguousarray(probs.T)
         probs /= len(self.trees)
         labels = np.argmax(probs, axis=1).astype(np.int64)
-        log.debug("forest predict: %d trees, %d by table, %d nodes, %d rows, "
-                  "%d bin codes", len(self.trees), n_tables,
-                  sum(t.feature.size for t in self.trees), inverse.size, n)
+        log.debug("forest predict: %d trees, %d nodes, %d leaves in the widest "
+                  "tree, %d rows, %d bin codes", len(self.trees),
+                  sum(t.feature.size for t in self.trees), widest,
+                  inverse.size, n)
         return labels, probs, inverse
 
     def _edges(self) -> list[np.ndarray]:
@@ -352,39 +377,6 @@ class ForestModel:
         threshold = np.concatenate([t.threshold for t in self.trees])
         return [_sorted_distinct(threshold[feature == f])
                 for f in range(self.n_features)]
-
-    def _cell_table(self, tree: _Tree, edges: list[np.ndarray], max_cells: int):
-        """The tree's cell table, or None when it has more than max_cells cells.
-
-        A tree's own distinct thresholds cut each feature it splits on into
-        intervals, and a cell is one interval per feature: rows in one cell
-        reach the same leaf. Bin b on feature f (as in _predict_bins)
-        lies in the tree's interval searchsorted(pos, b, "left"), where pos
-        are the positions of the tree's thresholds among the forest's,
-        because x <= edges[f][j] exactly when b <= j. The table is a pair: per split
-        feature, the cell offset of each of its bins, in the narrowest type
-        that holds the cell count; and the leaf probabilities of each cell,
-        shaped (n_classes, n_cells), found by walking the tree on one value
-        per interval: its upper threshold, or +inf for the last.
-        """
-        inner = tree.feature >= 0
-        used = _sorted_distinct(tree.feature[inner])
-        cuts = [_sorted_distinct(tree.threshold[inner & (tree.feature == f)])
-                for f in used]
-        n_cells = math.prod(c.size + 1 for c in cuts)
-        if n_cells > max_cells:
-            return None
-        offsets = []
-        reps = np.zeros((n_cells, self.n_features), dtype=np.float64)
-        stride = 1
-        for f, c in zip(used, cuts):
-            pos = np.searchsorted(edges[f], c)
-            local = np.searchsorted(pos, np.arange(edges[f].size + 1), "left")
-            offsets.append((f, (local * stride).astype(np.min_scalar_type(n_cells))))
-            interval = np.arange(n_cells) // stride % (c.size + 1)
-            reps[:, f] = np.append(c, np.inf)[interval]
-            stride *= c.size + 1
-        return offsets, tree.probs[tree.apply(reps)].T
 
     def _walk(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Class ids and mean leaf probabilities by walking every row.

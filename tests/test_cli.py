@@ -371,19 +371,17 @@ class TestSegment:
         assert re.fullmatch(r"segment: \d+\.\d{3} s", lines[1])
         assert len(lines) == 2
         assert slabs.startswith("feature slabs: 2 slabs, ")
-        # the slabs' predict lines count every voxel once, and each slab
-        # tabulates the trees with no more cells than it has bin codes
-        counts = [re.fullmatch(r"forest predict: 8 trees, (\d) by table, \d+ "
-                               r"nodes, (\d+) rows, (\d+) bin codes", m).groups()
+        # the slabs' predict lines count every voxel once, and name the
+        # model's widest tree
+        counts = [re.fullmatch(r"forest predict: 8 trees, \d+ nodes, (\d+) "
+                               r"leaves in the widest tree, (\d+) rows, \d+ "
+                               r"bin codes", m).groups()
                   for m in predicts]
         assert len(counts) == 2
-        assert sum(int(rows) for _, rows, _ in counts) == 24 ** 3
+        assert sum(int(rows) for _, rows in counts) == 24 ** 3
         model = load_model(trained)
-        edges = model._edges()
-        for by_table, _, codes in counts:
-            assert int(by_table) == sum(
-                model._cell_table(tree, edges, int(codes)) is not None
-                for tree in model.trees)
+        widest = max(np.count_nonzero(t.feature < 0) for t in model.trees)
+        assert [int(leaves) for leaves, _ in counts] == [widest] * 2
         assert out.read_bytes() == segmented.read_bytes()
 
     def test_verbose_logs_one_slab_line_per_stage(self, workdir, trained, tmp_path,
@@ -1015,6 +1013,13 @@ class TestConfigTypes:
         # the config holds the class ids that binary_mask accepts, no others
         with pytest.raises(ConfigError, match=f"{field} must hold integer class ids"):
             PipelineConfig(**{field: (value,)})
+
+    @pytest.mark.parametrize("field", ["pfunction_c", "p_cu_psi", "p_cu_ratio"])
+    def test_infinite_capillary_values_are_config_errors(self, field):
+        # refused at construction, not in analyze after the EDT and local
+        # thickness, where the pressures they give stop being finite
+        with pytest.raises(ConfigError, match="and finite, got inf"):
+            PipelineConfig(**{field: float("inf")})
 
     def test_numpy_integer_class_ids_are_accepted(self):
         cfg = PipelineConfig(pore_classes=(np.int64(0),),

@@ -50,17 +50,19 @@ def test_only_two_callers_predict_bins():
         assert inspect.getsource(caller).count("._predict_bins(") == 1
 
 
-def test_one_cell_table_rule():
-    # the core alone decides, per call, which trees get a cell table: a
-    # table built elsewhere, or handed in, would be a second rule
+def test_one_prediction_rule():
+    # every tree goes through the same leaf-bitvector lines of the core: a
+    # cell table, a walk over bins, or a table handed in would be a second rule
     package = Path(drt.__file__).parent
-    hits = {path.name: len(re.findall(r"\b_cell_table\(",
-                                      path.read_text(encoding="utf-8")))
-            for path in package.glob("*.py")}
-    # its def and its one call
-    assert {name: n for name, n in hits.items() if n} == {"forest.py": 2}
-    assert inspect.getsource(drt.ForestModel._predict_bins).count(
-        "._cell_table(") == 1
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in package.glob("*.py")}
+    for name in ("_cell_table", "on_bins"):
+        assert not [file for file, text in sources.items() if name in text]
+    # the level walk serves only the reference and the out-of-bag votes
+    walkers = (drt.ForestModel._walk, drt.train_forest)
+    assert all(".apply(" in inspect.getsource(f) for f in walkers)
+    assert sum(text.count(".apply(") for text in sources.values()) == sum(
+        inspect.getsource(f).count(".apply(") for f in walkers)
     for path in [*package.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and getattr(

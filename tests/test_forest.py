@@ -306,7 +306,7 @@ def bin_groups(model, x):
 
 def predict_distinct(model, x):
     """_predict_bins on the bins of x's columns, gathered back to the rows,
-    its index, and the numbers of table trees and of bin codes that its
+    its index, and the widest tree's leaves and the bin codes that its
     debug line reports."""
     edges = model._edges()
     bins = [_bin(u, x[:, f]) for f, u in enumerate(edges)]
@@ -323,11 +323,16 @@ def predict_distinct(model, x):
         logger.removeHandler(handler)
         logger.setLevel(level)
     [message] = messages
-    n_tables, n_codes = re.fullmatch(
-        r"forest predict: \d+ trees, (\d+) by table, \d+ nodes, \d+ rows, "
-        r"(\d+) bin codes", message).groups()
+    widest, n_codes = re.fullmatch(
+        r"forest predict: \d+ trees, \d+ nodes, (\d+) leaves in the widest "
+        r"tree, \d+ rows, (\d+) bin codes", message).groups()
+    assert int(widest) == max(leaf_count(t) for t in model.trees)
     assert int(n_codes) == labels.size
-    return labels[inverse], probs[inverse], inverse, int(n_tables), int(n_codes)
+    return labels[inverse], probs[inverse], inverse, int(widest), int(n_codes)
+
+
+def leaf_count(tree):
+    return int(np.count_nonzero(tree.feature < 0))
 
 
 class TestBinnedPrediction:
@@ -411,9 +416,10 @@ class TestBinnedPrediction:
             model.predict_batch(x)
         n_codes = bin_groups(model, x)[0].size
         nodes = sum(t.feature.size for t in model.trees)
+        widest = max(leaf_count(t) for t in model.trees)
         assert [r.getMessage() for r in caplog.records] == [
-            f"forest predict: 3 trees, 3 by table, {nodes} nodes, 160 rows, "
-            f"{n_codes} bin codes"]
+            f"forest predict: 3 trees, {nodes} nodes, {widest} leaves in the "
+            f"widest tree, 160 rows, {n_codes} bin codes"]
 
 
 class TestDistinct:
@@ -443,13 +449,6 @@ def spine_tree(features, thresholds):
     return tree
 
 
-def cell_count(tree):
-    """The product over split features of the tree's distinct thresholds + 1."""
-    inner = tree.feature >= 0
-    return math.prod(np.unique(tree.threshold[inner & (tree.feature == f)]).size + 1
-                     for f in np.unique(tree.feature[inner]))
-
-
 def threshold_rows(trees, n_rows, n_features, rng):
     """Rows at, one ulp beside and at the float32 roundings of the thresholds,
     plus NaN and the infinities."""
@@ -459,14 +458,14 @@ def threshold_rows(trees, n_rows, n_features, rng):
     return rng.choice(pool, size=(n_rows, n_features))
 
 
-class TestCellTables:
+class TestLeafBitvectors:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(1, 5),
            n_features=st.integers(1, 3), n_trees=st.integers(1, 5),
            n_rows=st.integers(1, 400),
            dtype=st.sampled_from([np.float32, np.float64]))
-    def test_tables_equal_direct_walk(self, seed, n_classes, n_features,
-                                      n_trees, n_rows, dtype):
+    def test_bitvectors_equal_direct_walk(self, seed, n_classes, n_features,
+                                          n_trees, n_rows, dtype):
         rng = np.random.default_rng(seed)
         n = 12 * n_classes
         ts = TrainingSet(features=rng.normal(size=(n, n_features)),
@@ -475,40 +474,36 @@ class TestCellTables:
         model = train_forest(ts, ForestHyperparameters(n_trees=n_trees),
                              bank_for(n_features), seed=seed)
         x = threshold_rows(model.trees, n_rows, n_features, rng).astype(dtype)
-        labels, probs, inverse, n_tables, n_codes = predict_distinct(model, x)
+        labels, probs, inverse, _, _ = predict_distinct(model, x)
         assert np.array_equal(inverse, bin_groups(model, x)[1])
-        assert n_tables == sum(cell_count(t) <= n_codes for t in model.trees)
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)
 
-    @pytest.mark.parametrize("n_rows, n_tables", [
-        (11, 3),  # the 11-cell tree fits: every tree has a table
-        (10, 2),  # it does not: it walks the rows, the others look up
-    ])
-    def test_mixes_tables_and_walks(self, n_rows, n_tables):
-        rng = np.random.default_rng(n_rows)
-        cuts = np.sort(rng.normal(size=(2, 10)), axis=1)
-        trees = [chain_tree(1, cuts[1, :2]), chain_tree(0, cuts[0]),
-                 spine_tree([0, 1], cuts[:, 5])]
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.parametrize("n_thresholds", [0, 62, 63, 64, 127])
+    def test_leaf_counts_across_word_boundaries(self, n_thresholds, seed):
+        # 1, 63, 64, 65 and 128 leaves: one word, a full word, one bit into
+        # the second, and two full words; thresholds in random order, so
+        # that deep nodes are cut off by earlier ones
+        rng = np.random.default_rng(seed)
+        cuts = rng.normal(size=(2, n_thresholds))
+        trees = [chain_tree(0, cuts[0]),
+                 spine_tree(rng.integers(0, 2, n_thresholds), cuts[1])]
         model = ForestModel(
-            hyperparameters=ForestHyperparameters(n_trees=3),
+            hyperparameters=ForestHyperparameters(n_trees=2),
             feature_bank=bank_for(2), class_names=["a", "b"], rng_seed=0,
             trees=trees)
-        assert [cell_count(t) for t in trees] == [3, 11, 4]
-        # the first n_rows rows with distinct bin codes: a tree is tabulated
-        # when it has no more cells than there are distinct codes
-        x = threshold_rows(trees, 100, 2, rng)
-        x = x[np.sort(bin_groups(model, x)[0])[:n_rows]]
-        assert bin_groups(model, x)[0].size == n_rows
-        labels, probs, _, tables, _ = predict_distinct(model, x)
-        assert tables == n_tables
+        x = threshold_rows(trees, 600, 2, rng)
+        labels, probs, _, widest, _ = predict_distinct(model, x)
+        assert widest == n_thresholds + 1
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)
 
-    def test_deep_trees_walk_without_a_table(self):
-        # 16 features with 9 thresholds each: 10**16 cells per tree
+    def test_deep_trees_span_three_words(self):
+        # 16 features with 9 thresholds each: 145 leaves per tree
         rng = np.random.default_rng(16)
         cuts = np.sort(rng.normal(size=(16, 9)), axis=1)
         trees = [spine_tree(np.repeat(np.arange(16), 9)[order], cuts.ravel()[order])
@@ -517,10 +512,9 @@ class TestCellTables:
             hyperparameters=ForestHyperparameters(n_trees=2),
             feature_bank=bank_for(16), class_names=["a", "b"], rng_seed=0,
             trees=trees)
-        assert [cell_count(t) for t in trees] == [10 ** 16] * 2
         x = threshold_rows(trees, 3000, 16, rng)
-        labels, probs, _, n_tables, _ = predict_distinct(model, x)
-        assert n_tables == 0
+        labels, probs, _, widest, _ = predict_distinct(model, x)
+        assert widest == 145
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)
@@ -534,18 +528,18 @@ class TestCellTables:
             hyperparameters=ForestHyperparameters(n_trees=1),
             feature_bank=bank_for(1), class_names=["a", "b"], rng_seed=0,
             trees=[tree])
-        # one row in each of the 257 bins, so the 257-cell tree is tabulated:
-        # bin j at threshold j, the last bin at +inf and at NaN
+        # one row in each of the 257 bins: bin j at threshold j, the last
+        # bin at +inf and at NaN
         x = np.concatenate([cuts, [np.inf, np.nan]])[:, None]
-        labels, probs, _, n_tables, n_codes = predict_distinct(model, x)
-        assert (n_tables, n_codes) == (1, 257)
+        labels, probs, _, widest, n_codes = predict_distinct(model, x)
+        assert (widest, n_codes) == (257, 257)
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)
 
-    def test_code_space_beyond_int64_tabulates_distinct_rows(self, caplog):
+    def test_code_space_beyond_int64_predicts_distinct_rows(self, caplog):
         # 64 one-split trees overflow the codes, which are re-densified; a
-        # 301-cell tree exceeds the at most 201 distinct rows and walks them
+        # 301-leaf tree spans five words
         rng = np.random.default_rng(64)
         cuts = rng.normal(size=64)
         trees = [chain_tree(f, [c]) for f, c in enumerate(cuts)]
@@ -559,10 +553,11 @@ class TestCellTables:
         with caplog.at_level(logging.DEBUG, logger="drt.forest"):
             labels, probs = model.predict_batch(x)
         message = caplog.records[0].getMessage()
-        assert message.startswith("forest predict: 65 trees, 64 by table, ")
+        assert message.startswith("forest predict: 65 trees, ")
         n_codes = bin_groups(model, x)[0].size
         assert n_codes <= 201
-        assert message.endswith(f", 201 rows, {n_codes} bin codes")
+        assert message.endswith(f" 301 leaves in the widest tree, 201 rows, "
+                                f"{n_codes} bin codes")
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)
@@ -677,11 +672,12 @@ def sphere_pack_model(dims, n_spheres, flip=0.0):
 
 
 class TestStreamedSegment:
-    def test_deep_noisy_forest_walks_bins_like_rows(self):
-        # 8% of the labels swapped grow trees of depth 16 whose cells
-        # outnumber the rows, so most trees walk the bins
+    def test_deep_noisy_forest_predicts_bins_like_rows(self):
+        # 8% of the labels swapped grow trees of depth 16, some with more
+        # leaves than one word holds
         gray, model = sphere_pack_model((48, 48, 48), 10, flip=0.08)
         assert sum(t.feature.size for t in model.trees) > 10000
+        assert max(leaf_count(t) for t in model.trees) > 64
         rng = np.random.default_rng(0)
         x = build_feature_stack(gray, model.feature_bank)
         x = x.reshape(-1, model.n_features)[rng.choice(48 ** 3, 3000, replace=False)]
@@ -689,8 +685,7 @@ class TestStreamedSegment:
         # NaN and the infinities
         x = np.vstack([x, threshold_rows(model.trees, 1000, model.n_features, rng)
                        .astype(np.float32)])
-        labels, probs, _, n_tables, _ = predict_distinct(model, x)
-        assert n_tables < len(model.trees) // 2
+        labels, probs, _, _, _ = predict_distinct(model, x)
         direct_labels, direct_probs = model._walk(x)
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)
@@ -729,6 +724,15 @@ def leaf_model(n_classes, bank):
                        feature_bank=bank,
                        class_names=[f"c{i}" for i in range(n_classes)],
                        rng_seed=0, trees=[tree])
+
+
+def stump_record(left, right, n_nodes=3):
+    """A tree record whose root splits feature 0 with children left and
+    right, and whose other nodes are leaves."""
+    rest = n_nodes - 1
+    return {"feature": [0] + [-1] * rest, "threshold": [0.5] + [0.0] * rest,
+            "left": [left] + [-1] * rest, "right": [right] + [-1] * rest,
+            "probs": [[0.5, 0.5]] * n_nodes}
 
 
 class TestModelIo:
@@ -821,13 +825,20 @@ class TestModelIo:
         ("left", "leaf", 0),           # a leaf with a child
         ("threshold", "root", float("nan")),
         ("probs", "leaf", [float("inf"), 0.0]),
+        # whole trees whose leaf order is not left to right
+        pytest.param("tree", None, stump_record(2, 1), id="right-first"),
+        pytest.param("tree", None, stump_record(1, 1, 2), id="shared-child"),
+        pytest.param("tree", None, stump_record(1, 2, 4), id="unreachable"),
     ])
     def test_rejects_malformed_tree(self, tmp_path, field, node, value):
         model = train_forest(two_blob_training(), ForestHyperparameters(n_trees=2),
                              bank_for(2), seed=0)
         tree = model.to_json_dict()["trees"][0]
-        i = 0 if node == "root" else tree["feature"].index(-1)
-        tree[field][i] = value
+        if field == "tree":
+            tree = value
+        else:
+            i = 0 if node == "root" else tree["feature"].index(-1)
+            tree[field][i] = value
         doc = model.to_json_dict() | {"trees": [tree]}
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
@@ -838,14 +849,16 @@ class TestModelIo:
         ("feature", 1.7),
         ("feature", True),
         ("left", 1.9),
-        ("right", "1"),
+        ("right", "2"),
     ])
     def test_rejects_non_integer_node_id(self, tmp_path, field, value):
-        # each value would load as 1, which is a valid id for its field
+        # each value would load as a valid id for its field: feature 1, or
+        # the root's own left child 1 or right child 2
         model = train_forest(two_blob_training(), ForestHyperparameters(n_trees=2),
                              bank_for(2), seed=0)
         tree = model.to_json_dict()["trees"][0]
-        tree[field][0] = 1
+        assert tree["left"][0] == 1 and tree["right"][0] == 2
+        tree[field][0] = int(float(value))
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model.to_json_dict() | {"trees": [tree]}))
         load_model(path)
