@@ -326,7 +326,7 @@ class ForestModel:
         The probabilities are summed in tree order, as in _walk, so the sums
         are bit-identical.
         """
-        first, inverse = _distinct(bins, [u.size + 1 for u in edges])
+        first, inverse = _distinct(bins)
         bins = [b[first] for b in bins]
         n = first.size
         probs = np.zeros((self.n_classes, n), dtype=np.float64)
@@ -467,46 +467,26 @@ def _bin(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
             .astype(np.min_scalar_type(edges.size)))
 
 
-def _distinct(bins: list[np.ndarray], radices: list[int]
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """The first row of each distinct combination of bins, and each row's
-    index among those combinations, in lexicographic order.
+def _distinct(bins: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct row of bins, and each row's index
+    among the distinct rows, in lexicographic order.
 
-    bins[f] holds column f of every row, each below radices[f]. The columns
-    are packed into one int64 code in mixed radix. Where the next radix would
-    overflow int64, the code is first replaced by its index among the
-    distinct codes so far: that index is below the row count, and it keeps
-    the order of the codes.
+    bins[f] holds column f of every row. One stable lexsort orders the rows
+    with bins[0] as the primary key and keeps equal rows in index order, so
+    the first of each run is its first row; the runs are numbered by a
+    cumulative sum of where any column of the sorted rows changes.
     """
-    code = np.zeros(bins[0].size, dtype=np.int64)
-    size = 1  # every code so far is below size
-    for b, radix in zip(bins, radices):
-        if size * radix > 2 ** 63:
-            first, code = _group(code)
-            size = first.size
-        code *= radix
-        code += b
-        size *= radix
-    return _group(code)
-
-
-def _group(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first index of each distinct code, in code order, and each
-    code's index among the distinct codes.
-
-    One stable argsort orders the codes and keeps equal codes in index
-    order, so the first of each run is its first index; the runs are
-    numbered by a cumulative sum of where the sorted code changes. The
-    code's buffer is reused for the result.
-    """
-    perm = np.argsort(code, kind="stable")
-    ordered = code[perm]
-    new = np.ones(code.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    np.cumsum(new, out=ordered)
-    ordered -= 1
-    code[perm] = ordered
-    return perm[new], code
+    order = np.lexsort(bins[::-1])
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for b in bins:
+        ordered = b[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    rank = np.cumsum(new)
+    rank -= 1
+    inverse = np.empty_like(rank)
+    inverse[order] = rank
+    return order[new], inverse
 
 
 def segment_volume(model: ForestModel, volume: Volume, *, threads: int = 1

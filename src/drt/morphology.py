@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -401,7 +402,18 @@ def throat_distribution(thickness: Volume,
                         cutoffs: tuple[float, float] = (10.0, 100.0),
                         n_bins: int = 32) -> PoreThroatDistribution:
     """Histogram positive local-thickness values into log-spaced bins."""
-    t_micro_um, t_macro_um = (float(c) for c in cutoffs)
+    bad_cutoffs = BadParams(f"cutoffs must be two numbers, got {cutoffs!r}")
+    try:
+        t_micro_um, t_macro_um = cutoffs
+    except (TypeError, ValueError) as exc:
+        raise bad_cutoffs from exc
+    if not all(isinstance(c, numbers.Real) for c in (t_micro_um, t_macro_um)):
+        raise bad_cutoffs
+    t_micro_um, t_macro_um = float(t_micro_um), float(t_macro_um)
+    try:
+        n_bins = operator.index(n_bins)
+    except TypeError as exc:
+        raise BadParams(f"n_bins must be an integer, got {n_bins!r}") from exc
     if n_bins < 1:
         raise BadParams(f"n_bins must be >= 1, got {n_bins}")
     if not 0 < t_micro_um < t_macro_um:

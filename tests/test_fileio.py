@@ -56,7 +56,7 @@ def test_one_prediction_rule():
     package = Path(drt.__file__).parent
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in package.glob("*.py")}
-    for name in ("_cell_table", "on_bins"):
+    for name in ("_cell_table", "on_bins", "_group"):
         assert not [file for file, text in sources.items() if name in text]
     # the level walk serves only the reference and the out-of-bag votes
     walkers = (drt.ForestModel._walk, drt.train_forest)
@@ -71,6 +71,13 @@ def test_one_prediction_rule():
             elif (isinstance(node, ast.FunctionDef)
                   and node.name == "_predict_bins"):
                 assert [a.arg for a in node.args.args] == ["self", "bins", "edges"]
+                assert not node.args.kwonlyargs and not node.args.vararg
+                # rows are grouped by their bins alone, not by a packed code
+                calls = [c for c in ast.walk(node) if isinstance(c, ast.Call)
+                         and getattr(c.func, "id", None) == "_distinct"]
+                assert [(len(c.args), c.keywords) for c in calls] == [(1, [])]
+            elif isinstance(node, ast.FunctionDef) and node.name == "_distinct":
+                assert [a.arg for a in node.args.args] == ["bins"]
                 assert not node.args.kwonlyargs and not node.args.vararg
 
 

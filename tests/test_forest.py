@@ -407,6 +407,24 @@ class TestBinnedPrediction:
         assert np.array_equal(labels, direct_labels)
         assert np.array_equal(probs, direct_probs)
 
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_zero_rows_predict_empty(self, n_classes):
+        rng = np.random.default_rng(n_classes)
+        ts = TrainingSet(features=rng.normal(size=(30, 2)),
+                         labels=np.arange(30) % n_classes,
+                         class_names=[f"c{i}" for i in range(n_classes)])
+        model = train_forest(ts, ForestHyperparameters(n_trees=3), bank_for(2),
+                             seed=0)
+        x = np.empty((0, 2))
+        labels, probs, inverse, _, n_codes = predict_distinct(model, x)
+        assert n_codes == 0 and inverse.shape == (0,)
+        labels, probs = model.predict_batch(x)
+        assert labels.dtype == np.int64 and labels.shape == (0,)
+        assert probs.dtype == np.float64 and probs.shape == (0, n_classes)
+        direct_labels, direct_probs = model._walk(x)
+        assert np.array_equal(labels, direct_labels)
+        assert np.array_equal(probs, direct_probs)
+
     def test_logs_one_debug_line_per_batch(self, caplog):
         ts = two_blob_training()
         model = train_forest(ts, ForestHyperparameters(n_trees=3), bank_for(2),
@@ -429,13 +447,13 @@ class TestDistinct:
                                       st.integers(2 ** 31, 2 ** 32)),
                             min_size=1, max_size=8))
     def test_equals_unique_rows(self, seed, n_rows, radices):
-        # radices up to 2**32 overflow int64 after two or three columns, so
-        # the codes are re-densified zero, one or several times
+        # radices up to 2**32 make more rows than an int64 code can number
+        # after two or three columns
         rng = np.random.default_rng(seed)
         # few values per column, so that rows repeat
         bins = [rng.choice(rng.integers(0, r, size=3, dtype=np.uint64), n_rows)
                 .astype(np.min_scalar_type(r - 1)) for r in radices]
-        first, inverse = _distinct(bins, radices)
+        first, inverse = _distinct(bins)
         _, want_first, want_inverse = np.unique(
             np.stack(bins, axis=1), axis=0, return_index=True, return_inverse=True)
         assert np.array_equal(first, want_first)
@@ -538,7 +556,7 @@ class TestLeafBitvectors:
         assert np.array_equal(probs, direct_probs)
 
     def test_code_space_beyond_int64_predicts_distinct_rows(self, caplog):
-        # 64 one-split trees overflow the codes, which are re-densified; a
+        # 64 one-split trees make more bin rows than int64 can number; a
         # 301-leaf tree spans five words
         rng = np.random.default_rng(64)
         cuts = rng.normal(size=64)

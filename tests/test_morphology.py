@@ -611,16 +611,17 @@ class TestThroatDistribution:
         with pytest.raises(NoPoreVoxels):
             throat_distribution(thickness_volume(np.zeros((4, 4, 4))))
 
-    def test_rejects_bad_cutoffs(self):
-        vol = self.bimodal()
+    @pytest.mark.parametrize("cutoffs", [
+        (100.0, 10.0), (0.0, 10.0), (1, 2, 3), (5,), ("a", "b"), ("1", "2"), "12",
+        10.0, None])
+    def test_rejects_bad_cutoffs(self, cutoffs):
         with pytest.raises(BadParams):
-            throat_distribution(vol, cutoffs=(100.0, 10.0))
-        with pytest.raises(BadParams):
-            throat_distribution(vol, cutoffs=(0.0, 10.0))
+            throat_distribution(self.bimodal(), cutoffs=cutoffs)
 
-    def test_rejects_bad_bin_count(self):
+    @pytest.mark.parametrize("n_bins", [0, 2.5, "8", None])
+    def test_rejects_bad_bin_count(self, n_bins):
         with pytest.raises(BadParams):
-            throat_distribution(self.bimodal(), n_bins=0)
+            throat_distribution(self.bimodal(), n_bins=n_bins)
 
     def test_json_and_csv_outputs(self, tmp_path):
         dist = throat_distribution(self.bimodal(), n_bins=8)
