@@ -273,7 +273,7 @@ def cmd_analyze(args) -> int:
                             pcd_from_permeability, PFunction,
                             save_pc_curve_json)
     from .morphology import (binary_mask, connected_components,
-                             local_thickness, throat_distribution)
+                             pore_throat_distribution)
     from .petro import (classify_modality, DEFAULT_CAMO,
                         estimate_permeability, load_camo,
                         porosity_from_labels)
@@ -289,10 +289,12 @@ def cmd_analyze(args) -> int:
         labels, cfg.pore_classes, cfg.micropore_classes,
         micro_weight=cfg.micro_weight, n_classes=n_classes)
     pore_mask = binary_mask(labels, cfg.pore_classes)
+    # neither the labels nor the component ids share the memory with the
+    # distance transform and the painting: the throats come first
+    del labels
+    dist = pore_throat_distribution(pore_mask, cutoffs=cfg.cutoffs_um,
+                                    n_bins=cfg.n_bins)
     comp = connected_components(pore_mask, connectivity=cfg.connectivity)
-    thickness = local_thickness(pore_mask)
-    dist = throat_distribution(thickness, cutoffs=cfg.cutoffs_um,
-                               n_bins=cfg.n_bins)
     dist.save_csv(out_dir / "throat_distribution.csv")
     dist.save_json(out_dir / "throat_distribution.json")
 
@@ -578,6 +580,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _peak_rss() -> str:
+    """", peak RSS X.X MB" of this process so far, or "" without ``resource``."""
+    try:
+        import resource
+    except ImportError:  # Windows
+        return ""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # bytes on macOS, kilobytes elsewhere
+    return f", peak RSS {peak / (1 << 20 if sys.platform == 'darwin' else 1 << 10):.1f} MB"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
@@ -587,7 +600,9 @@ def main(argv=None) -> int:
             raise BadParams(f"--threads must be >= 1, got {args.threads}")
         start = time.perf_counter()
         code = args.func(args)
-        log.debug("%s: %.3f s", args.command, time.perf_counter() - start)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("%s: %.3f s%s", args.command,
+                      time.perf_counter() - start, _peak_rss())
         return code
     except InputError as exc:
         log.error("%s", exc)

@@ -81,7 +81,7 @@ class VersionMismatch(InputError):
 
 # morphology
 class NoPoreVoxels(NumericError):
-    """Thickness volume contains no positive (pore) values."""
+    """No finite positive thickness to bin: no pore voxel, or no solid one."""
 
 
 class TooFewPoints(InputError):

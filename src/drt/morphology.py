@@ -114,7 +114,16 @@ def connected_components(mask: Volume, connectivity: int = 26) -> ComponentMap:
     # scipy gives each component the smallest provisional label among its
     # voxels, which is its first voxel's: ids come in flat scan order
     comp, n_raw = _ndi.label(fg, _STRUCTS[connectivity])
-    sizes = np.bincount(comp.ravel(), minlength=n_raw + 1)[1:].astype(np.int64)
+    del fg
+    # a block at a time: bincount widens the ids to intp, a whole-volume
+    # copy at 8 B/voxel; blocks of a plane, or of n_raw ids if that is more,
+    # keep the work linear in the voxels
+    flat = comp.reshape(-1)
+    step = max(comp[0].size, n_raw + 1)
+    counts = np.zeros(n_raw + 1, dtype=np.int64)
+    for i in range(0, flat.size, step):
+        counts += np.bincount(flat[i:i + step], minlength=n_raw + 1)
+    sizes = counts[1:]
     face_touch = np.zeros((n_raw, 6), dtype=bool)
     if n_raw:
         faces = [comp[:, :, 0], comp[:, :, -1],   # x low, x high
@@ -137,14 +146,14 @@ def euclidean_distance_transform(mask: Volume) -> Volume:
     if fg.any() and not fg.all():
         # scipy's EDT sums the same integer squares in float64, exactly
         # below 2**53, so this square root equals it bit for bit
-        out = np.sqrt(_squared_distances(fg))
+        out = np.sqrt(_squared_distances(fg), dtype=np.float64)
     else:
         out = np.full(fg.shape, np.inf if fg.any() else 0.0)
     return mask.with_data(out, value_kind="distance", element_encoding="f32")
 
 
 def _squared_distances(fg: np.ndarray) -> np.ndarray:
-    """Exact int32 squared distance to the nearest background voxel of fg.
+    """Exact squared distance to the nearest background voxel of fg.
 
     Separable, one axis at a time (Saito & Toriwaki, Pattern Recogn. 1994;
     Meijster, Roerdink & Hesselink 2000). Along x, g is the squared
@@ -155,8 +164,9 @@ def _squared_distances(fg: np.ndarray) -> np.ndarray:
     minima for s = 1, 2, ... until s² >= max(g), checked every fourth
     shift: as g >= 0, no later shift can lower a value. The cost so grows
     with the largest distance, as n⁴ when one voxel of an n³ volume is
-    background. g is held in the narrowest unsigned type that holds
-    big + n² for the longest axis n, so no sum overflows.
+    background. g is held, and returned, in the narrowest unsigned type
+    that holds big + n² for the longest axis n, so no sum overflows; as
+    np.sqrt of uint16 is float32, a caller casts to float64 first.
     """
     shape = fg.shape
     nx = shape[-1]
@@ -204,7 +214,7 @@ def _squared_distances(fg: np.ndarray) -> np.ndarray:
     del out, scratch
     log.debug("squared EDT: shape %s, %s, %d y shifts, %d z shifts",
               shape, dtype.name, *shifts)
-    return g.astype(np.int32)
+    return g
 
 
 def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
@@ -229,9 +239,7 @@ def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
     cover it, which is the largest s of the balls that cover it.
     """
     fg = mask.data != 0
-    vs = mask.header.voxel_size_um if voxel_size_um is None else float(voxel_size_um)
-    if not vs > 0:
-        raise BadParams(f"voxel size must be positive, got {vs}")
+    vs = _voxel_size(mask, voxel_size_um)
     if not fg.any():
         return mask.with_data(np.zeros(fg.shape), value_kind="throat_size",
                               element_encoding="f32")
@@ -239,9 +247,21 @@ def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
         return mask.with_data(np.full(fg.shape, np.inf), value_kind="throat_size",
                               element_encoding="f32")
 
-    th2 = np.where(fg, _paint_chords(fg, _squared_distances(fg)[fg]), 0)
-    out = 2.0 * vs * np.sqrt(th2.astype(np.float64))
+    # a ball reaches its nearest background voxel, so background is cleared
+    th2 = _paint_chords(fg, _squared_distances(fg)[fg])
+    th2[~fg] = 0
+    out = th2.astype(np.float64)
+    np.sqrt(out, out=out)
+    np.multiply(out, 2.0 * vs, out=out)
     return mask.with_data(out, value_kind="throat_size", element_encoding="f32")
+
+
+def _voxel_size(mask: Volume, voxel_size_um: float | None) -> float:
+    """The given voxel size, else the mask's; BadParams unless positive."""
+    vs = mask.header.voxel_size_um if voxel_size_um is None else float(voxel_size_um)
+    if not vs > 0:
+        raise BadParams(f"voxel size must be positive, got {vs}")
+    return vs
 
 
 def _ball(shape, r2_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -310,10 +330,21 @@ def _paint_chords(centres: np.ndarray, r2: np.ndarray) -> np.ndarray:
     # the (dz, dy) offsets by e: a ball from _ball of a volume one voxel wide
     e, steps = _ball(shape[:2] + (1,), r2_max)
     dtype = np.min_scalar_type(r2_max)
+    pad = steps.max(axis=1).tolist()
+    grid_shape = [n + 2 * p for n, p in zip(shape, pad)]
+    # the centres' flat indices into the padded grid, in the narrowest
+    # signed type that holds them (signed, so that adding the int64 chord
+    # offsets stays int64)
+    flat_centres = np.flatnonzero(np.pad(centres, [(p, p) for p in pad])).astype(
+        np.min_scalar_type(-math.prod(grid_shape)))
     # the same stable order, but a narrow dtype lets numpy sort by radix
     order = np.argsort(r2.astype(dtype), kind="stable")
     values, starts, sizes = np.unique(r2[order], return_index=True,
                                       return_counts=True)
+    # sorted into their groups; the unsorted indices and the order go
+    # before the grids are allocated
+    flat_centres = flat_centres[order]
+    del order
     # cuts[g, w]: the offsets of group g with e <= s - w², so level w of
     # the group is cuts[g, w + 1]:cuts[g, w]
     w2 = np.arange(levels + 1) ** 2
@@ -322,10 +353,8 @@ def _paint_chords(centres: np.ndarray, r2: np.ndarray) -> np.ndarray:
               "%d chord entries in %d levels", r2.size, values.size,
               int(sizes @ cuts[:, 0]), levels)
 
-    pad = steps.max(axis=1).tolist()
-    flat_centres = np.flatnonzero(np.pad(centres, [(p, p) for p in pad]))
-    groups = np.split(flat_centres[order], starts[1:])
-    grid = np.empty([n + 2 * p for n, p in zip(shape, pad)], dtype=dtype)
+    groups = np.split(flat_centres, starts[1:])
+    grid = np.empty(grid_shape, dtype=dtype)
     interior = grid[tuple(slice(p, p + n) for p, n in zip(pad, shape))]
     offsets = np.array(grid.strides) // grid.itemsize @ steps
     out = np.zeros(shape, dtype=dtype)
@@ -402,6 +431,41 @@ def throat_distribution(thickness: Volume,
                         cutoffs: tuple[float, float] = (10.0, 100.0),
                         n_bins: int = 32) -> PoreThroatDistribution:
     """Histogram positive local-thickness values into log-spaced bins."""
+    params = _histogram_params(cutoffs, n_bins)
+    values = np.asarray(thickness.data, dtype=np.float64).ravel()
+    values, counts = np.unique(values[values > 0], return_counts=True)
+    return _level_histogram(values, counts, *params)
+
+
+def pore_throat_distribution(mask: Volume,
+                             cutoffs: tuple[float, float] = (10.0, 100.0),
+                             n_bins: int = 32,
+                             voxel_size_um: float | None = None
+                             ) -> PoreThroatDistribution:
+    """throat_distribution(local_thickness(mask, voxel_size_um), ...), equal
+    to it, without the float64 thickness volume.
+
+    The pore voxels hold few distinct painted r², so the histogram is taken
+    over those levels and their voxel counts. Each level becomes
+    2 * voxel_size * sqrt(r²) by the float operations local_thickness
+    applies to each voxel, so every bin, fraction and peak is the same.
+    """
+    fg = mask.data != 0
+    vs = _voxel_size(mask, voxel_size_um)
+    params = _histogram_params(cutoffs, n_bins)
+    if fg.all():
+        values, counts = np.array([np.inf]), np.array([fg.size])
+    elif fg.any():
+        th2 = _paint_chords(fg, _squared_distances(fg)[fg])
+        r2, counts = np.unique(th2[fg], return_counts=True)
+        values = 2.0 * vs * np.sqrt(r2, dtype=np.float64)
+    else:
+        values, counts = np.zeros(0), np.zeros(0, dtype=np.int64)
+    return _level_histogram(values, counts, *params)
+
+
+def _histogram_params(cutoffs, n_bins) -> tuple[float, float, int]:
+    """(t_micro_um, t_macro_um, n_bins), checked; else BadParams."""
     bad_cutoffs = BadParams(f"cutoffs must be two numbers, got {cutoffs!r}")
     try:
         t_micro_um, t_macro_um = cutoffs
@@ -419,26 +483,43 @@ def throat_distribution(thickness: Volume,
     if not 0 < t_micro_um < t_macro_um:
         raise BadParams(
             f"need 0 < t_micro < t_macro, got {t_micro_um}, {t_macro_um}")
-    values = np.asarray(thickness.data, dtype=np.float64).ravel()
-    values = values[np.isfinite(values) & (values > 0)]
-    if values.size == 0:
-        raise NoPoreVoxels("no positive finite thickness values to bin")
+    return t_micro_um, t_macro_um, n_bins
+
+
+def _level_histogram(values: np.ndarray, counts: np.ndarray, t_micro_um: float,
+                     t_macro_um: float, n_bins: int) -> PoreThroatDistribution:
+    """The distribution of thickness ``values`` held by ``counts`` voxels each.
+
+    Values may repeat and come in any order. Only the positive finite ones
+    are binned; positive values that are all infinite mean that no solid
+    voxel bounds the balls, and NoPoreVoxels names that cause apart from
+    having no pore voxel at all.
+    """
+    positive = values > 0
+    keep = positive & np.isfinite(values)
+    if not keep.any():
+        if positive.any():
+            raise NoPoreVoxels("no solid voxel: every pore voxel's inscribed "
+                               "ball is unbounded, so no thickness is finite")
+        raise NoPoreVoxels("no pore voxel: no positive thickness values to bin")
+    values, counts = values[keep], counts[keep]
+    n = int(counts.sum())
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         lo, hi = lo / 1.01, hi * 1.01
     edges = np.geomspace(lo, hi, n_bins + 1)
     edges[0], edges[-1] = lo, hi
-    counts, _ = np.histogram(values, bins=edges)
+    hist, _ = np.histogram(values, bins=edges, weights=counts)
 
-    f_micro = float(np.mean(values < t_micro_um))
-    f_macro = float(np.mean(values > t_macro_um))
+    # count / n is the mean of the per-voxel flags, rounded once
+    f_micro = int(counts[values < t_micro_um].sum()) / n
+    f_macro = int(counts[values > t_macro_um].sum()) / n
     f_meso = 1.0 - f_micro - f_macro
 
     centers = np.sqrt(edges[:-1] * edges[1:])
-    peaks = [float(centers[i])
-             for i in _prominent_peaks(counts, 0.05 * values.size)]
+    peaks = [float(centers[i]) for i in _prominent_peaks(hist, 0.05 * n)]
     return PoreThroatDistribution(
-        bin_edges_um=edges, counts=counts, n_values=int(values.size),
+        bin_edges_um=edges, counts=hist, n_values=n,
         f_micro=f_micro, f_meso=f_meso, f_macro=f_macro,
         t_micro_um=t_micro_um, t_macro_um=t_macro_um, peaks_um=peaks)
 

@@ -18,6 +18,25 @@ from drt import load_model, load_volume, make_phantom, save_volume
 from drt.cli import config_from_json_dict, main, PipelineConfig
 from drt.errors import ConfigError
 
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
+
+
+def check_stage_line(command, line):
+    """main's -v line: the stage's seconds, then, where the resource module
+    exists, the process's peak RSS so far."""
+    if resource is None:
+        assert re.fullmatch(rf"{command}: \d+\.\d{{3}} s", line)
+        return
+    match = re.fullmatch(rf"{command}: \d+\.\d{{3}} s, peak RSS (\d+\.\d) MB",
+                         line)
+    assert match, line
+    unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
+    assert 0 < float(match.group(1)) <= round(peak, 1)
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -137,7 +156,7 @@ class TestTrain:
             rf"train: {len(trees)} trees, {nodes} nodes, max depth "
             rf"{max(map(depth, trees))}, oob accuracy {re.escape(oob)}, "
             r"fit \d+\.\d{3} s", line)
-        assert re.fullmatch(r"train: \d+\.\d{3} s", seconds)
+        check_stage_line("train", seconds)
 
     def test_labels_beyond_named_classes(self, workdir, tmp_path):
         bad = tmp_path / "bad_labels.csv"
@@ -368,7 +387,7 @@ class TestSegment:
         deciles = " ".join(f"{q:.3f}" for q in
                            np.percentile(conf, np.arange(10, 100, 10)))
         assert lines[0] == f"segment: 2 threads, confidence deciles {deciles}"
-        assert re.fullmatch(r"segment: \d+\.\d{3} s", lines[1])
+        check_stage_line("segment", lines[1])
         assert len(lines) == 2
         assert slabs.startswith("feature slabs: 2 slabs, ")
         # the slabs' predict lines count every voxel once, and name the
@@ -457,6 +476,42 @@ class TestAnalyze:
                    "--out", str(tmp_path / "out")])
         assert rc == 3
 
+    @pytest.mark.parametrize("label, cause", [
+        (1, "no pore voxel: no positive thickness values to bin"),
+        (0, "no solid voxel: every pore voxel's inscribed ball is unbounded, "
+            "so no thickness is finite"),
+    ])
+    def test_uniform_volume_names_its_cause(self, tmp_path, caplog, label,
+                                            cause):
+        # all solid and all pore both leave nothing to bin, for opposite
+        # reasons: the log says which
+        _, truth = make_phantom("layered", (8, 8, 8), layer_thicknesses=(4, 4))
+        save_volume(truth.with_data(np.full((8, 8, 8), label, dtype=np.uint8)),
+                    tmp_path / "uniform.raw")
+        with caplog.at_level(logging.ERROR, logger="drt"):
+            rc = main(["analyze", "--labels", str(tmp_path / "uniform.raw"),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert [r.getMessage() for r in caplog.records
+                if r.levelno == logging.ERROR] == [cause]
+
+    def test_working_set_per_voxel(self, tmp_path):
+        # analyze holds only what its next step reads: no float64 thickness
+        # volume, and no component ids beside the distance transform and
+        # the painting. About 13 B/voxel here; it was 29
+        _, truth = make_phantom("sphere_pack", (64, 64, 64), n_spheres=40,
+                                radius_range=(4.0, 12.0), seed=1)
+        save_volume(truth, tmp_path / "labels.raw")
+        tracemalloc.start()
+        try:
+            rc = main(["analyze", "--labels", str(tmp_path / "labels.raw"),
+                       "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak <= 16 * truth.data.size
+
     def test_throat_bins_follow_config(self, workdir, segmented, tmp_path):
         cfg = {"throat": {"n_bins": 5}}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -488,7 +543,7 @@ class TestAnalyze:
                             painted)
         n = json.loads((analyzed / "analysis.json").read_text())["n_components"]
         assert stage[0] == f"analyze: {n} components"
-        assert re.fullmatch(r"analyze: \d+\.\d{3} s", stage[1])
+        check_stage_line("analyze", stage[1])
         match, mismatch, errors = filecmp.cmpfiles(
             analyzed, tmp_path / "loud", [p.name for p in analyzed.iterdir()],
             shallow=False)
@@ -650,7 +705,7 @@ class TestClassify:
         lines = [r.getMessage() for r in caplog.records if r.name == "drt"]
         assert len(lines) == 2
         assert lines[0] == "classify: 3 samples, 15 catalog rules, 1 unclassified"
-        assert re.fullmatch(r"classify: \d+\.\d{3} s", lines[1])
+        check_stage_line("classify", lines[1])
         match, mismatch, errors = filecmp.cmpfiles(
             tmp_path / "quiet", tmp_path / "loud",
             ["results.json", "camo_chart.svg", "camo_chart.csv"], shallow=False)
@@ -683,7 +738,7 @@ class TestReport:
                        "--out", str(tmp_path)])
         assert rc == 0
         [line] = [r.getMessage() for r in caplog.records if r.name == "drt"]
-        assert re.fullmatch(r"report: \d+\.\d{3} s", line)
+        check_stage_line("report", line)
 
 
 # analysis.json fields each stage reads, with a value of the wrong JSON

@@ -28,6 +28,8 @@ from drt import (
     fit_intensity_calibration,
     local_thickness,
     make_phantom,
+    pore_throat_distribution,
+    PoreThroatDistribution,
     throat_distribution,
 )
 from drt.morphology import (_ball, _paint, _paint_chords, _prominent_peaks,
@@ -103,6 +105,29 @@ def paint_every_voxel(mask, vs):
     sq = _squared_distances(fg)
     th2 = np.where(fg, _paint(fg, sq[fg], *_ball(fg.shape, int(sq.max()))), 0)
     return 2.0 * vs * np.sqrt(th2.astype(np.float64))
+
+
+def throat_distribution_per_voxel(thickness, cutoffs=(10.0, 100.0), n_bins=32):
+    """throat_distribution as it was before it binned distinct levels: the
+    histogram and band fractions of every positive finite voxel value."""
+    t_micro_um, t_macro_um = (float(c) for c in cutoffs)
+    values = np.asarray(thickness.data, dtype=np.float64).ravel()
+    values = values[np.isfinite(values) & (values > 0)]
+    lo, hi = float(values.min()), float(values.max())
+    if lo == hi:
+        lo, hi = lo / 1.01, hi * 1.01
+    edges = np.geomspace(lo, hi, n_bins + 1)
+    edges[0], edges[-1] = lo, hi
+    counts, _ = np.histogram(values, bins=edges)
+    f_micro = float(np.mean(values < t_micro_um))
+    f_macro = float(np.mean(values > t_macro_um))
+    centers = np.sqrt(edges[:-1] * edges[1:])
+    peaks = [float(centers[i])
+             for i in _prominent_peaks(counts, 0.05 * values.size)]
+    return PoreThroatDistribution(
+        bin_edges_um=edges, counts=counts, n_values=int(values.size),
+        f_micro=f_micro, f_meso=1.0 - f_micro - f_macro, f_macro=f_macro,
+        t_micro_um=t_micro_um, t_macro_um=t_macro_um, peaks_um=peaks)
 
 
 def sphere_mask(shape, centres, radii):
@@ -352,9 +377,10 @@ class TestSquaredDistances:
         assert [r.getMessage() for r in caplog.records] == [
             "squared EDT: shape (20, 5, 5), uint16, 4 y shifts, 4 z shifts"]
 
-    def test_memory_below_12_bytes_per_voxel(self):
-        # the passes hold at most three uint16 grids, and one of them beside
-        # the int32 result: about 8 bytes per voxel
+    def test_memory_below_8_bytes_per_voxel(self):
+        # the passes hold at most three uint16 grids, and the result is the
+        # last of them: about 6 bytes per voxel. An int32 copy of the result
+        # took it to 8
         _, labels = make_phantom("sphere_pack", (64, 64, 64), n_spheres=40,
                                  radius_range=(4.0, 12.0), seed=1)
         fg = labels.data == 0
@@ -364,7 +390,7 @@ class TestSquaredDistances:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 12 * fg.size
+        assert peak < 8 * fg.size
 
 
 class TestLocalThickness:
@@ -413,7 +439,10 @@ class TestLocalThickness:
             centre = tuple(n // 2 for n in shape)
             fg[(0, 0, 0) if lone == "corner" else centre] = False
         got = _squared_distances(fg)
-        assert got.dtype == np.int32
+        # the narrowest unsigned type that holds the sentinel plus n²
+        big = sum((n - 1) ** 2 for n in shape) + 1
+        assert got.dtype == np.min_scalar_type(big + max(shape) ** 2)
+        assert got.dtype.kind == "u"
         np.testing.assert_array_equal(got, rounded_float_edt(fg))
 
     def test_voxel_size_scales_output(self):
@@ -610,6 +639,67 @@ class TestThroatDistribution:
     def test_no_pore_voxels(self):
         with pytest.raises(NoPoreVoxels):
             throat_distribution(thickness_volume(np.zeros((4, 4, 4))))
+
+    @pytest.mark.parametrize("fill, cause", [(0, "no pore voxel"),
+                                             (1, "no solid voxel")])
+    def test_uniform_mask_names_its_cause(self, fill, cause):
+        mask = label_volume(np.full((4, 4, 4), fill))
+        for run in (lambda: pore_throat_distribution(mask),
+                    lambda: throat_distribution(local_thickness(mask))):
+            with pytest.raises(NoPoreVoxels, match=f"^{cause}: "):
+                run()
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.tuples(*[st.integers(1, 24)] * 3),
+           kind=st.sampled_from(["random", "spheres", "isolated"]),
+           pore_fraction=st.floats(0.02, 0.98),
+           voxel_size=st.sampled_from([0.37, 1.0, 2.5]),
+           on_levels=st.one_of(st.none(), st.tuples(st.integers(0, 999),
+                                                    st.integers(0, 999))),
+           n_bins=st.integers(1, 64),
+           seed=st.integers(0, 2**32 - 1))
+    def test_levels_equal_per_voxel_values(self, shape, kind, pore_fraction,
+                                           voxel_size, on_levels, n_bins,
+                                           seed):
+        # the level histogram of both entry points against the per-voxel
+        # one, exactly; cutoffs may sit on a level, where < and > decide,
+        # and isolated pore voxels all have r² = 1, a single level that
+        # widens the range
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            mask = rng.random(shape) < pore_fraction
+        elif kind == "spheres":
+            n = int(rng.integers(1, 12))
+            mask = sphere_mask(shape, rng.uniform(-2, np.array(shape) + 2, (n, 3)),
+                               rng.uniform(0.5, 8.0, n))
+        else:
+            mask = (np.indices(shape) % 2 == 0).all(axis=0)
+        volume = label_volume(mask, voxel_size)
+        thickness = local_thickness(volume)
+        if not 0 < mask.sum() < mask.size:
+            for run in (lambda: pore_throat_distribution(volume),
+                        lambda: throat_distribution(thickness)):
+                with pytest.raises(NoPoreVoxels):
+                    run()
+            return
+        levels = np.unique(thickness.data[mask])
+        if kind == "isolated":
+            assert levels.tolist() == [2.0 * voxel_size]
+        cutoffs = (10.0, 100.0)
+        if on_levels is not None:
+            lo, hi = sorted(float(levels[i % levels.size]) for i in on_levels)
+            cutoffs = (lo, hi if hi > lo else 2 * lo)
+        want = throat_distribution_per_voxel(thickness, cutoffs, n_bins)
+        for got in (pore_throat_distribution(volume, cutoffs, n_bins),
+                    throat_distribution(thickness, cutoffs, n_bins)):
+            assert got.to_json_dict() == want.to_json_dict()
+            assert got.counts.dtype == want.counts.dtype
+
+    def test_explicit_voxel_size_overrides_header(self):
+        mask = sphere_mask((12, 12, 12), [(6, 6, 6)], [4])
+        got = pore_throat_distribution(label_volume(mask, 1.0), voxel_size_um=2.5)
+        want = throat_distribution(local_thickness(label_volume(mask, 2.5)))
+        assert got.to_json_dict() == want.to_json_dict()
 
     @pytest.mark.parametrize("cutoffs", [
         (100.0, 10.0), (0.0, 10.0), (1, 2, 3), (5,), ("a", "b"), ("1", "2"), "12",
