@@ -43,8 +43,8 @@ _EXPORTS = {
     "morphology": ("apply_calibration", "binary_mask", "ComponentMap",
                    "connected_components", "euclidean_distance_transform",
                    "fit_intensity_calibration", "IntensityThroatCalibration",
-                   "local_thickness", "pore_throat_distribution",
-                   "PoreThroatDistribution", "throat_distribution"),
+                   "local_thickness", "PoreThroatDistribution",
+                   "throat_distribution"),
     "petro": ("BANDS", "CAMO_CLASSES", "CamoCoefficients", "CamoRelation",
               "classify_modality", "DEFAULT_CAMO", "estimate_permeability",
               "fit_camo", "load_camo", "load_camo_samples_csv",

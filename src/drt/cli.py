@@ -272,8 +272,8 @@ def cmd_analyze(args) -> int:
     from .capillary import (build_pc_curve, export_pc_csv, pc_shape_features,
                             pcd_from_permeability, PFunction,
                             save_pc_curve_json)
-    from .morphology import (binary_mask, connected_components,
-                             pore_throat_distribution)
+    from .morphology import (_pore_throat_distribution, binary_mask,
+                             connected_components)
     from .petro import (classify_modality, DEFAULT_CAMO,
                         estimate_permeability, load_camo,
                         porosity_from_labels)
@@ -292,8 +292,7 @@ def cmd_analyze(args) -> int:
     # neither the labels nor the component ids share the memory with the
     # distance transform and the painting: the throats come first
     del labels
-    dist = pore_throat_distribution(pore_mask, cutoffs=cfg.cutoffs_um,
-                                    n_bins=cfg.n_bins)
+    dist = _pore_throat_distribution(pore_mask, cfg.cutoffs_um, cfg.n_bins)
     comp = connected_components(pore_mask, connectivity=cfg.connectivity)
     dist.save_csv(out_dir / "throat_distribution.csv")
     dist.save_json(out_dir / "throat_distribution.json")

@@ -239,29 +239,36 @@ def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
     cover it, which is the largest s of the balls that cover it.
     """
     fg = mask.data != 0
-    vs = _voxel_size(mask, voxel_size_um)
-    if not fg.any():
-        return mask.with_data(np.zeros(fg.shape), value_kind="throat_size",
-                              element_encoding="f32")
-    if fg.all():
-        return mask.with_data(np.full(fg.shape, np.inf), value_kind="throat_size",
-                              element_encoding="f32")
-
-    # a ball reaches its nearest background voxel, so background is cleared
-    th2 = _paint_chords(fg, _squared_distances(fg)[fg])
-    th2[~fg] = 0
-    out = th2.astype(np.float64)
-    np.sqrt(out, out=out)
-    np.multiply(out, 2.0 * vs, out=out)
-    return mask.with_data(out, value_kind="throat_size", element_encoding="f32")
-
-
-def _voxel_size(mask: Volume, voxel_size_um: float | None) -> float:
-    """The given voxel size, else the mask's; BadParams unless positive."""
     vs = mask.header.voxel_size_um if voxel_size_um is None else float(voxel_size_um)
     if not vs > 0:
         raise BadParams(f"voxel size must be positive, got {vs}")
-    return vs
+    th2 = _painted_r2(fg)
+    if th2 is None:
+        out = np.full(fg.shape, np.inf if fg.any() else 0.0)
+    else:
+        out = _thickness_um(th2, vs)
+    return mask.with_data(out, value_kind="throat_size", element_encoding="f32")
+
+
+def _painted_r2(fg: np.ndarray) -> np.ndarray | None:
+    """The largest painted r² of the balls covering each voxel of fg, 0 on
+    background, in _paint_chords' narrow type; None when fg is all
+    foreground (no ball is bounded) or has none (no ball exists)."""
+    if fg.all() or not fg.any():
+        return None
+    # a ball reaches its nearest background voxel, so background is cleared
+    th2 = _paint_chords(fg, _squared_distances(fg)[fg])
+    th2[~fg] = 0
+    return th2
+
+
+def _thickness_um(r2: np.ndarray, vs: float) -> np.ndarray:
+    """2 * vs * sqrt(r²) in float64: the one rule for a painted volume and
+    for its distinct levels, so both round alike."""
+    out = r2.astype(np.float64)
+    np.sqrt(out, out=out)
+    np.multiply(out, 2.0 * vs, out=out)
+    return out
 
 
 def _ball(shape, r2_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -433,35 +440,38 @@ def throat_distribution(thickness: Volume,
     """Histogram positive local-thickness values into log-spaced bins."""
     params = _histogram_params(cutoffs, n_bins)
     values = np.asarray(thickness.data, dtype=np.float64).ravel()
-    values, counts = np.unique(values[values > 0], return_counts=True)
-    return _level_histogram(values, counts, *params)
+    finite = values[np.isfinite(values) & (values > 0)]
+    if finite.size == 0:
+        raise _nothing_to_bin(unbounded=bool((values > 0).any()))
+    return _histogram(finite, None, *params)
 
 
-def pore_throat_distribution(mask: Volume,
-                             cutoffs: tuple[float, float] = (10.0, 100.0),
-                             n_bins: int = 32,
-                             voxel_size_um: float | None = None
-                             ) -> PoreThroatDistribution:
-    """throat_distribution(local_thickness(mask, voxel_size_um), ...), equal
-    to it, without the float64 thickness volume.
+def _pore_throat_distribution(mask: Volume, cutoffs: tuple[float, float],
+                              n_bins: int) -> PoreThroatDistribution:
+    """throat_distribution(local_thickness(mask), cutoffs, n_bins), equal to
+    it, without the float64 thickness volume.
 
     The pore voxels hold few distinct painted r², so the histogram is taken
-    over those levels and their voxel counts. Each level becomes
-    2 * voxel_size * sqrt(r²) by the float operations local_thickness
-    applies to each voxel, so every bin, fraction and peak is the same.
+    over those levels, each weighted by its voxel count, and each level is
+    turned into a thickness by the rule local_thickness applies per voxel.
     """
-    fg = mask.data != 0
-    vs = _voxel_size(mask, voxel_size_um)
     params = _histogram_params(cutoffs, n_bins)
-    if fg.all():
-        values, counts = np.array([np.inf]), np.array([fg.size])
-    elif fg.any():
-        th2 = _paint_chords(fg, _squared_distances(fg)[fg])
-        r2, counts = np.unique(th2[fg], return_counts=True)
-        values = 2.0 * vs * np.sqrt(r2, dtype=np.float64)
-    else:
-        values, counts = np.zeros(0), np.zeros(0, dtype=np.int64)
-    return _level_histogram(values, counts, *params)
+    fg = mask.data != 0
+    th2 = _painted_r2(fg)
+    if th2 is None:
+        raise _nothing_to_bin(unbounded=bool(fg.any()))
+    r2, counts = np.unique(th2[fg], return_counts=True)
+    return _histogram(_thickness_um(r2, mask.header.voxel_size_um), counts,
+                      *params)
+
+
+def _nothing_to_bin(unbounded: bool) -> NoPoreVoxels:
+    """The error for a thickness without a positive finite value, naming
+    which of the two opposite causes it is."""
+    if unbounded:
+        return NoPoreVoxels("no solid voxel: every pore voxel's inscribed "
+                            "ball is unbounded, so no thickness is finite")
+    return NoPoreVoxels("no pore voxel: no positive thickness values to bin")
 
 
 def _histogram_params(cutoffs, n_bins) -> tuple[float, float, int]:
@@ -486,24 +496,20 @@ def _histogram_params(cutoffs, n_bins) -> tuple[float, float, int]:
     return t_micro_um, t_macro_um, n_bins
 
 
-def _level_histogram(values: np.ndarray, counts: np.ndarray, t_micro_um: float,
-                     t_macro_um: float, n_bins: int) -> PoreThroatDistribution:
-    """The distribution of thickness ``values`` held by ``counts`` voxels each.
-
-    Values may repeat and come in any order. Only the positive finite ones
-    are binned; positive values that are all infinite mean that no solid
-    voxel bounds the balls, and NoPoreVoxels names that cause apart from
-    having no pore voxel at all.
-    """
-    positive = values > 0
-    keep = positive & np.isfinite(values)
-    if not keep.any():
-        if positive.any():
-            raise NoPoreVoxels("no solid voxel: every pore voxel's inscribed "
-                               "ball is unbounded, so no thickness is finite")
-        raise NoPoreVoxels("no pore voxel: no positive thickness values to bin")
-    values, counts = values[keep], counts[keep]
-    n = int(counts.sum())
+def _histogram(values: np.ndarray, counts: np.ndarray | None,
+               t_micro_um: float, t_macro_um: float,
+               n_bins: int) -> PoreThroatDistribution:
+    """The distribution of positive finite thickness ``values``, held by
+    ``counts`` voxels each, or by one voxel each when counts is None."""
+    if counts is None:
+        n = values.size
+        n_micro = np.count_nonzero(values < t_micro_um)
+        n_macro = np.count_nonzero(values > t_macro_um)
+    else:
+        n = counts.sum()
+        n_micro = counts[values < t_micro_um].sum()
+        n_macro = counts[values > t_macro_um].sum()
+    n, n_micro, n_macro = int(n), int(n_micro), int(n_macro)
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         lo, hi = lo / 1.01, hi * 1.01
@@ -511,9 +517,9 @@ def _level_histogram(values: np.ndarray, counts: np.ndarray, t_micro_um: float,
     edges[0], edges[-1] = lo, hi
     hist, _ = np.histogram(values, bins=edges, weights=counts)
 
-    # count / n is the mean of the per-voxel flags, rounded once
-    f_micro = int(counts[values < t_micro_um].sum()) / n
-    f_macro = int(counts[values > t_macro_um].sum()) / n
+    # a voxel count over n is the mean of the per-voxel flags, rounded once
+    f_micro = n_micro / n
+    f_macro = n_macro / n
     f_meso = 1.0 - f_micro - f_macro
 
     centers = np.sqrt(edges[:-1] * edges[1:])

@@ -28,11 +28,11 @@ from drt import (
     fit_intensity_calibration,
     local_thickness,
     make_phantom,
-    pore_throat_distribution,
     PoreThroatDistribution,
     throat_distribution,
 )
-from drt.morphology import (_ball, _paint, _paint_chords, _prominent_peaks,
+from drt.morphology import (_ball, _paint, _paint_chords,
+                            _pore_throat_distribution, _prominent_peaks,
                             _squared_distances, _STRUCTS)
 
 _OFFSETS_6 = [(0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0)]
@@ -644,7 +644,7 @@ class TestThroatDistribution:
                                              (1, "no solid voxel")])
     def test_uniform_mask_names_its_cause(self, fill, cause):
         mask = label_volume(np.full((4, 4, 4), fill))
-        for run in (lambda: pore_throat_distribution(mask),
+        for run in (lambda: _pore_throat_distribution(mask, (10.0, 100.0), 32),
                     lambda: throat_distribution(local_thickness(mask))):
             with pytest.raises(NoPoreVoxels, match=f"^{cause}: "):
                 run()
@@ -677,7 +677,8 @@ class TestThroatDistribution:
         volume = label_volume(mask, voxel_size)
         thickness = local_thickness(volume)
         if not 0 < mask.sum() < mask.size:
-            for run in (lambda: pore_throat_distribution(volume),
+            for run in (lambda: _pore_throat_distribution(volume, (10.0, 100.0),
+                                                      32),
                         lambda: throat_distribution(thickness)):
                 with pytest.raises(NoPoreVoxels):
                     run()
@@ -690,16 +691,10 @@ class TestThroatDistribution:
             lo, hi = sorted(float(levels[i % levels.size]) for i in on_levels)
             cutoffs = (lo, hi if hi > lo else 2 * lo)
         want = throat_distribution_per_voxel(thickness, cutoffs, n_bins)
-        for got in (pore_throat_distribution(volume, cutoffs, n_bins),
+        for got in (_pore_throat_distribution(volume, cutoffs, n_bins),
                     throat_distribution(thickness, cutoffs, n_bins)):
             assert got.to_json_dict() == want.to_json_dict()
             assert got.counts.dtype == want.counts.dtype
-
-    def test_explicit_voxel_size_overrides_header(self):
-        mask = sphere_mask((12, 12, 12), [(6, 6, 6)], [4])
-        got = pore_throat_distribution(label_volume(mask, 1.0), voxel_size_um=2.5)
-        want = throat_distribution(local_thickness(label_volume(mask, 2.5)))
-        assert got.to_json_dict() == want.to_json_dict()
 
     @pytest.mark.parametrize("cutoffs", [
         (100.0, 10.0), (0.0, 10.0), (1, 2, 3), (5,), ("a", "b"), ("1", "2"), "12",

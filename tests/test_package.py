@@ -23,7 +23,7 @@ def test_each_name_is_the_object_of_its_home_module():
 
 
 def test_dir_lists_every_public_name():
-    assert len(set(drt.__all__)) == len(drt.__all__) == 107
+    assert len(set(drt.__all__)) == len(drt.__all__) == 106
     assert set(drt.__all__) <= set(dir(drt))
 
 
