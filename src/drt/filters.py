@@ -5,7 +5,9 @@ a ladder of scales, and difference-of-Gaussian (DoG) band-pass channels
 between consecutive scales. Smoothing is a separable 3-pass convolution
 with a sampled Gaussian kernel truncated at radius ceil(3*sigma) and
 renormalized to sum 1; filter math runs in float64 and results are stored
-as float32.
+as float32. Each pass runs in pieces of about PIECE_VOXELS voxels along an
+axis it does not filter, so no pass holds a second float64 copy of what it
+smooths.
 
 ``build_feature_stack`` builds the whole volume as one (nz, ny, nx, F)
 float32 array and stays as the reference. ``slab_channels`` yields the
@@ -35,6 +37,8 @@ from .volume import Volume
 
 # voxels per slab before the halo floor; 24 planes at 96^3
 SLAB_VOXELS = 1 << 18
+# voxels per piece of a smoothing pass's float64 output
+PIECE_VOXELS = 1 << 16
 
 log = logging.getLogger(__name__)
 
@@ -49,19 +53,30 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
 
 def _smooth_array(data: np.ndarray, sigma: float, boundary_mode: str,
                   keep: slice = slice(None)) -> np.ndarray:
-    """Smooth along z, keep the planes `keep`, then smooth them along y and x.
+    """Smooth along z, keep the planes `keep`, then smooth them along y and
+    x; float32 (kept planes, ny, nx).
 
-    The y and x passes act within planes, so cropping after the z pass
-    leaves the kept planes bit-identical to cropping at the end.
+    correlate1d filters each line on its own, through float64 line buffers,
+    so every pass may run in pieces along an axis it does not filter. The z
+    pass runs in y-pieces of the input and writes only the kept planes into
+    one float64 buffer; the y pass runs in x-pieces of that buffer, back into
+    it; the x pass writes float32 from its float64 line buffers, which rounds
+    as astype does. The y and x passes act within planes, so cropping after
+    the z pass leaves the kept planes bit-identical to cropping at the end.
     """
     kernel = gaussian_kernel_1d(sigma)
     mode = _BOUNDARY_TO_SCIPY[boundary_mode]
-    # correlate1d filters every input type through float64 line buffers, so
-    # a float64 output needs no float64 copy of the input
-    out = _ndi.correlate1d(data, kernel, 0, mode, np.float64)[keep]
-    for axis in (1, 2):
-        out = _ndi.correlate1d(out, kernel, axis, mode)
-    return out
+    nz, ny, nx = data.shape
+    out = np.empty((len(range(nz)[keep]), ny, nx))
+    step = max(1, PIECE_VOXELS // (nz * nx))
+    for y in range(0, ny, step):
+        piece = _ndi.correlate1d(data[:, y:y + step], kernel, 0, mode, np.float64)
+        out[:, y:y + step] = piece[keep]
+    step = max(1, PIECE_VOXELS // (out.shape[0] * ny))
+    for x in range(0, nx, step):
+        piece = out[..., x:x + step]
+        piece[...] = _ndi.correlate1d(piece, kernel, 1, mode)
+    return _ndi.correlate1d(out, kernel, 2, mode, np.float32)
 
 
 def _check_sigma(sigma: float, dims: tuple[int, int, int]) -> None:
@@ -77,8 +92,7 @@ def gaussian_smooth(volume: Volume, sigma_vox: float, boundary_mode: str = "mirr
     if boundary_mode not in _BOUNDARY_TO_SCIPY:
         raise ValueError(f"boundary_mode must be one of {tuple(_BOUNDARY_TO_SCIPY)}")
     smoothed = _smooth_array(volume.data, sigma_vox, boundary_mode)
-    return volume.with_data(smoothed.astype(np.float32), value_kind="grayscale",
-                            element_encoding="f32")
+    return volume.with_data(smoothed, value_kind="grayscale", element_encoding="f32")
 
 
 def difference_of_gaussian(volume: Volume, sigma_lo: float, sigma_hi: float,
@@ -116,9 +130,11 @@ def slab_channels(volume: Volume, cfg: FeatureBankConfig, z0: int, z1: int):
     For each scale the z pass reads the planes within its kernel radius
     ceil(3*sigma) of the slab, clipped to the volume, so it sees the real
     neighbour planes inside and the whole volume's boundary extension at
-    its faces; the y and x passes run on the slab's planes only. Sigmas are
-    not checked here: map_slabs checks them against the whole volume. The
-    raw channel may be a view of the volume's data.
+    its faces; the y and x passes run on the slab's planes only. Each pass
+    runs in pieces (_smooth_array), so a Gaussian holds one float64 buffer
+    of the slab, not of the slab and its halo, beside its float32 channel.
+    Sigmas are not checked here: map_slabs checks them against the whole
+    volume. The raw channel may be a view of the volume's data.
     """
     nz = volume.data.shape[0]
     g = 0
@@ -131,7 +147,7 @@ def slab_channels(volume: Volume, cfg: FeatureBankConfig, z0: int, z1: int):
         r = math.ceil(3.0 * sigma)
         lo, hi = max(0, z0 - r), min(nz, z1 + r)
         cur = _smooth_array(volume.data[lo:hi], sigma, cfg.boundary_mode,
-                            keep=slice(z0 - lo, z1 - lo)).astype(np.float32)
+                            keep=slice(z0 - lo, z1 - lo))
         yield g + j, cur
         if prev is not None:
             yield g + k + j - 1, prev - cur

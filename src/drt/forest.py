@@ -36,6 +36,11 @@ from .volume import Volume
 
 MODEL_FORMAT_VERSION = 1
 
+# rows per piece of binning and of each tree's leaf search; a 24-plane slab
+# of a 96^3 volume under the benchmark's forest has 12-15k distinct bin
+# codes, one piece
+PIECE_ROWS = 1 << 15
+
 log = logging.getLogger(__name__)
 
 
@@ -321,14 +326,20 @@ class ForestModel:
         tables keeps its own leaf, and clears every leaf to the left of
         it, at the node where the two part. The leaf is thus the lowest set
         bit, isolated as m & -m, an exact power of two in float64, whose
-        index np.frexp gives. Only one tree's tables live at a time.
+        index np.frexp gives. Only one tree's tables live at a time, built
+        once; the groups then walk them PIECE_ROWS at a time, so the masks,
+        the gathered table rows and the leaf search are piece-sized.
 
         The probabilities are summed in tree order, as in _walk, so the sums
-        are bit-identical.
+        are bit-identical. bins is consumed: its entries are replaced by the
+        groups' bins, so that the rows' bins are freed while the groups are
+        predicted. The index is _distinct's, in a narrow signed type.
         """
         first, inverse = _distinct(bins)
-        bins = [b[first] for b in bins]
         n = first.size
+        # the caller's list too, so that the rows' bins are freed
+        bins[:] = [b[first] for b in bins]
+        del first
         probs = np.zeros((self.n_classes, n), dtype=np.float64)
         widest = 0
         for tree in self.trees:
@@ -343,8 +354,8 @@ class ForestModel:
             # word-major, (W, n): each word of every row in one run
             masks = np.packbits(keep, axis=1, bitorder="little").view("<u8").T
             ones = np.full((masks.shape[0], 1), ~np.uint64(0), dtype=np.uint64)
-            mask = np.repeat(ones, n, axis=1)
             split = tree.feature[inner]
+            tables = []
             for f in _sorted_distinct(split):
                 node = np.flatnonzero(split == f)
                 position = np.searchsorted(edges[f], tree.threshold[inner[node]])
@@ -352,19 +363,26 @@ class ForestModel:
                 cleared = np.bitwise_and.accumulate(
                     np.concatenate([ones, masks[:, node[order]]], axis=1), axis=1)
                 below = np.searchsorted(position[order], np.arange(edges[f].size + 1))
-                # np.take gathers by the narrow bins faster than indexing does
-                mask &= np.take(cleared[:, below], bins[f], axis=1)
-            # each row's lowest nonzero word, written last, sets its leaf
-            index = np.empty(n, dtype=np.intp)
-            for w in reversed(range(mask.shape[0])):
-                m = mask[w]
-                _, exponent = np.frexp((m & (~m + np.uint64(1))).astype(np.float64))
-                np.copyto(index, exponent + (64 * w - 1), where=m != 0)
-            for k, row in enumerate(tree.probs[leaf].T):
-                probs[k] += row[index]
-        probs = np.ascontiguousarray(probs.T)
+                tables.append((bins[f], cleared[:, below]))
+            leaf_probs = tree.probs[leaf].T
+            for a in range(0, n, PIECE_ROWS):
+                b = min(n, a + PIECE_ROWS)
+                mask = np.repeat(ones, b - a, axis=1)
+                for codes, table in tables:
+                    # np.take gathers by the narrow bins faster than indexing does
+                    mask &= np.take(table, codes[a:b], axis=1)
+                # each row's lowest nonzero word, written last, sets its leaf
+                index = np.empty(b - a, dtype=np.intp)
+                for w in reversed(range(mask.shape[0])):
+                    m = mask[w]
+                    low = (m & (~m + np.uint64(1))).astype(np.float64)
+                    _, exponent = np.frexp(low)
+                    np.copyto(index, exponent + (64 * w - 1), where=m != 0)
+                for k, row in enumerate(leaf_probs):
+                    probs[k, a:b] += row[index]
+        probs = probs.T
         probs /= len(self.trees)
-        labels = np.argmax(probs, axis=1).astype(np.int64)
+        labels = np.argmax(probs, axis=1).astype(np.int64, copy=False)
         log.debug("forest predict: %d trees, %d nodes, %d leaves in the widest "
                   "tree, %d rows, %d bin codes", len(self.trees),
                   sum(t.feature.size for t in self.trees), widest,
@@ -462,9 +480,15 @@ def _sorted_distinct(a: np.ndarray) -> np.ndarray:
 
 def _bin(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The bin of each value among sorted edges: the number of edges below
-    it, all of them for NaN, in the narrowest unsigned type that holds it."""
-    return (np.searchsorted(edges, values.astype(np.float64), "left")
-            .astype(np.min_scalar_type(edges.size)))
+    it, all of them for NaN, in the narrowest unsigned type that holds it.
+
+    Binned PIECE_ROWS values at a time, so the float64 copy of the values
+    and the intp result of searchsorted are piece-sized."""
+    out = np.empty(values.shape, dtype=np.min_scalar_type(edges.size))
+    for a in range(0, values.size, PIECE_ROWS):
+        piece = values[a:a + PIECE_ROWS].astype(np.float64)
+        out[a:a + PIECE_ROWS] = np.searchsorted(edges, piece, "left")
+    return out
 
 
 def _distinct(bins: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -474,7 +498,10 @@ def _distinct(bins: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     bins[f] holds column f of every row. One stable lexsort orders the rows
     with bins[0] as the primary key and keeps equal rows in index order, so
     the first of each run is its first row; the runs are numbered by a
-    cumulative sum of where any column of the sorted rows changes.
+    cumulative sum of where any column of the sorted rows changes. The
+    index is in the narrowest signed type that holds the count of distinct
+    rows: indexing by it casts to intp in buffered pieces, where np.take or
+    an intp index would hold a copy of intp per row.
     """
     order = np.lexsort(bins[::-1])
     new = np.zeros(order.size, dtype=bool)
@@ -482,8 +509,9 @@ def _distinct(bins: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     for b in bins:
         ordered = b[order]
         new[1:] |= ordered[1:] != ordered[:-1]
-    rank = np.cumsum(new)
-    rank -= 1
+    # new[0] is set, so a row's rank is the count of changes after row 0
+    rank = np.zeros(order.size, np.min_scalar_type(-max(1, np.count_nonzero(new))))
+    np.cumsum(new[1:], dtype=rank.dtype, out=rank[1:])
     inverse = np.empty_like(rank)
     inverse[order] = rank
     return order[new], inverse
@@ -499,9 +527,10 @@ def segment_volume(model: ForestModel, volume: Volume, *, threads: int = 1
     binned as it arrives, so a slab holds its bins, never its features.
     Each slab predicts its distinct bin codes once (_predict_bins) and
     gathers only the uint8 label and float32 confidence back to its
-    voxels. The output does not depend on the thread count or the slab
-    height. A model with more than 256 classes is refused, as its ids do not
-    fit the uint8 labels.
+    voxels, by _distinct's narrow index, which numpy casts to intp in
+    buffered pieces. The output does not depend on the thread count, the
+    slab height or any piece size. A model with more than 256 classes is
+    refused, as its ids do not fit the uint8 labels.
     """
     if model.n_classes > 256:
         raise BadParams(f"the model has {model.n_classes} classes, but a u8 "
@@ -516,6 +545,8 @@ def segment_volume(model: ForestModel, volume: Volume, *, threads: int = 1
         bins = [None] * len(edges)
         for f, channel in channels:
             bins[f] = _bin(edges[f], channel.ravel())
+            # so that the last channel is not held through the prediction
+            del channel
         ids, probs, inverse = model._predict_bins(bins, edges)
         conf = probs.max(axis=1).astype(np.float32)
         labels[z0 * plane:z1 * plane] = ids.astype(np.uint8)[inverse]

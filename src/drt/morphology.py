@@ -38,6 +38,9 @@ _STRUCTS = {
 # groups of many centers with large balls
 _SCATTER_BATCH = 1 << 18
 
+# voxels per piece of the squared EDT's y and z passes
+_EDT_PIECE = 1 << 16
+
 
 def binary_mask(labels: Volume, classes) -> Volume:
     """0/1 mask volume marking voxels whose label is in ``classes``.
@@ -164,9 +167,13 @@ def _squared_distances(fg: np.ndarray) -> np.ndarray:
     minima for s = 1, 2, ... until s² >= max(g), checked every fourth
     shift: as g >= 0, no later shift can lower a value. The cost so grows
     with the largest distance, as n⁴ when one voxel of an n³ volume is
-    background. g is held, and returned, in the narrowest unsigned type
-    that holds big + n² for the longest axis n, so no sum overflows; as
-    np.sqrt of uint16 is float32, a caller casts to float64 first.
+    background. A pass reads no neighbours across the other axes, so the y
+    pass runs over z-pieces and the z pass over y-pieces of about
+    _EDT_PIECE voxels, each with piece-sized buffers and stopped at its own
+    max(g); g is the one whole-volume grid. g is held, and returned, in the
+    narrowest unsigned type that holds big + n² for the longest axis n, so
+    no sum overflows; as np.sqrt of uint16 is float32, a caller casts to
+    float64 first.
     """
     shape = fg.shape
     nx = shape[-1]
@@ -192,26 +199,32 @@ def _squared_distances(fg: np.ndarray) -> np.ndarray:
     del far
 
     shifts = []
-    out = np.empty_like(g)
-    scratch = np.empty_like(g)
     for axis in (1, 0):
-        np.copyto(out, g)
         n = shape[axis]
-        s = 1
-        while s < n:
-            if s % 4 == 1 and s * s >= out.max():
-                break
-            lo = (slice(None),) * axis + (slice(None, -s),)
-            hi = (slice(None),) * axis + (slice(s, None),)
-            tmp = scratch[lo]
-            np.add(g[lo], s * s, out=tmp)
-            np.minimum(out[hi], tmp, out=out[hi])
-            np.add(g[hi], s * s, out=tmp)
-            np.minimum(out[lo], tmp, out=out[lo])
-            s += 1
-        shifts.append(s - 1)
-        g, out = out, g
-    del out, scratch
+        # pieces along the axis that is neither x nor this pass's own
+        across = 1 - axis
+        step = max(1, _EDT_PIECE // (n * nx))
+        most = 0
+        for a in range(0, shape[across], step):
+            piece = (slice(None),) * across + (slice(a, a + step),)
+            src = g[piece]
+            out = src.copy()
+            scratch = np.empty_like(out)
+            s = 1
+            while s < n:
+                if s % 4 == 1 and s * s >= out.max():
+                    break
+                lo = (slice(None),) * axis + (slice(None, -s),)
+                hi = (slice(None),) * axis + (slice(s, None),)
+                tmp = scratch[lo]
+                np.add(src[lo], s * s, out=tmp)
+                np.minimum(out[hi], tmp, out=out[hi])
+                np.add(src[hi], s * s, out=tmp)
+                np.minimum(out[lo], tmp, out=out[lo])
+                s += 1
+            src[...] = out
+            most = max(most, s - 1)
+        shifts.append(most)
     log.debug("squared EDT: shape %s, %s, %d y shifts, %d z shifts",
               shape, dtype.name, *shifts)
     return g

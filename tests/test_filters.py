@@ -27,9 +27,13 @@ from drt import (
     gaussian_smooth,
     iroga_threshold,
 )
+from drt.config import _BOUNDARY_TO_SCIPY
 from drt.filters import map_slabs, sample_features, slab_bounds, slab_channels
 
 _PAD_MODE = {"mirror": "symmetric", "clamp": "edge"}
+
+# a piece of one voxel, of a small prime, and of more than any volume here
+PIECES = [1, 7, 1 << 30]
 
 
 def dense_gaussian_reference(data, sigma, boundary_mode):
@@ -41,6 +45,18 @@ def dense_gaussian_reference(data, sigma, boundary_mode):
                     mode=_PAD_MODE[boundary_mode])
     windows = np.lib.stride_tricks.sliding_window_view(padded, kernel.shape)
     return np.einsum("zyxijk,ijk->zyx", windows, kernel)
+
+
+def whole_pass_reference(data, sigma, boundary_mode):
+    """Smoothing as it was before its passes ran in pieces: three
+    whole-array correlate1d passes in float64, cast to float32 at the end."""
+    from scipy import ndimage
+    kernel = gaussian_kernel_1d(sigma)
+    out = np.asarray(data, dtype=np.float64)
+    for axis in range(3):
+        out = ndimage.correlate1d(out, kernel, axis=axis,
+                                  mode=_BOUNDARY_TO_SCIPY[boundary_mode])
+    return out.astype(np.float32)
 
 
 def gray_volume(data, voxel_size=1.0):
@@ -108,6 +124,22 @@ class TestGaussianSmooth:
                 got = gaussian_smooth(vol, sigma, mode).data
                 want = dense_gaussian_reference(data, sigma, mode)
                 assert np.max(np.abs(got - want)) <= 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(*[st.integers(2, 14)] * 3),
+           fraction=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1),
+           mode=st.sampled_from(["mirror", "clamp"]),
+           piece=st.sampled_from(PIECES))
+    def test_pieces_equal_whole_array_passes(self, shape, fraction, seed, mode,
+                                             piece):
+        data = np.random.default_rng(seed).normal(100.0, 40.0, shape)
+        sigma = max(0.1, fraction * min(shape) / 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("drt.filters.PIECE_VOXELS", piece)
+            got = gaussian_smooth(gray_volume(data), sigma, mode).data
+        want = whole_pass_reference(data.astype(np.float32), sigma, mode)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
 
     def test_preserves_dims_and_kind(self):
         vol = gray_volume(np.random.default_rng(1).random((6, 7, 8)))
@@ -220,6 +252,16 @@ class TestSlabFeatures:
         whole = build_feature_stack(vol, cfg)
         np.testing.assert_array_equal(stacked_channels(vol, cfg, z0, z1),
                                       whole[z0:z1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=slab_cases(), piece=st.sampled_from(PIECES))
+    def test_piece_size_does_not_change_the_channels(self, case, piece):
+        vol, cfg, z0, z1 = case
+        whole = build_feature_stack(vol, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("drt.filters.PIECE_VOXELS", piece)
+            np.testing.assert_array_equal(stacked_channels(vol, cfg, z0, z1),
+                                          whole[z0:z1])
 
     @pytest.mark.parametrize("include_raw", [True, False])
     def test_channels_stacked_by_index_equal_whole_volume_stack(self, include_raw):

@@ -354,7 +354,75 @@ def rounded_float_edt(fg):
     return np.rint(ndimage.distance_transform_edt(fg) ** 2)
 
 
+def whole_volume_squared_distances(fg):
+    """_squared_distances as it was before its y and z passes ran in pieces:
+    each pass over the whole volume, with whole-volume buffers, stopped at
+    the volume's max."""
+    shape = fg.shape
+    nx = shape[-1]
+    big = sum((n - 1) ** 2 for n in shape) + 1
+    dtype = np.min_scalar_type(big + max(shape) ** 2)
+    index = np.min_scalar_type(-2 * nx)
+    x = np.arange(nx, dtype=index)
+    left = np.where(fg, index.type(-nx), x)
+    np.maximum.accumulate(left, axis=-1, out=left)
+    np.subtract(x, left, out=left)
+    right = np.where(fg, index.type(2 * nx - 1), x)
+    np.minimum.accumulate(right[..., ::-1], axis=-1, out=right[..., ::-1])
+    np.subtract(right, x, out=right)
+    np.minimum(left, right, out=left)
+    g = left.astype(dtype)
+    far = left >= nx
+    np.multiply(g, g, out=g, where=~far)
+    g[far] = big
+    out = np.empty_like(g)
+    scratch = np.empty_like(g)
+    for axis in (1, 0):
+        np.copyto(out, g)
+        n = shape[axis]
+        s = 1
+        while s < n:
+            if s % 4 == 1 and s * s >= out.max():
+                break
+            lo = (slice(None),) * axis + (slice(None, -s),)
+            hi = (slice(None),) * axis + (slice(s, None),)
+            tmp = scratch[lo]
+            np.add(g[lo], s * s, out=tmp)
+            np.minimum(out[hi], tmp, out=out[hi])
+            np.add(g[hi], s * s, out=tmp)
+            np.minimum(out[lo], tmp, out=out[lo])
+            s += 1
+        g, out = out, g
+    return g
+
+
+# masks whose passes hold uint8 or uint16, and masks whose long axes need
+# uint32
+_edt_shapes = {
+    "uint8 or uint16": st.tuples(*[st.integers(1, 19)] * 3),
+    "uint32": st.tuples(st.integers(1, 3), st.integers(150, 156),
+                        st.integers(150, 156)),
+}
+
+
 class TestSquaredDistances:
+    @pytest.mark.parametrize("dtype", sorted(_edt_shapes))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), density=st.sampled_from([0.0, 0.3, 0.9, 0.999, 1.0]),
+           seed=st.integers(0, 2**32 - 1),
+           piece=st.sampled_from([1, 7, 1 << 30]))
+    def test_pieces_equal_whole_volume_passes(self, dtype, data, density, seed,
+                                              piece):
+        # a piece of one voxel, of a small prime, and of more than the mask
+        shape = data.draw(_edt_shapes[dtype])
+        fg = np.random.default_rng(seed).random(shape) < density
+        want = whole_volume_squared_distances(fg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("drt.morphology._EDT_PIECE", piece)
+            got = _squared_distances(fg)
+        assert got.dtype == want.dtype and got.dtype.name in dtype
+        assert got.tobytes() == want.tobytes()
+
     def test_uint32_passes(self, caplog):
         # 39² + 2·149² + 1 + 150² > 2**16: the passes hold g in uint32
         fg = np.ones((40, 150, 150), dtype=bool)
@@ -391,6 +459,22 @@ class TestSquaredDistances:
         finally:
             tracemalloc.stop()
         assert peak < 8 * fg.size
+
+    def test_uint32_memory_below_10_bytes_per_voxel(self):
+        # the y and z passes run in pieces, so g is their one whole grid; the
+        # x pass's two int16 index grids, g and its row mask set the peak, 9.0
+        # bytes per voxel. Whole-volume out and scratch grids took it to 12
+        _, labels = make_phantom("sphere_pack", (160, 160, 40), n_spheres=60,
+                                 radius_range=(4.0, 12.0), seed=1)
+        fg = labels.data == 0
+        tracemalloc.start()
+        try:
+            g = _squared_distances(fg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.dtype == np.uint32
+        assert peak <= 10 * fg.size
 
 
 class TestLocalThickness:

@@ -63,7 +63,7 @@ class TestMatchesPublicScipy:
            mode=st.sampled_from(sorted(_BOUNDARY_TO_SCIPY.values())),
            axis=st.integers(0, 2),
            sigma=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
-           output=st.sampled_from([None, np.float64]))
+           output=st.sampled_from([None, np.float64, np.float32]))
     def test_correlate1d(self, shape, seed, dtype, mode, axis, sigma, output):
         from scipy import ndimage
         data = random_data(np.random.default_rng(seed), shape, dtype)
@@ -72,6 +72,32 @@ class TestMatchesPublicScipy:
         want = ndimage.correlate1d(data, kernel, axis=axis, mode=mode,
                                    output=output)
         assert same_bytes(got, want)
+
+    @pytest.mark.parametrize("path", ["direct", "public"])
+    @settings(max_examples=60, deadline=None)
+    @given(shape=shapes, seed=seeds,
+           mode=st.sampled_from(sorted(_BOUNDARY_TO_SCIPY.values())),
+           axis=st.integers(0, 2), sigma=st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    def test_float32_output_rounds_the_float64_output(self, path, shape, seed,
+                                                      mode, axis, sigma):
+        # the float32 output is written from float64 line buffers, so it is
+        # the float64 output rounded once; a one-tap kernel passes the
+        # float32 rounding ties, and the values one float64 ulp either side
+        # of them, through unchanged
+        correlate1d = (_ndi._direct_correlate1d(_ndi._load("_nd_image"))
+                       if path == "direct" else _ndi._public_correlate1d)
+        rng = np.random.default_rng(seed)
+        low = rng.normal(100.0, 40.0, shape).astype(np.float32)
+        tie = (low.astype(np.float64)
+               + np.nextafter(low, np.float32(np.inf)).astype(np.float64)) / 2
+        for data, kernel in [
+                (random_data(rng, shape, np.float64), gaussian_kernel_1d(sigma)),
+                (tie, np.ones(1)),
+                (np.nextafter(tie, np.inf), np.ones(1)),
+                (np.nextafter(tie, -np.inf), np.ones(1))]:
+            want = correlate1d(data, kernel, axis, mode, np.float64)
+            got = correlate1d(data, kernel, axis, mode, np.float32)
+            assert same_bytes(got, want.astype(np.float32))
 
     @settings(max_examples=150, deadline=None)
     @given(shape=shapes, seed=seeds, density=densities,
