@@ -5,9 +5,8 @@ a ladder of scales, and difference-of-Gaussian (DoG) band-pass channels
 between consecutive scales. Smoothing is a separable 3-pass convolution
 with a sampled Gaussian kernel truncated at radius ceil(3*sigma) and
 renormalized to sum 1; filter math runs in float64 and results are stored
-as float32. Each pass runs in pieces of about PIECE_VOXELS voxels along an
-axis it does not filter, so no pass holds a second float64 copy of what it
-smooths.
+as float32. Each pass runs in pieces (``volume.pieces``) along an axis it
+does not filter, so no pass holds a second float64 copy of what it smooths.
 
 ``build_feature_stack`` builds the whole volume as one (nz, ny, nx, F)
 float32 array and stays as the reference. ``slab_channels`` yields the
@@ -31,14 +30,13 @@ import numpy as np
 
 from . import _ndi
 from .config import _BOUNDARY_TO_SCIPY, FeatureBankConfig
-from .errors import BadSigmaOrder, DegenerateHistogram, NoConvergence, SigmaTooLarge
+from .errors import BadParams, BadSigmaOrder, DegenerateHistogram, NoConvergence, SigmaTooLarge
 from .rng import SplitMix64
-from .volume import Volume
+from .volume import Volume, pieces
 
-# voxels per slab before the halo floor; 24 planes at 96^3
+# voxels per slab before the halo floor; 24 planes at 96^3. Not a piece
+# budget: it sets the slab count, and with it the grain of the thread pool
 SLAB_VOXELS = 1 << 18
-# voxels per piece of a smoothing pass's float64 output
-PIECE_VOXELS = 1 << 16
 
 log = logging.getLogger(__name__)
 
@@ -68,13 +66,11 @@ def _smooth_array(data: np.ndarray, sigma: float, boundary_mode: str,
     mode = _BOUNDARY_TO_SCIPY[boundary_mode]
     nz, ny, nx = data.shape
     out = np.empty((len(range(nz)[keep]), ny, nx))
-    step = max(1, PIECE_VOXELS // (nz * nx))
-    for y in range(0, ny, step):
-        piece = _ndi.correlate1d(data[:, y:y + step], kernel, 0, mode, np.float64)
-        out[:, y:y + step] = piece[keep]
-    step = max(1, PIECE_VOXELS // (out.shape[0] * ny))
-    for x in range(0, nx, step):
-        piece = out[..., x:x + step]
+    for a, b in pieces(ny, nz * nx):
+        piece = _ndi.correlate1d(data[:, a:b], kernel, 0, mode, np.float64)
+        out[:, a:b] = piece[keep]
+    for a, b in pieces(nx, out.shape[0] * ny):
+        piece = out[..., a:b]
         piece[...] = _ndi.correlate1d(piece, kernel, 1, mode)
     return _ndi.correlate1d(out, kernel, 2, mode, np.float32)
 
@@ -160,9 +156,16 @@ def sample_features(volume: Volume, cfg: FeatureBankConfig, coords_xyz: np.ndarr
 
     Row i equals build_feature_stack(volume, cfg)[z, y, x] at coords_xyz[i]
     = (x, y, z); only the slabs that hold one of the voxels are computed,
-    and each is read one channel at a time.
+    and each is read one channel at a time. Coordinates that are not of
+    shape (N, 3) or lie outside [0, dims) raise BadParams.
     """
     coords = np.asarray(coords_xyz, dtype=np.int64)
+    if coords.ndim != 2 or coords.shape[1] != 3:
+        raise BadParams(f"coords_xyz must be of shape (N, 3), got {coords.shape}")
+    outside = np.flatnonzero(((coords < 0) | (coords >= volume.dims)).any(axis=1))
+    if outside.size:
+        raise BadParams(f"coords_xyz row {outside[0]}: voxel "
+                        f"{tuple(coords[outside[0]].tolist())} outside dims {volume.dims}")
     rows = np.empty((coords.shape[0], cfg.feature_count), dtype=np.float32)
     x, y, z = coords.T
 

@@ -16,7 +16,8 @@ same bin between the sorted distinct thresholds of the forest meet every
 split alike. Each feature is binned once per batch, the rows are grouped by
 their bins, and each group is predicted once. Each tree finds the group's
 leaf by leaf bitvectors (QuickScorer; Lucchese et al., SIGIR 2015): one
-table lookup per split feature, ANDed, and the lowest set bit.
+table lookup per split feature, ANDed, and the lowest set bit. Binning and
+the leaf search run in pieces of rows (``volume.pieces``).
 """
 
 from __future__ import annotations
@@ -32,14 +33,9 @@ from .errors import (BadModelFile, BadParams, DimensionMismatch,
 from .fileio import json_array, json_typed, read_csv, read_json, write_json
 from .filters import map_slabs
 from .rng import SplitMix64
-from .volume import Volume
+from .volume import Volume, pieces
 
 MODEL_FORMAT_VERSION = 1
-
-# rows per piece of binning and of each tree's leaf search; a 24-plane slab
-# of a 96^3 volume under the benchmark's forest has 12-15k distinct bin
-# codes, one piece
-PIECE_ROWS = 1 << 15
 
 log = logging.getLogger(__name__)
 
@@ -327,8 +323,9 @@ class ForestModel:
         it, at the node where the two part. The leaf is thus the lowest set
         bit, isolated as m & -m, an exact power of two in float64, whose
         index np.frexp gives. Only one tree's tables live at a time, built
-        once; the groups then walk them PIECE_ROWS at a time, so the masks,
-        the gathered table rows and the leaf search are piece-sized.
+        once; the groups then walk them in pieces of rows, so the masks, the
+        gathered table rows and the leaf search are piece-sized (the 12-15k
+        groups of a 96^3 slab under the benchmark's forest are one piece).
 
         The probabilities are summed in tree order, as in _walk, so the sums
         are bit-identical. bins is consumed: its entries are replaced by the
@@ -365,8 +362,7 @@ class ForestModel:
                 below = np.searchsorted(position[order], np.arange(edges[f].size + 1))
                 tables.append((bins[f], cleared[:, below]))
             leaf_probs = tree.probs[leaf].T
-            for a in range(0, n, PIECE_ROWS):
-                b = min(n, a + PIECE_ROWS)
+            for a, b in pieces(n):
                 mask = np.repeat(ones, b - a, axis=1)
                 for codes, table in tables:
                     # np.take gathers by the narrow bins faster than indexing does
@@ -482,12 +478,11 @@ def _bin(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The bin of each value among sorted edges: the number of edges below
     it, all of them for NaN, in the narrowest unsigned type that holds it.
 
-    Binned PIECE_ROWS values at a time, so the float64 copy of the values
-    and the intp result of searchsorted are piece-sized."""
+    Binned in pieces, so the float64 copy of the values and the intp
+    result of searchsorted are piece-sized."""
     out = np.empty(values.shape, dtype=np.min_scalar_type(edges.size))
-    for a in range(0, values.size, PIECE_ROWS):
-        piece = values[a:a + PIECE_ROWS].astype(np.float64)
-        out[a:a + PIECE_ROWS] = np.searchsorted(edges, piece, "left")
+    for a, b in pieces(values.size):
+        out[a:b] = np.searchsorted(edges, values[a:b].astype(np.float64), "left")
     return out
 
 

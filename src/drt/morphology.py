@@ -5,7 +5,8 @@ volume (nonzero = foreground), which every transform here takes. Component
 ids are scipy's, in order of each component's first voxel in flat
 x-fastest scan order, with 0 reserved for background. Distances are
 Euclidean and exact; local thickness at a voxel is the diameter of the
-largest inscribed ball covering it, in physical units.
+largest inscribed ball covering it, in physical units. The EDT and the
+painting run in pieces (``volume.pieces``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import _ndi
 from .errors import BadParams, NoPoreVoxels, TooFewPoints
 from .fileio import json_array, write_csv, write_json
-from .volume import Volume
+from .volume import Volume, pieces
 
 log = logging.getLogger(__name__)
 
@@ -33,13 +34,6 @@ _STRUCTS = {
     6: np.abs(np.indices((3, 3, 3)) - 1).sum(axis=0) <= 1,
     26: np.ones((3, 3, 3), dtype=bool),
 }
-
-# entries per local-thickness scatter batch: bounds the index array for
-# groups of many centers with large balls
-_SCATTER_BATCH = 1 << 18
-
-# voxels per piece of the squared EDT's y and z passes
-_EDT_PIECE = 1 << 16
 
 
 def binary_mask(labels: Volume, classes) -> Volume:
@@ -118,9 +112,9 @@ def connected_components(mask: Volume, connectivity: int = 26) -> ComponentMap:
     # voxels, which is its first voxel's: ids come in flat scan order
     comp, n_raw = _ndi.label(fg, _STRUCTS[connectivity])
     del fg
-    # a block at a time: bincount widens the ids to intp, a whole-volume
-    # copy at 8 B/voxel; blocks of a plane, or of n_raw ids if that is more,
-    # keep the work linear in the voxels
+    # a block at a time, as bincount widens the ids to intp (8 B/voxel); not
+    # a piece budget, as each block costs n_raw + 1 counts: blocks of a plane,
+    # or of n_raw ids if that is more, keep the work linear in the voxels
     flat = comp.reshape(-1)
     step = max(comp[0].size, n_raw + 1)
     counts = np.zeros(n_raw + 1, dtype=np.int64)
@@ -168,12 +162,12 @@ def _squared_distances(fg: np.ndarray) -> np.ndarray:
     shift: as g >= 0, no later shift can lower a value. The cost so grows
     with the largest distance, as n⁴ when one voxel of an n³ volume is
     background. A pass reads no neighbours across the other axes, so the y
-    pass runs over z-pieces and the z pass over y-pieces of about
-    _EDT_PIECE voxels, each with piece-sized buffers and stopped at its own
-    max(g); g is the one whole-volume grid. g is held, and returned, in the
-    narrowest unsigned type that holds big + n² for the longest axis n, so
-    no sum overflows; as np.sqrt of uint16 is float32, a caller casts to
-    float64 first.
+    pass runs over z-pieces and the z pass over y-pieces (volume.pieces),
+    each with piece-sized buffers and stopped at its own max(g); g is the
+    one whole-volume grid. g is held, and returned, in the narrowest
+    unsigned type that holds big + n² for the longest axis n, so no sum
+    overflows; as np.sqrt of uint16 is float32, a caller casts to float64
+    first.
     """
     shape = fg.shape
     nx = shape[-1]
@@ -203,10 +197,9 @@ def _squared_distances(fg: np.ndarray) -> np.ndarray:
         n = shape[axis]
         # pieces along the axis that is neither x nor this pass's own
         across = 1 - axis
-        step = max(1, _EDT_PIECE // (n * nx))
         most = 0
-        for a in range(0, shape[across], step):
-            piece = (slice(None),) * across + (slice(a, a + step),)
+        for a, b in pieces(shape[across], n * nx):
+            piece = (slice(None),) * across + (slice(a, b),)
             src = g[piece]
             out = src.copy()
             scratch = np.empty_like(out)
@@ -230,13 +223,13 @@ def _squared_distances(fg: np.ndarray) -> np.ndarray:
     return g
 
 
-def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
+def local_thickness(mask: Volume) -> Volume:
     """Largest-inscribed-ball diameter covering each pore voxel, in microns.
 
     thickness(v) = 2 * voxel_size * max{ r(c) : |c - v| <= r(c) } over
     foreground voxels c, and 0 on background. Computed on the exact integer
-    r² to the nearest background voxel, from ``_squared_distances``. The
-    voxel size defaults to the mask's.
+    r² to the nearest background voxel, from ``_squared_distances``, with
+    the voxel size of the mask's header.
 
     Every pore voxel's ball is painted as x-chords (``_paint_chords``). A
     ball of r² = s is the union of one chord per (dz, dy) with e = dz² + dy²
@@ -252,14 +245,11 @@ def local_thickness(mask: Volume, voxel_size_um: float | None = None) -> Volume:
     cover it, which is the largest s of the balls that cover it.
     """
     fg = mask.data != 0
-    vs = mask.header.voxel_size_um if voxel_size_um is None else float(voxel_size_um)
-    if not vs > 0:
-        raise BadParams(f"voxel size must be positive, got {vs}")
     th2 = _painted_r2(fg)
     if th2 is None:
         out = np.full(fg.shape, np.inf if fg.any() else 0.0)
     else:
-        out = _thickness_um(th2, vs)
+        out = _thickness_um(th2, mask.header.voxel_size_um)
     return mask.with_data(out, value_kind="throat_size", element_encoding="f32")
 
 
@@ -307,10 +297,10 @@ def _paint(centres: np.ndarray, r2: np.ndarray, d2: np.ndarray,
 
     ``centres`` is a boolean grid, ``r2`` the squared radii of its set
     voxels in flat order, and (d2, steps) the ball offsets from ``_ball``.
-    The centres are grouped by r², and each group's balls are scattered at
-    once into a grid padded so that no ball wraps. Groups go in ascending
-    r² order, so every covered voxel ends up holding its largest covering
-    r²; uncovered voxels hold 0. local_thickness paints through
+    The centres are grouped by r², and each group's balls are scattered,
+    in pieces, into a grid padded so that no ball wraps. Groups go in
+    ascending r² order, so every covered voxel ends up holding its largest
+    covering r²; uncovered voxels hold 0. local_thickness paints through
     ``_paint_chords``; this direct scatter is kept as its reference.
     """
     pad = steps.max(axis=1).tolist()
@@ -324,9 +314,8 @@ def _paint(centres: np.ndarray, r2: np.ndarray, d2: np.ndarray,
     flat = th2.reshape(-1)
     for value, group in zip(values.tolist(), np.split(flat_centres, starts[1:])):
         ball = offsets[:np.searchsorted(d2, value, side="right")]
-        step = max(1, _SCATTER_BATCH // ball.size)
-        for i in range(0, group.size, step):
-            flat[(group[i:i + step, None] + ball).ravel()] = value
+        for a, b in pieces(group.size, ball.size):
+            flat[(group[a:b, None] + ball).ravel()] = value
     return th2[tuple(slice(p, p + n) for p, n in zip(pad, centres.shape))]
 
 
@@ -387,9 +376,8 @@ def _paint_chords(centres: np.ndarray, r2: np.ndarray) -> np.ndarray:
             chords = offsets[lo:hi]
             if not chords.size:
                 continue
-            step = max(1, _SCATTER_BATCH // chords.size)
-            for i in range(0, group.size, step):
-                flat[(group[i:i + step, None] + chords).ravel()] = value
+            for a, b in pieces(group.size, chords.size):
+                flat[(group[a:b, None] + chords).ravel()] = value
         np.maximum(out, interior, out=out)
         if w and shape[2] > 1:
             # out[x] = max(out[x - 1], out[x], out[x + 1]) through pair,

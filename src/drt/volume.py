@@ -35,6 +35,20 @@ _ENCODING_NUMPY = {
     ("f32", "big"): ">f4",
 }
 
+# the one budget of every pass that runs in pieces, so that its temporaries
+# do not grow with the volume: voxels of a smoothing or EDT pass, rows of
+# the forest, scatter entries of the painting. No output depends on it
+PIECE = 1 << 16
+
+
+def pieces(n: int, width: int = 1):
+    """Yield (a, b) ranges covering range(n) in order, each max(1, PIECE //
+    width) long but the last, width being what one unit costs in PIECE's
+    units. PIECE is read at each call, so setting it reaches every pass."""
+    step = max(1, PIECE // width)
+    for a in range(0, n, step):
+        yield a, min(n, a + step)
+
 
 @dataclass(frozen=True)
 class VolumeHeader:

@@ -1,10 +1,14 @@
-"""Shared pytest hooks.
+"""Shared pytest hooks and test values.
 
 Collects the outcome of each acceptance criterion test and prints one
 pass/fail line per criterion at the end of the run.
 """
 
 import re
+
+# values of drt.volume.PIECE that the piecewise passes are tested at: a
+# piece of one unit, of a small prime, and of more than any pass here holds
+PIECES = [1, 7, 1 << 30]
 
 _PATTERN = re.compile(r"test_criterion_(\d+[a-z]?)_(\w+)")
 

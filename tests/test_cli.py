@@ -18,6 +18,8 @@ from drt import load_model, load_volume, make_phantom, save_volume
 from drt.cli import config_from_json_dict, main, PipelineConfig
 from drt.errors import ConfigError
 
+from conftest import PIECES
+
 try:
     import resource
 except ImportError:  # Windows
@@ -831,6 +833,35 @@ class TestCommonFlags:
                 match, mismatch, errors = filecmp.cmpfiles(
                     dirs[0] / sub, other / sub, names, shallow=False)
                 assert not mismatch and not errors
+
+    def test_piece_budget_does_not_change_output(self, workdir, tmp_path):
+        # drt.volume.PIECE sizes every pass that runs in pieces: smoothing,
+        # binning, the leaf search, the EDT and the painting
+        def chain(out):
+            common = ["--config", str(workdir / "config.json"), "--threads", "2"]
+            assert main(["train", "--volume", str(workdir / "gray.raw"),
+                         "--labels", str(workdir / "labels.csv"),
+                         "--out", str(out / "model.json"), *common]) == 0
+            assert main(["segment", "--volume", str(workdir / "gray.raw"),
+                         "--model", str(out / "model.json"),
+                         "--out", str(out / "seg.raw"), *common]) == 0
+            assert main(["analyze", "--labels", str(out / "seg.raw"),
+                         "--out", str(out / "analysis"), *common]) == 0
+            assert main(["classify",
+                         "--analysis", str(out / "analysis" / "analysis.json"),
+                         "--out", str(out / "classify"), *common]) == 0
+            assert main(["report", "--run", str(out / "analysis"),
+                         "--out", str(out / "report"), *common]) == 0
+            return {p.relative_to(out): p.read_bytes()
+                    for p in out.rglob("*") if p.is_file()}
+
+        want = chain(tmp_path / "default")
+        for piece in PIECES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("drt.volume.PIECE", piece)
+                got = chain(tmp_path / str(piece))
+            assert got.keys() == want.keys()
+            assert [str(p) for p in want if got[p] != want[p]] == [], piece
 
     def test_threads_beyond_planes_cap_the_pool(self, tmp_path, monkeypatch, caplog):
         gray, truth = make_phantom("sphere_pack", (16, 16, 8), seed=3,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import drt
+from drt import filters, forest, morphology, volume
 from drt import (BadHeader, BadModelFile, BadParams, IoFailure, load_camo,
                  load_catalog, load_model, load_volume)
 from drt.fileio import (read_csv, read_json, read_text, write_csv, write_json,
@@ -79,6 +80,33 @@ def test_one_prediction_rule():
             elif isinstance(node, ast.FunctionDef) and node.name == "_distinct":
                 assert [a.arg for a in node.args.args] == ["bins"]
                 assert not node.args.kwonlyargs and not node.args.vararg
+
+
+def test_one_piece_rule():
+    # how large a pass's temporaries may grow is decided once, by
+    # volume.PIECE through volume.pieces: a second budget, or a pass that
+    # cuts its own ranges, would be a second rule to keep in step
+    package = Path(drt.__file__).parent
+    paths = [*package.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    sources = {path: path.read_text(encoding="utf-8") for path in paths}
+    # the budgets before this rule, written so that the pattern does not
+    # match itself
+    old = re.compile(r"\bPIECE_(?:VOXELS|ROWS)\b|_(?:EDT_PIECE|SCATTER_BATCH)\b")
+    assert not [path.name for path, text in sources.items() if old.search(text)]
+    src = {path.name: text for path, text in sources.items()
+           if path.parent == package}
+    # module-level names of a budget, and steps max(1, budget // width)
+    budget = re.compile(r"^(\w*(?:PIECE|BATCH|CHUNK)\w*)\s*=",
+                        re.MULTILINE | re.IGNORECASE)
+    assert {name: budget.findall(text) for name, text in src.items()
+            if budget.search(text)} == {"volume.py": ["PIECE"]}
+    step = re.compile(r"max\(1, [^()]*//")
+    assert [name for name, text in src.items() if step.search(text)] == ["volume.py"]
+    assert step.search(inspect.getsource(volume.pieces))
+    for fn in (filters._smooth_array, forest._bin, forest.ForestModel._predict_bins,
+               morphology._squared_distances, morphology._paint,
+               morphology._paint_chords):
+        assert "in pieces(" in inspect.getsource(fn), fn.__name__
 
 
 def test_json_encoding(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drt import (
+    BadParams,
     BadSigmaOrder,
     DegenerateHistogram,
     FeatureBankConfig,
@@ -30,10 +31,9 @@ from drt import (
 from drt.config import _BOUNDARY_TO_SCIPY
 from drt.filters import map_slabs, sample_features, slab_bounds, slab_channels
 
-_PAD_MODE = {"mirror": "symmetric", "clamp": "edge"}
+from conftest import PIECES
 
-# a piece of one voxel, of a small prime, and of more than any volume here
-PIECES = [1, 7, 1 << 30]
+_PAD_MODE = {"mirror": "symmetric", "clamp": "edge"}
 
 
 def dense_gaussian_reference(data, sigma, boundary_mode):
@@ -135,7 +135,7 @@ class TestGaussianSmooth:
         data = np.random.default_rng(seed).normal(100.0, 40.0, shape)
         sigma = max(0.1, fraction * min(shape) / 2)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("drt.filters.PIECE_VOXELS", piece)
+            mp.setattr("drt.volume.PIECE", piece)
             got = gaussian_smooth(gray_volume(data), sigma, mode).data
         want = whole_pass_reference(data.astype(np.float32), sigma, mode)
         assert got.dtype == np.float32
@@ -259,7 +259,7 @@ class TestSlabFeatures:
         vol, cfg, z0, z1 = case
         whole = build_feature_stack(vol, cfg)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("drt.filters.PIECE_VOXELS", piece)
+            mp.setattr("drt.volume.PIECE", piece)
             np.testing.assert_array_equal(stacked_channels(vol, cfg, z0, z1),
                                           whole[z0:z1])
 
@@ -303,6 +303,27 @@ class TestSlabFeatures:
         rows = sample_features(vol, cfg, coords, threads=threads)
         assert rows.dtype == np.float32
         np.testing.assert_array_equal(rows, expected)
+
+    @pytest.mark.parametrize("coords, row", [
+        ([[7, 6, 5], [0, 0, -1]], 1),  # read memory no slab wrote
+        ([[-1, 0, 0]], 0),             # wrapped to x = nx - 1
+        ([[0, 7, 0]], 0),
+        ([[7, 6, 5], [7, 6, 5], [0, 0, 6]], 2),
+        ([[8, 0, 0]], 0),
+    ])
+    def test_voxels_outside_the_volume_are_refused(self, coords, row):
+        # dims (8, 7, 6): (7, 6, 5) is the last voxel
+        vol = gray_volume(np.zeros((6, 7, 8)))
+        cfg = FeatureBankConfig(sigmas_vox=(1.0,))
+        with pytest.raises(BadParams, match=rf"row {row}: voxel \(.*\) outside"):
+            sample_features(vol, cfg, np.array(coords))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 4), (1, 1, 3)])
+    def test_coordinates_not_of_shape_n_by_3_are_refused(self, shape):
+        vol = gray_volume(np.zeros((6, 7, 8)))
+        with pytest.raises(BadParams, match="shape"):
+            sample_features(vol, FeatureBankConfig(sigmas_vox=(1.0,)),
+                            np.zeros(shape, dtype=np.int64))
 
     def test_only_labelled_slabs_are_computed(self, monkeypatch):
         vol = gray_volume(np.random.default_rng(11).random((30, 4, 4)))

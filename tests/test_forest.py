@@ -36,8 +36,7 @@ from drt import (
 from drt.filters import map_slabs, sample_features, slab_bounds
 from drt.forest import _bin, _distinct, _Tree
 
-# a piece of one row, of a small prime, and of more than any batch here
-PIECES = [1, 7, 1 << 30]
+from conftest import PIECES
 
 
 def bank_for(n_features):
@@ -509,7 +508,7 @@ class TestRowPieces:
         want = (np.searchsorted(edges, values.astype(np.float64), "left")
                 .astype(np.min_scalar_type(edges.size)))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("drt.forest.PIECE_ROWS", piece)
+            mp.setattr("drt.volume.PIECE", piece)
             got = _bin(edges, values)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -527,7 +526,7 @@ class TestRowPieces:
             trees=trees)
         x = threshold_rows(trees, 300, 2, rng)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("drt.forest.PIECE_ROWS", piece)
+            mp.setattr("drt.volume.PIECE", piece)
             labels, probs, _, widest, _ = predict_distinct(model, x)
         assert widest == 81
         direct_labels, direct_probs = model._walk(x)

@@ -35,6 +35,8 @@ from drt.morphology import (_ball, _paint, _paint_chords,
                             _pore_throat_distribution, _prominent_peaks,
                             _squared_distances, _STRUCTS)
 
+from conftest import PIECES
+
 _OFFSETS_6 = [(0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0)]
 _OFFSETS_26 = [(dz, dy, dx)
                for dz in (-1, 0, 1) for dy in (-1, 0, 1) for dx in (-1, 0, 1)
@@ -410,15 +412,14 @@ class TestSquaredDistances:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), density=st.sampled_from([0.0, 0.3, 0.9, 0.999, 1.0]),
            seed=st.integers(0, 2**32 - 1),
-           piece=st.sampled_from([1, 7, 1 << 30]))
+           piece=st.sampled_from(PIECES))
     def test_pieces_equal_whole_volume_passes(self, dtype, data, density, seed,
                                               piece):
-        # a piece of one voxel, of a small prime, and of more than the mask
         shape = data.draw(_edt_shapes[dtype])
         fg = np.random.default_rng(seed).random(shape) < density
         want = whole_volume_squared_distances(fg)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("drt.morphology._EDT_PIECE", piece)
+            mp.setattr("drt.volume.PIECE", piece)
             got = _squared_distances(fg)
         assert got.dtype == want.dtype and got.dtype.name in dtype
         assert got.tobytes() == want.tobytes()
@@ -536,13 +537,6 @@ class TestLocalThickness:
         b = local_thickness(label_volume(mask, voxel_size=2.5))
         np.testing.assert_allclose(b.data, 2.5 * a.data, rtol=1e-6)
 
-    def test_explicit_voxel_size_overrides_header(self):
-        mask = np.zeros((5, 5, 5), dtype=np.uint8)
-        mask[2, 2, 2] = 1
-        a = local_thickness(label_volume(mask, voxel_size=1.0), voxel_size_um=3.0)
-        b = local_thickness(label_volume(mask, voxel_size=3.0))
-        np.testing.assert_allclose(a.data, b.data)
-
     def test_isolated_voxel(self):
         mask = np.zeros((5, 5, 5), dtype=np.uint8)
         mask[2, 2, 2] = 1
@@ -569,10 +563,6 @@ class TestLocalThickness:
     def test_full_mask_is_infinite(self):
         got = local_thickness(label_volume(np.ones((4, 4, 4))))
         assert np.isinf(got.data).all()
-
-    def test_rejects_nonpositive_voxel_size(self):
-        with pytest.raises(BadParams):
-            local_thickness(label_volume(np.ones((4, 4, 4))), voxel_size_um=0.0)
 
     def test_output_metadata(self):
         got = local_thickness(label_volume(np.zeros((4, 4, 4))))
@@ -654,8 +644,8 @@ class TestPaintChords:
            n_centres=st.integers(1, 64),
            r2_max=st.one_of(st.sampled_from([1, 2, 3, 255, 256]),
                             st.integers(1, 300)),
-           seed=st.integers(0, 2**32 - 1))
-    def test_equals_ball_scatter(self, shape, n_centres, r2_max, seed):
+           seed=st.integers(0, 2**32 - 1), piece=st.sampled_from(PIECES))
+    def test_equals_ball_scatter(self, shape, n_centres, r2_max, seed, piece):
         # any centres and radii, not only pore voxels: balls cross every face,
         # and r2_max on each side of 255 switches the grid from u8 to u16
         rng = np.random.default_rng(seed)
@@ -664,7 +654,9 @@ class TestPaintChords:
         r2 = rng.integers(1, r2_max + 1, np.count_nonzero(centres))
         r2[rng.integers(r2.size)] = r2_max
         r2 = r2.astype(np.int32)
-        got = _paint_chords(centres, r2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("drt.volume.PIECE", piece)
+            got = _paint_chords(centres, r2)
         want = _paint(centres, r2, *_ball(shape, r2_max))
         assert got.dtype == np.min_scalar_type(r2_max)
         np.testing.assert_array_equal(got, want)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from drt import (
+    BadHeader,
     BadParams,
     ConfigError,
     FeatureBankConfig,
@@ -25,18 +26,12 @@ from drt import (
     classify_modality,
     evaluate_pc,
     gaussian_smooth,
-    local_thickness,
     make_phantom,
     pcd_from_permeability,
 )
 from drt.cli import PipelineConfig
 
 NAN = math.nan
-
-
-def _mask():
-    return Volume(VolumeHeader((8, 8, 8), 1.0, "label", "u8"),
-                  np.ones((8, 8, 8), dtype=np.uint8))
 
 
 def _gray():
@@ -52,8 +47,8 @@ def _distribution():
 
 
 CASES = {
-    "local_thickness voxel size":
-        (BadParams, lambda: local_thickness(_mask(), voxel_size_um=NAN)),
+    "VolumeHeader voxel size":
+        (BadHeader, lambda: VolumeHeader((8, 8, 8), NAN, "label", "u8")),
     "evaluate_pc scalar":
         (SaturationOutOfRange, lambda: evaluate_pc(build_pc_curve(50, 300, 0.1), NAN)),
     "evaluate_pc array":
