@@ -1,12 +1,12 @@
 """Pore-space morphology: components, distance fields, throat sizes.
 
-``binary_mask`` turns a label volume and a set of class ids into a mask
-volume (nonzero = foreground), which every transform here takes. Component
-ids are scipy's, in order of each component's first voxel in flat
-x-fastest scan order, with 0 reserved for background. Distances are
-Euclidean and exact; local thickness at a voxel is the diameter of the
-largest inscribed ball covering it, in physical units. The EDT and the
-painting run in pieces (``volume.pieces``).
+``binary_mask`` turns a label volume and a set of class ids into a
+boolean mask, which every transform here reads without a copy (of other
+masks, nonzero is foreground). Component ids are scipy's, in order of
+each component's first voxel in flat x-fastest scan order, with 0 for
+background. Distances are Euclidean and exact; local thickness at a voxel
+is the diameter of the largest inscribed ball covering it, in physical
+units. The mask, the EDT and the painting run in ``volume.pieces``.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ _STRUCTS = {
 
 
 def binary_mask(labels: Volume, classes) -> Volume:
-    """0/1 mask volume marking voxels whose label is in ``classes``.
+    """Boolean mask volume marking voxels whose label is in ``classes``.
 
     The one reader of a class set: a class id or a non-empty iterable of
-    them, each an integer >= 0, else BadParams (0.7 and "0" included).
+    them, each an integer >= 0, else BadParams (0.7 and "0" included); so
+    also the one test of whether a label value is a class id. Declared u8.
     """
     if isinstance(classes, (int, np.integer)):
         classes = [classes]
@@ -52,11 +53,13 @@ def binary_mask(labels: Volume, classes) -> Volume:
         raise BadParams("class set must not be empty")
     if ids[0] < 0:
         raise BadParams(f"class ids must be >= 0, got {ids}")
-    # kind="sort" ORs one comparison per class when there are few; the
-    # default lookup-table path takes milliseconds on a 96^3 volume
-    mask = np.isin(labels.data, ids, kind="sort")
-    return labels.with_data(mask.astype(np.uint8), value_kind="label",
-                            element_encoding="u8")
+    # kind="sort" ORs one comparison per id when there are few (the table
+    # path indexes an intp grid); past some 50 ids it sorts, so by pieces
+    data = labels.data
+    out = np.empty(data.shape, dtype=bool)
+    for a, b in pieces(len(data), data[0].size):
+        out[a:b] = np.isin(data[a:b], ids, kind="sort")
+    return labels.with_data(out, value_kind="label", element_encoding="u8")
 
 
 @dataclass
@@ -107,7 +110,7 @@ def connected_components(mask: Volume, connectivity: int = 26) -> ComponentMap:
     if connectivity not in _STRUCTS:
         raise BadParams(f"connectivity must be 6 or 26, got {connectivity}")
     # a bool mask: drt._ndi checks its label kernel on bool masks only
-    fg = mask.data != 0
+    fg = mask.data.astype(bool, copy=False)
     # scipy gives each component the smallest provisional label among its
     # voxels, which is its first voxel's: ids come in flat scan order
     comp, n_raw = _ndi.label(fg, _STRUCTS[connectivity])
@@ -139,7 +142,7 @@ def euclidean_distance_transform(mask: Volume) -> Volume:
     Foreground is any nonzero value. Background voxels map to 0; when no
     background voxel exists every distance is the +inf sentinel.
     """
-    fg = mask.data != 0
+    fg = mask.data.astype(bool, copy=False)
     if fg.any() and not fg.all():
         # scipy's EDT sums the same integer squares in float64, exactly
         # below 2**53, so this square root equals it bit for bit
@@ -244,25 +247,24 @@ def local_thickness(mask: Volume) -> Volume:
     as the ball is. Every voxel so gets the largest s of the chords that
     cover it, which is the largest s of the balls that cover it.
     """
-    fg = mask.data != 0
+    fg = mask.data.astype(bool, copy=False)
     th2 = _painted_r2(fg)
     if th2 is None:
         out = np.full(fg.shape, np.inf if fg.any() else 0.0)
     else:
+        th2[~fg] = 0
         out = _thickness_um(th2, mask.header.voxel_size_um)
     return mask.with_data(out, value_kind="throat_size", element_encoding="f32")
 
 
 def _painted_r2(fg: np.ndarray) -> np.ndarray | None:
-    """The largest painted r² of the balls covering each voxel of fg, 0 on
-    background, in _paint_chords' narrow type; None when fg is all
-    foreground (no ball is bounded) or has none (no ball exists)."""
+    """The largest painted r² of the balls covering each voxel of fg, in
+    _paint_chords' narrow type; None when fg is all foreground (no ball is
+    bounded) or has none (no ball exists). A ball reaches its nearest
+    background voxel, so background voxels next to pores hold an r² too."""
     if fg.all() or not fg.any():
         return None
-    # a ball reaches its nearest background voxel, so background is cleared
-    th2 = _paint_chords(fg, _squared_distances(fg)[fg])
-    th2[~fg] = 0
-    return th2
+    return _paint_chords(fg, _squared_distances(fg)[fg])
 
 
 def _thickness_um(r2: np.ndarray, vs: float) -> np.ndarray:
@@ -457,7 +459,7 @@ def _pore_throat_distribution(mask: Volume, cutoffs: tuple[float, float],
     turned into a thickness by the rule local_thickness applies per voxel.
     """
     params = _histogram_params(cutoffs, n_bins)
-    fg = mask.data != 0
+    fg = mask.data.astype(bool, copy=False)
     th2 = _painted_r2(fg)
     if th2 is None:
         raise _nothing_to_bin(unbounded=bool(fg.any()))

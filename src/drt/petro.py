@@ -35,7 +35,8 @@ def porosity_from_labels(labels: Volume, pore_classes,
 
     phi = (N_pore + micro_weight * N_micropore) / N_total. The two class
     sets must be disjoint; when ``n_classes`` is given, every label in the
-    volume must lie in [0, n_classes).
+    volume must be a class id in [0, n_classes), by binary_mask's rule,
+    else UnknownClassId names the first that is not (NaN and 0.5 included).
     """
     import numpy as np
 
@@ -49,18 +50,18 @@ def porosity_from_labels(labels: Volume, pore_classes,
         raise BadParams(f"micro_weight must be in [0, 1], got {micro_weight}")
     n_pore = np.count_nonzero(binary_mask(labels, pore).data)
     n_micro = np.count_nonzero(binary_mask(labels, micro).data) if micro else 0
-    data = labels.data
     if n_classes is not None:
-        top = int(data.max())
-        if top >= n_classes or int(data.min()) < 0:
+        known = binary_mask(labels, range(n_classes)).data.reshape(-1)
+        if not known.all():
             raise UnknownClassId(
-                f"label {top} outside the declared range [0, {n_classes})")
+                f"label {labels.data.reshape(-1)[known.argmin()]} is not a "
+                f"class id in [0, {n_classes})")
         bad = {c for c in pore | micro if c >= n_classes}
         if bad:
             raise UnknownClassId(
                 f"class ids {sorted(bad)} outside the declared range "
                 f"[0, {n_classes})")
-    return (n_pore + micro_weight * n_micro) / data.size
+    return (n_pore + micro_weight * n_micro) / labels.data.size
 
 
 @dataclass(frozen=True)

@@ -79,9 +79,6 @@ class CatalogRule:
             out.append(f"s_wi={s_wi:g} not below {self.swi_max:g}")
         return out
 
-    def matches(self, k: float, p_cd: float, p_cu: float, s_wi: float) -> bool:
-        return not self.violations(k, p_cd, p_cu, s_wi)
-
     def to_json_dict(self) -> dict:
         return {
             "code": self.code,

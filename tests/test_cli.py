@@ -2,6 +2,7 @@
 
 import dataclasses
 import filecmp
+import hashlib
 import json
 import logging
 import re
@@ -497,6 +498,23 @@ class TestAnalyze:
         assert [r.getMessage() for r in caplog.records
                 if r.levelno == logging.ERROR] == [cause]
 
+    @pytest.mark.parametrize("value", [np.nan, -1.0, 0.5, 2.0, 255.0])
+    def test_label_that_is_no_class_id_exits_2(self, workdir, tmp_path,
+                                                caplog, value):
+        # the config names two classes, so only 0 and 1 are labels
+        _, truth = make_phantom("layered", (8, 8, 8), layer_thicknesses=(4, 4))
+        data = truth.data.astype(np.float32)
+        data[5, 2, 3] = value
+        save_volume(truth.with_data(data, element_encoding="f32"),
+                    tmp_path / "labels.raw")
+        with caplog.at_level(logging.ERROR, logger="drt"):
+            rc = main(["analyze", "--labels", str(tmp_path / "labels.raw"),
+                       "--config", str(workdir / "config.json"),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"label {np.float32(value)} is not a class id in [0, 2)" \
+            in caplog.text
+
     def test_working_set_per_voxel(self, tmp_path):
         # analyze holds only what its next step reads: no float64 thickness
         # volume, and no component ids beside the distance transform and
@@ -805,7 +823,70 @@ class TestMalformedAnalysis:
         assert f"{run / 'analysis.json'} must hold a JSON object" in caplog.text
 
 
+def run_chain(workdir, out):
+    """The train, segment, analyze, classify, report chain on workdir's data
+    and 2 threads; every artifact's bytes by its path under out."""
+    common = ["--config", str(workdir / "config.json"), "--threads", "2"]
+    assert main(["train", "--volume", str(workdir / "gray.raw"),
+                 "--labels", str(workdir / "labels.csv"),
+                 "--out", str(out / "model.json"), *common]) == 0
+    assert main(["segment", "--volume", str(workdir / "gray.raw"),
+                 "--model", str(out / "model.json"),
+                 "--out", str(out / "seg.raw"), *common]) == 0
+    assert main(["analyze", "--labels", str(out / "seg.raw"),
+                 "--out", str(out / "analysis"), *common]) == 0
+    assert main(["classify",
+                 "--analysis", str(out / "analysis" / "analysis.json"),
+                 "--out", str(out / "classify"), *common]) == 0
+    assert main(["report", "--run", str(out / "analysis"),
+                 "--out", str(out / "report"), *common]) == 0
+    return {p.relative_to(out): p.read_bytes()
+            for p in out.rglob("*") if p.is_file()}
+
+
+# sha256 of every artifact of run_chain on the 24^3 workdir data, taken with
+# numpy 2.4.6 and scipy 1.17.1 (Python 3.11). A change to any byte shows
+# here, not only as a difference between two runs of the same code; under
+# other numpy or scipy versions a mismatch is a finding to report, not a
+# reason to loosen the pins.
+CHAIN_SHA256 = {
+    "analysis/analysis.json":
+        "6da236da116f951ab4475d251bb4e9f28a2e9d97ef8251d6054b099553852e88",
+    "analysis/pc_curve.csv":
+        "baad34e5c37e52482ccea97edb380c86d7b44905c50da066ccb53a047d4cc076",
+    "analysis/pc_curve.json":
+        "a602a883e51d91943e703de0f9e3d9b4062922b3a080ad5ea6c4f9273fe80061",
+    "analysis/throat_distribution.csv":
+        "cf6de6d18d47c8a7c25a60b534691612149d1e38d016f6b6e29a2d15499d08d6",
+    "analysis/throat_distribution.json":
+        "836e0426f84e484ee0c47028fda27efb830f41c584032ffbfde55bf791caf68b",
+    "classify/camo_chart.csv":
+        "cc3c43702ea121fa576d63fdfef4e3f4a1fec6c8551d05ce09617b4e9b20af43",
+    "classify/camo_chart.svg":
+        "1d32a7e488bc64239f208a18e2c19023890ea73dca9ce2fd8f1a7d0b497a33ef",
+    "classify/results.json":
+        "4ef467391cc3685b1fb8cec7d301f61b42e0a69535e6c3a7fa5f6ddc14f8ade0",
+    "model.json":
+        "6d3640feaf46b3a1af5fc5c65139762985083558d2321ea103b697376658cedc",
+    "report/report.md":
+        "05067e5703985209bbad7984be919aeb0ad3e329b0d407a6d9074856ce3f1a47",
+    "seg.json":
+        "509a223c71b9ac1c3a3ad530cb94b6a843576c5e6f63df954f70fbfdea8866a0",
+    "seg.raw":
+        "ec32fa26681249edbaa611732f8553f0e38ca482f0545722666b610b00a40928",
+    "seg_confidence.json":
+        "41082b39645a8b934917d3d506426958f65fbf8e6726e48def92a3d2851b4a25",
+    "seg_confidence.raw":
+        "4df2bded8d342bd9e4cda42a47da6b1094ddb8c9f764dd8d3ea74d663f180354",
+}
+
+
 class TestCommonFlags:
+    def test_chain_digests_are_pinned(self, workdir, tmp_path):
+        got = {path.as_posix(): hashlib.sha256(data).hexdigest()
+               for path, data in run_chain(workdir, tmp_path).items()}
+        assert got == CHAIN_SHA256
+
     def test_threads_must_be_positive(self, workdir, tmp_path):
         rc = main(["analyze", "--labels", str(workdir / "truth.raw"),
                    "--out", str(tmp_path / "out"), "--threads", "0"])
@@ -837,29 +918,11 @@ class TestCommonFlags:
     def test_piece_budget_does_not_change_output(self, workdir, tmp_path):
         # drt.volume.PIECE sizes every pass that runs in pieces: smoothing,
         # binning, the leaf search, the EDT and the painting
-        def chain(out):
-            common = ["--config", str(workdir / "config.json"), "--threads", "2"]
-            assert main(["train", "--volume", str(workdir / "gray.raw"),
-                         "--labels", str(workdir / "labels.csv"),
-                         "--out", str(out / "model.json"), *common]) == 0
-            assert main(["segment", "--volume", str(workdir / "gray.raw"),
-                         "--model", str(out / "model.json"),
-                         "--out", str(out / "seg.raw"), *common]) == 0
-            assert main(["analyze", "--labels", str(out / "seg.raw"),
-                         "--out", str(out / "analysis"), *common]) == 0
-            assert main(["classify",
-                         "--analysis", str(out / "analysis" / "analysis.json"),
-                         "--out", str(out / "classify"), *common]) == 0
-            assert main(["report", "--run", str(out / "analysis"),
-                         "--out", str(out / "report"), *common]) == 0
-            return {p.relative_to(out): p.read_bytes()
-                    for p in out.rglob("*") if p.is_file()}
-
-        want = chain(tmp_path / "default")
+        want = run_chain(workdir, tmp_path / "default")
         for piece in PIECES:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr("drt.volume.PIECE", piece)
-                got = chain(tmp_path / str(piece))
+                got = run_chain(workdir, tmp_path / str(piece))
             assert got.keys() == want.keys()
             assert [str(p) for p in want if got[p] != want[p]] == [], piece
 

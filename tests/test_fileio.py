@@ -1,6 +1,7 @@
 """Text artifact I/O: encoding, error mapping, and its single home."""
 
 import ast
+import collections
 import inspect
 import json
 import re
@@ -36,6 +37,21 @@ def test_only_binary_mask_tests_class_membership():
             for path in package.glob("*.py")}
     assert {name: n for name, n in hits.items() if n} == {"morphology.py": 1}
     assert "np.isin(" in inspect.getsource(drt.binary_mask)
+    # the mask is isin's boolean grid, and every transform reads it as it is:
+    # a cast on either side would be one more grid per voxel
+    assert "astype" not in inspect.getsource(drt.binary_mask)
+    assert not re.search(r"!=\s*0\b", inspect.getsource(morphology))
+    for reader in (morphology.connected_components,
+                   morphology.euclidean_distance_transform,
+                   morphology.local_thickness,
+                   morphology._pore_throat_distribution):
+        assert "fg = mask.data.astype(bool, copy=False)" in inspect.getsource(
+            reader), reader.__name__
+    # whether a label value is a class id is binary_mask's rule too, not
+    # arithmetic on the labels' extremes
+    source = inspect.getsource(drt.porosity_from_labels)
+    assert "binary_mask(labels, range(n_classes))" in source
+    assert not re.search(r"\.(?:max|min)\(|\bint\(", source)
 
 
 def test_only_two_callers_predict_bins():
@@ -105,8 +121,47 @@ def test_one_piece_rule():
     assert step.search(inspect.getsource(volume.pieces))
     for fn in (filters._smooth_array, forest._bin, forest.ForestModel._predict_bins,
                morphology._squared_distances, morphology._paint,
-               morphology._paint_chords):
+               morphology._paint_chords, morphology.binary_mask):
         assert "in pieces(" in inspect.getsource(fn), fn.__name__
+
+
+def _names_used(node) -> list[str]:
+    """The names that node's subtree refers to: names, attributes, import
+    aliases, and string constants that are a name or a dotted path to one
+    (as the export table and monkeypatch targets are)."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out += [sub.name.rpartition(".")[2], sub.asname]
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and re.fullmatch(r"[\w.]+", sub.value)):
+            out.append(sub.value.rpartition(".")[2])
+    return out
+
+
+def test_every_definition_is_used():
+    # a function, method or class of the package that nothing names outside
+    # its own body is dead code: each line of it is one more to keep right
+    package = Path(drt.__file__).parent
+    paths = [*package.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    used = collections.Counter(
+        name for tree in trees.values() for name in _names_used(tree))
+    unused = set()
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not re.fullmatch(r"__\w+__", node.name)
+                    and used[node.name] == _names_used(node).count(node.name)):
+                unused.add(f"{path.name}:{node.name}")
+    assert sorted(unused) == []
 
 
 def test_json_encoding(tmp_path):

@@ -180,6 +180,38 @@ class TestBinaryMask:
         with pytest.raises(BadParams, match="class ids must be"):
             binary_mask(labels, classes)
 
+    @pytest.mark.parametrize("piece", PIECES)
+    @pytest.mark.parametrize("ids", [[0, 2], range(255), range(0, 255, 3)])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    def test_pieces_equal_one_whole_volume_isin(self, piece, ids, dtype):
+        # past some 50 ids np.isin sorts instead of comparing; either way a
+        # piece's mask is the whole volume's
+        data = np.random.default_rng(7).integers(0, 256, (9, 5, 6)).astype(dtype)
+        if dtype == np.float32:
+            data.flat[:4] = (np.nan, -1.0, 0.5, 2.5)
+        labels = Volume(header=VolumeHeader((6, 5, 9), 1.0, "label", "f32"),
+                        data=data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("drt.volume.PIECE", piece)
+            got = binary_mask(labels, ids).data
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, np.isin(data, list(ids)))
+
+    def test_many_ids_are_tested_a_piece_at_a_time(self, monkeypatch):
+        # a whole-volume sort of 255 ids would hold some 20 B/voxel; a
+        # one-plane piece holds the bool mask and little more
+        labels = label_volume(
+            np.random.default_rng(3).integers(0, 256, (64, 64, 64), dtype=np.uint8))
+        monkeypatch.setattr("drt.volume.PIECE", 64 * 64)
+        binary_mask(labels, range(255))  # numpy's first-use imports
+        tracemalloc.start()
+        try:
+            binary_mask(labels, range(255))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 64 ** 3 < 2.0
+
 
 class TestConnectedComponents:
     @settings(max_examples=120, deadline=None)

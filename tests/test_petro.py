@@ -105,6 +105,29 @@ class TestPorosity:
         with pytest.raises(UnknownClassId):
             porosity_from_labels(vol, {0}, n_classes=4)
 
+    @pytest.mark.parametrize("value", [np.nan, -1.0, 0.5, 2.0, 300.0])
+    def test_label_values_must_be_class_ids(self, value):
+        # binary_mask decides which label values are class ids: NaN, negative
+        # and fractional labels fail as too large ones do, and the error
+        # names the first voxel's value that is none, not an extreme
+        header = VolumeHeader(dims=(4, 3, 2), voxel_size_um=1.0,
+                              value_kind="label", element_encoding="f32")
+
+        def porosity(first, second):
+            data = np.ones((2, 3, 4), dtype=np.float32)
+            data[0, 0, 0] = 0.0
+            data[1, 0, 2], data[1, 2, 3] = first, second
+            return porosity_from_labels(Volume(header=header, data=data), {0},
+                                        n_classes=2)
+
+        with pytest.raises(UnknownClassId) as info:
+            porosity(value, 7.0)
+        assert str(info.value) == (
+            f"label {np.float32(value)} is not a class id in [0, 2)")
+        with pytest.raises(UnknownClassId, match="label 7.0 is not a class id"):
+            porosity(1.0, 7.0)
+        assert porosity(1.0, 1.0) == 1 / 24
+
     def test_requested_class_outside_declared_range(self):
         vol = label_volume(np.zeros((2, 2, 2)))
         with pytest.raises(UnknownClassId):
