@@ -2,7 +2,8 @@
 
 Each stage reads and writes plain files so runs can be resumed and
 inspected. Exit codes: 0 on success, 2 for bad inputs or configuration,
-3 for numeric failures, 4 for file-system failures.
+3 for numeric failures, 4 for file-system failures, 5 when memory runs
+out.
 
 Each ``cmd_*`` imports the layers it runs when it starts, so a process
 loads only its own stage's code: ``classify`` and ``report`` load neither
@@ -517,6 +518,7 @@ def _add_common(p: argparse.ArgumentParser, *reads: str) -> None:
                                  "value"))
     p.add_argument("--seed", type=int, default=0,
                    help=help_for("seed", "RNG seed of the forest"))
+    p.set_defaults(reads=reads)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -612,6 +614,12 @@ def main(argv=None) -> int:
     except IoError as exc:
         log.error("%s", exc)
         return 4
+    except MemoryError as exc:
+        # a pool worker's, too: the pool raises it again here
+        at = f" at --threads {args.threads}" if "threads" in args.reads else ""
+        log.error("%s ran out of memory%s%s", args.command, at,
+                  f": {exc}" if str(exc) else "")
+        return 5
 
 
 if __name__ == "__main__":

@@ -234,7 +234,7 @@ def local_thickness(mask: Volume) -> Volume:
     r² to the nearest background voxel, from ``_squared_distances``, with
     the voxel size of the mask's header.
 
-    Every pore voxel's ball is painted as x-chords (``_paint_chords``). A
+    The pore voxels' balls are painted as x-chords (``_paint_chords``). A
     ball of r² = s is the union of one chord per (dz, dy) with e = dz² + dy²
     <= s, of half-width w = isqrt(s - e) about the centre's x. Each chord is
     written as one entry at its middle, into the level of its w, and the
@@ -245,7 +245,9 @@ def local_thickness(mask: Volume) -> Volume:
     folds, so an entry of level w ends up widened exactly w times: the
     maximum over x - w..x + w, which is its chord, clipped at the x faces
     as the ball is. Every voxel so gets the largest s of the chords that
-    cover it, which is the largest s of the balls that cover it.
+    cover it, which is the largest s of the balls that cover it. A ball
+    that a neighbouring voxel's ball holds adds nothing to that maximum, so
+    it is not painted (``_uncontained``).
     """
     fg = mask.data.astype(bool, copy=False)
     th2 = _painted_r2(fg)
@@ -264,7 +266,7 @@ def _painted_r2(fg: np.ndarray) -> np.ndarray | None:
     background voxel, so background voxels next to pores hold an r² too."""
     if fg.all() or not fg.any():
         return None
-    return _paint_chords(fg, _squared_distances(fg)[fg])
+    return _paint_chords(_squared_distances(fg))
 
 
 def _thickness_um(r2: np.ndarray, vs: float) -> np.ndarray:
@@ -321,22 +323,119 @@ def _paint(centres: np.ndarray, r2: np.ndarray, d2: np.ndarray,
     return th2[tuple(slice(p, p + n) for p, n in zip(pad, centres.shape))]
 
 
-def _paint_chords(centres: np.ndarray, r2: np.ndarray) -> np.ndarray:
+def _containing_r2(shape, r2_max: int) -> np.ndarray:
+    """need[k - 1, s] for k = 1, 2, 3: the least r² above s whose ball
+    about a face (k = 1), edge (2) or corner (3) neighbour holds the ball
+    of r² = s, for every neighbour of that kind and every s <= r2_max.
+    Above s, so that a holder is larger than the ball it holds, also where
+    the volume's faces clip both balls to the same voxels.
+
+    An offset q of the ball lies in the ball of r² = t about the neighbour
+    d when |q - d|² <= t, and over the neighbours with |d|² = k the largest
+    |q - d|² is |q|² + k + 2 * (the sum of the k largest |q_i|). need is
+    the running maximum of that over the offsets by |q|². Offsets are taken
+    from the box of ``_ball``, |q_i| <= n_i - 1, as no other one stays in
+    the volume, and from its nonnegative octant, as the value depends only
+    on |q_i|: one z plane at a time, so the table costs no more memory than
+    one plane of the box.
+    """
+    pad = [min(math.isqrt(r2_max), n - 1) for n in shape]
+    need = np.zeros((3, r2_max + 1), dtype=np.int64)
+    y, x = np.indices((pad[1] + 1, pad[2] + 1)).reshape(2, -1)
+    for z in range(pad[0] + 1):
+        q = np.sort([np.full_like(y, z), y, x], axis=0)
+        e = (q * q).sum(axis=0)
+        inside = e <= r2_max
+        e, q = e[inside], q[:, inside]
+        # the largest |q_i|, the two largest, all three
+        top = np.cumsum(q[::-1], axis=0)
+        for k in range(3):
+            np.maximum.at(need[k], e, e + k + 1 + 2 * top[k])
+    np.maximum.accumulate(need, axis=1, out=need)
+    return np.maximum(need, np.arange(1, r2_max + 2))
+
+
+def _max3(a: np.ndarray, axis: int) -> np.ndarray:
+    """max(a[i - 1], a[i], a[i + 1]) along axis, of the neighbours that
+    exist."""
+    out = a.copy()
+    lo = (slice(None),) * axis + (slice(None, -1),)
+    hi = (slice(None),) * axis + (slice(1, None),)
+    np.maximum(out[hi], a[lo], out=out[hi])
+    np.maximum(out[lo], a[hi], out=out[lo])
+    return out
+
+
+def _max3_planes(a: np.ndarray, core: slice) -> np.ndarray:
+    """_max3(a, 0)[core], computed for the planes of core only."""
+    out = a[core].copy()
+    below = a[max(core.start - 1, 0):core.stop - 1]
+    above = a[core.start + 1:core.stop + 1]
+    np.maximum(out[len(out) - len(below):], below, out=out[len(out) - len(below):])
+    np.maximum(out[:len(above)], above, out=out[:len(above)])
+    return out
+
+
+def _uncontained(r2: np.ndarray) -> np.ndarray:
+    """The centres of r2 (the voxels with r² > 0) whose ball no ball about
+    one of their 26 neighbours holds: a neighbourhood test in the spirit of
+    the distance ridge of Hildebrand & Rüegsegger (J. Microsc. 1997).
+
+    Painting only these paints the same maximum everywhere: a held ball is
+    smaller than its holder, so a chain of holders ends at an uncontained
+    ball that covers all it covers. A neighbour holds the ball of r² = s
+    when its own r² is at least need[k - 1, s] (``_containing_r2``). The
+    largest r² among the face neighbours comes from running maxima over
+    three voxels along one axis, among the edge ones along two, among the
+    corners along all three; each box also holds the voxel itself and
+    nearer neighbours, which is harmless, as need grows with k and exceeds
+    s. Computed over z-pieces (volume.pieces), each read with the plane on
+    either side.
+    """
+    need = _containing_r2(r2.shape, int(r2.max()))
+    need = need.astype(np.min_scalar_type(int(need[2, -1])))
+    keep = r2 > 0
+    nz = r2.shape[0]
+    for a, b in pieces(nz, r2[0].size):
+        lo = max(a - 1, 0)
+        # r2 <= r2_max < need[2, -1], so need's narrow type holds it
+        g = r2[lo:b + 1].astype(need.dtype, copy=False)
+        core = slice(a - lo, b - lo)
+        s = g[core].astype(np.intp)
+        x = _max3(g, 2)
+        y = _max3(g, 1)
+        xy = _max3(x, 1)
+        face = np.maximum(x[core], y[core])
+        np.maximum(face, _max3_planes(g, core), out=face)
+        held = face >= need[0][s]
+        edge = np.maximum(xy[core], _max3_planes(x, core))
+        np.maximum(edge, _max3_planes(y, core), out=edge)
+        held |= edge >= need[1][s]
+        held |= _max3_planes(xy, core) >= need[2][s]
+        keep[a:b] &= ~held
+    return keep
+
+
+def _paint_chords(r2: np.ndarray) -> np.ndarray:
     """``_paint`` as x-chords, one level of half-width at a time.
 
-    Same arguments and values as ``_paint``, without its ball offsets, in
+    The same values as ``_paint`` of the centres r2 > 0 and their r2, in
     the narrowest unsigned type that holds max(r2); local_thickness says
-    why it is exact. Level w holds the chords of half-width w: for a centre
-    of r² = s, the (dz, dy) offsets with s - (w+1)² < e <= s - w², one
-    contiguous range of the offsets sorted by e = dz² + dy². Levels go from
-    R = isqrt(max r2) down to 0. Each is scattered into a grid padded in z
-    and y, in ascending r² order so that the largest r² written to a voxel
-    stays, and folded into the output by maximum. Before each lower level
-    the output is widened by one voxel each way along x. The count of
-    entries, one per centre and (dz, dy) of its ball, is logged first.
+    why it is exact. Only the ``_uncontained`` balls are painted. Level w
+    holds the chords of half-width w: for a centre of r² = s, the (dz, dy)
+    offsets with s - (w+1)² < e <= s - w², one contiguous range of the
+    offsets sorted by e = dz² + dy². Levels go from R = isqrt(max r2) down
+    to 0. Each is scattered into a grid padded in z and y, in ascending r²
+    order so that the largest r² written to a voxel stays, and folded into
+    the output by maximum. Before each lower level the output is widened by
+    one voxel each way along x. The count of entries, one per painted
+    centre and (dz, dy) of its ball, is logged first.
     """
-    shape = centres.shape
+    shape = r2.shape
     r2_max = int(r2.max())
+    n_balls = int(np.count_nonzero(r2))
+    centres = _uncontained(r2)
+    r2 = r2[centres]
     levels = math.isqrt(r2_max) + 1
     # the (dz, dy) offsets by e: a ball from _ball of a volume one voxel wide
     e, steps = _ball(shape[:2] + (1,), r2_max)
@@ -360,9 +459,9 @@ def _paint_chords(centres: np.ndarray, r2: np.ndarray) -> np.ndarray:
     # the group is cuts[g, w + 1]:cuts[g, w]
     w2 = np.arange(levels + 1) ** 2
     cuts = np.searchsorted(e, values[:, None] - w2, side="right")
-    log.debug("local thickness: %d pore voxels, %d r2 groups, "
-              "%d chord entries in %d levels", r2.size, values.size,
-              int(sizes @ cuts[:, 0]), levels)
+    log.debug("local thickness: %d pore voxels, %d of their balls painted, "
+              "%d r2 groups, %d chord entries in %d levels", n_balls,
+              r2.size, values.size, int(sizes @ cuts[:, 0]), levels)
 
     groups = np.split(flat_centres, starts[1:])
     grid = np.empty(grid_shape, dtype=dtype)

@@ -558,9 +558,9 @@ class TestAnalyze:
         assert re.fullmatch(r"squared EDT: shape \(\d+, \d+, \d+\), uint\d+, "
                             r"\d+ y shifts, \d+ z shifts", edt)
         pore = int((load_volume(segmented).data == 0).sum())
-        assert re.fullmatch(rf"local thickness: {pore} pore voxels, \d+ r2 "
-                            r"groups, \d+ chord entries in \d+ levels",
-                            painted)
+        assert re.fullmatch(rf"local thickness: {pore} pore voxels, \d+ of "
+                            r"their balls painted, \d+ r2 groups, \d+ chord "
+                            r"entries in \d+ levels", painted)
         n = json.loads((analyzed / "analysis.json").read_text())["n_components"]
         assert stage[0] == f"analyze: {n} components"
         check_stage_line("analyze", stage[1])
@@ -891,6 +891,30 @@ class TestCommonFlags:
         rc = main(["analyze", "--labels", str(workdir / "truth.raw"),
                    "--out", str(tmp_path / "out"), "--threads", "0"])
         assert rc == 2
+
+    def test_out_of_memory_exits_5(self, workdir, trained, tmp_path,
+                                   monkeypatch, caplog):
+        def fail(*_):
+            raise MemoryError("Unable to allocate 6.25 MiB")
+
+        # in the caller, and in a pool worker, whose error the pool raises
+        # again; only the commands that read --threads name it
+        monkeypatch.setattr("drt.morphology._paint_chords", fail)
+        monkeypatch.setattr("drt.filters.slab_channels", fail)
+        runs = [(["analyze", "--labels", str(workdir / "truth.raw")],
+                 "analyze ran out of memory: Unable to allocate 6.25 MiB"),
+                (["segment", "--volume", str(workdir / "gray.raw"),
+                  "--model", str(trained), "--threads", "2"],
+                 "segment ran out of memory at --threads 2: "
+                 "Unable to allocate 6.25 MiB")]
+        for argv, message in runs:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="drt"):
+                rc = main(argv + ["--out", str(tmp_path / "out")])
+            assert rc == 5
+            assert [r.getMessage() for r in caplog.records
+                    if r.levelno >= logging.ERROR] == [message]
+            assert all(r.exc_info is None for r in caplog.records)
 
     def test_thread_count_does_not_change_output(self, workdir, tmp_path):
         # 24 planes and a halo of 6: 1, 2 and 4 slabs

@@ -31,9 +31,9 @@ from drt import (
     PoreThroatDistribution,
     throat_distribution,
 )
-from drt.morphology import (_ball, _paint, _paint_chords,
+from drt.morphology import (_ball, _containing_r2, _paint, _paint_chords,
                             _pore_throat_distribution, _prominent_peaks,
-                            _squared_distances, _STRUCTS)
+                            _squared_distances, _STRUCTS, _uncontained)
 
 from conftest import PIECES
 
@@ -107,6 +107,22 @@ def paint_every_voxel(mask, vs):
     sq = _squared_distances(fg)
     th2 = np.where(fg, _paint(fg, sq[fg], *_ball(fg.shape, int(sq.max()))), 0)
     return 2.0 * vs * np.sqrt(th2.astype(np.float64))
+
+
+def held_balls(r2):
+    """The centres of the r² grid r2 whose ball, clipped to the volume, lies
+    in the ball of a centre among their 26 neighbours, voxel by voxel."""
+    grid = np.indices(r2.shape).reshape(3, -1).T
+    held = np.zeros(r2.shape, dtype=bool)
+    for c in np.argwhere(r2 > 0):
+        ball = grid[((grid - c) ** 2).sum(axis=1) <= r2[tuple(c)]]
+        for d in _OFFSETS_26:
+            n = c + d
+            if ((n >= 0) & (n < r2.shape)).all() and r2[tuple(n)] > 0 and (
+                    ((ball - n) ** 2).sum(axis=1) <= r2[tuple(n)]).all():
+                held[tuple(c)] = True
+                break
+    return held
 
 
 def throat_distribution_per_voxel(thickness, cutoffs=(10.0, 100.0), n_bins=32):
@@ -645,13 +661,17 @@ class TestLocalThickness:
             local_thickness(label_volume(mask))
         [line] = [r.getMessage() for r in caplog.records
                   if r.getMessage().startswith("local thickness")]
-        # one chord entry per pore voxel and (dz, dy) with dz² + dy² <= r²
-        r2 = _squared_distances(mask)[mask]
+        # one chord entry per painted centre and (dz, dy) with dz² + dy² <=
+        # r²; no ball reaches a face, so the painted centres are those whose
+        # ball no neighbour's holds
+        sq = _squared_distances(mask)
+        painted = sq[mask & ~held_balls(sq)]
         e = (np.arange(-6, 7)[:, None] ** 2 + np.arange(-6, 7) ** 2).ravel()
-        entries = int((e[:, None] <= r2).sum())
-        assert r2.max() == 37  # (6, 1, 0) is the nearest background
+        entries = int((e[:, None] <= painted).sum())
+        assert painted.max() == 37  # (6, 1, 0) is the nearest background
         assert line == (f"local thickness: {mask.sum()} pore voxels, "
-                        f"{np.unique(r2).size} r2 groups, {entries} chord "
+                        f"{painted.size} of their balls painted, "
+                        f"{np.unique(painted).size} r2 groups, {entries} chord "
                         f"entries in 7 levels")
 
     def test_memory_grows_with_the_voxels_not_the_ball(self):
@@ -688,10 +708,53 @@ class TestPaintChords:
         r2 = r2.astype(np.int32)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("drt.volume.PIECE", piece)
-            got = _paint_chords(centres, r2)
+            grid = np.zeros(shape, dtype=r2.dtype)
+            grid[centres] = r2
+            got = _paint_chords(grid)
         want = _paint(centres, r2, *_ball(shape, r2_max))
         assert got.dtype == np.min_scalar_type(r2_max)
         np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(*[st.integers(1, 7)] * 3),
+           n_centres=st.integers(1, 40), r2_max=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1), piece=st.sampled_from(PIECES))
+    def test_drops_only_balls_a_neighbour_holds(self, shape, n_centres, r2_max,
+                                                seed, piece):
+        # any centres and radii, balls wider than the volume included
+        rng = np.random.default_rng(seed)
+        r2 = np.zeros(shape, dtype=np.int32)
+        r2.flat[rng.integers(r2.size, size=n_centres)] = rng.integers(
+            1, r2_max + 1, n_centres)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("drt.volume.PIECE", piece)
+            kept = _uncontained(r2)
+        assert not (kept & (r2 == 0)).any()
+        assert not ((r2 > 0) & ~kept & ~held_balls(r2)).any()
+
+    def test_drops_every_held_ball_inside_the_volume(self):
+        # balls that reach no face: the neighbours' r² alone decide
+        mask = sphere_mask((24, 24, 24), [(11, 11, 12), (11, 14, 9)], [7, 5])
+        sq = _squared_distances(mask)
+        assert sq.max() < 11 ** 2
+        np.testing.assert_array_equal(_uncontained(sq), mask & ~held_balls(sq))
+
+    @pytest.mark.parametrize("shape, r2_max", [((9, 9, 9), 60), ((3, 5, 8), 90),
+                                               ((1, 6, 6), 30), ((4, 1, 1), 20)])
+    def test_containing_r2_is_the_farthest_offset_from_a_neighbour(self, shape,
+                                                                   r2_max):
+        d2, steps = _ball(shape, r2_max)
+        # the largest |q - d|² over the neighbours d of each kind, then over
+        # the offsets q of the ball of each r², and above that r²
+        far = np.zeros((3, d2.size), dtype=np.int64)
+        for d in _OFFSETS_26:
+            k = int(np.abs(d).sum())
+            dist = ((steps - np.array(d)[:, None]) ** 2).sum(axis=0)
+            np.maximum(far[k - 1], dist, out=far[k - 1])
+        last = np.searchsorted(d2, np.arange(r2_max + 1), side="right") - 1
+        want = np.maximum(np.maximum.accumulate(far, axis=1)[:, last],
+                          np.arange(1, r2_max + 2))
+        np.testing.assert_array_equal(_containing_r2(shape, r2_max), want)
 
 
 class TestThroatDistribution:
