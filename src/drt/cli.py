@@ -241,29 +241,42 @@ def cmd_train(args) -> int:
 def cmd_segment(args) -> int:
     import numpy as np
 
-    from .forest import load_model, segment_volume
-    from .volume import load_volume, save_volume, sidecar_path
+    from .forest import load_model, segment_headers, segment_slabs
+    from .volume import load_volume, pieces, sidecar_path, volume_writer
 
     out = Path(args.out)
     sidecar_path(out)  # refuses a .json raw path before any work
+    conf_out = out.with_name(out.stem + "_confidence" + (out.suffix or ".raw"))
     volume = load_volume(args.volume)
     model = load_model(args.model)
-    label_vol, conf_vol = segment_volume(model, volume, threads=args.threads)
-    conf_out = out.with_name(out.stem + "_confidence" + (out.suffix or ".raw"))
+    label_header, conf_header = segment_headers(model, volume.header)
     _ensure_dir(out.parent)
-    save_volume(label_vol, out)
-    save_volume(conf_vol, conf_out)
-    # plane by plane: bincount widens the labels to intp, and a whole-volume
-    # copy (8 B/voxel) on top of the memory the slab threads' malloc arenas
-    # keep would set segment's peak RSS in some runs and not in others
-    counts = sum(np.bincount(plane.ravel(), minlength=model.n_classes)
-                 for plane in label_vol.data)
+    counts = []
+    # each slab's labels and confidences go straight into their files, so
+    # no whole output volume is held; a failed run replaces neither output.
+    # The labels' writer is the inner one, so they replace theirs first
+    with (volume_writer(conf_header, conf_out) as write_confidence,
+          volume_writer(label_header, out) as write_labels):
+        def write(z0, labels, confidence):
+            write_labels(z0, labels)
+            write_confidence(z0, confidence)
+            # in pieces: bincount widens the labels to intp
+            flat = labels.reshape(-1)
+            counts.append(sum(np.bincount(flat[a:b], minlength=model.n_classes)
+                              for a, b in pieces(flat.size)))
+
+        segment_slabs(model, volume, write, threads=args.threads)
+        # one output may replace its files only if the other can too
+        for path in (out, sidecar_path(out), conf_out, sidecar_path(conf_out)):
+            if path.is_dir():
+                raise IoFailure(f"cannot write {path}: it is a directory")
     if log.isEnabledFor(logging.DEBUG):
-        deciles = np.percentile(conf_vol.data, np.arange(10, 100, 10))
+        deciles = np.percentile(load_volume(conf_out).data,
+                                np.arange(10, 100, 10))
         log.debug("segment: %d threads, confidence deciles %s", args.threads,
                   " ".join(f"{q:.3f}" for q in deciles))
-    for class_id, name in enumerate(model.class_names):
-        print(f"{class_id} {name} {int(counts[class_id])}")
+    for class_id, (name, n) in enumerate(zip(model.class_names, sum(counts))):
+        print(f"{class_id} {name} {int(n)}")
     print(out)
     print(conf_out)
     return 0

@@ -12,14 +12,18 @@ JSON reader takes each field through ``json_typed`` or ``json_array``, the
 one rule for JSON values. CSV inputs are parsed here too, each field as
 the type its reader names, so every reader shares one header rule, one
 ``path:row`` error form, and json_typed's rule for every number.
+Binary volumes are written through ``open_replacement``, the one place
+that makes a temporary file and moves it over its target.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 from pathlib import Path
 
 from .errors import BadParams, IoFailure
@@ -159,3 +163,40 @@ def write_csv(path, rows) -> None:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     write_text(path, buf.getvalue())
+
+
+@contextlib.contextmanager
+def open_replacement(path):
+    """A binary file open for writing at a temporary path beside ``path``,
+    which replaces ``path`` when the block ends cleanly, so that ``path``
+    never holds a partial file. When the block raises, the temporary file
+    is deleted and ``path`` is left as it was, and the error passes
+    through. A symlink is followed, so the file it points to is the one
+    replaced; the new file has the default mode and no other hard links,
+    and its directory must be writable. An OSError in opening, closing or
+    replacing raises IoFailure naming ``path``."""
+    target = Path(path).resolve()
+    tmp = target.with_name(f"{target.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    try:
+        yield fh
+    except BaseException:
+        _discard(fh, tmp)
+        raise
+    try:
+        fh.close()
+        os.replace(tmp, target)
+    except OSError as exc:
+        _discard(fh, tmp)
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _discard(fh, tmp: Path) -> None:
+    """Close fh and delete its file, tmp, whatever fails on the way."""
+    with contextlib.suppress(OSError):
+        fh.close()
+    with contextlib.suppress(OSError):
+        tmp.unlink()

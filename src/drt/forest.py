@@ -23,7 +23,7 @@ the leaf search run in pieces of rows (``volume.pieces``).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (BadModelFile, BadParams, DimensionMismatch,
 from .fileio import json_array, json_typed, read_csv, read_json, write_json
 from .filters import map_slabs
 from .rng import SplitMix64
-from .volume import Volume, pieces
+from .volume import pieces, Volume, VolumeHeader
 
 MODEL_FORMAT_VERSION = 1
 
@@ -512,28 +512,38 @@ def _distinct(bins: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return order[new], inverse
 
 
-def segment_volume(model: ForestModel, volume: Volume, *, threads: int = 1
-                   ) -> tuple[Volume, Volume]:
-    """Per-voxel classification of a grayscale volume.
-
-    Returns the label volume and a confidence volume holding each voxel's
-    maximum class probability. The features are streamed in z-slabs on
-    `threads` threads (map_slabs), one channel at a time: each channel is
-    binned as it arrives, so a slab holds its bins, never its features.
-    Each slab predicts its distinct bin codes once (_predict_bins) and
-    gathers only the uint8 label and float32 confidence back to its
-    voxels, by _distinct's narrow index, which numpy casts to intp in
-    buffered pieces. The output does not depend on the thread count, the
-    slab height or any piece size. A model with more than 256 classes is
-    refused, as its ids do not fit the uint8 labels.
-    """
+def segment_headers(model: ForestModel, header: VolumeHeader
+                    ) -> tuple[VolumeHeader, VolumeHeader]:
+    """The headers of the label and the confidence volume of segmenting a
+    volume of this header: u8 labels and f32 confidences, in the geometry
+    and byte order of the input. A model with more than 256 classes is
+    refused, as its ids do not fit the u8 labels."""
     if model.n_classes > 256:
         raise BadParams(f"the model has {model.n_classes} classes, but a u8 "
                         f"label volume holds at most 256")
-    nz, ny, nx = volume.data.shape
-    plane = ny * nx
-    labels = np.empty(nz * plane, dtype=np.uint8)
-    confidence = np.empty(nz * plane, dtype=np.float32)
+    return (replace(header, value_kind="label", element_encoding="u8"),
+            replace(header, value_kind="grayscale", element_encoding="f32"))
+
+
+def segment_slabs(model: ForestModel, volume: Volume, emit, *,
+                  threads: int = 1) -> None:
+    """Per-voxel classification of a grayscale volume, one z-slab at a time.
+
+    Calls emit(z0, labels, confidence) once for each slab, with its
+    (planes, ny, nx) uint8 class ids and float32 maximum class
+    probabilities, z0 being its first plane. The features are streamed in
+    z-slabs on `threads` threads (map_slabs), one channel at a time: each
+    channel is binned as it arrives, so a slab holds its bins, never its
+    features. Each slab predicts its distinct bin codes once
+    (_predict_bins) and gathers only the labels and confidences back to
+    its voxels, by _distinct's narrow index, which numpy casts to intp in
+    buffered pieces. emit is called from the pool and must write only what
+    belongs to its slab. The output does not depend on the thread count,
+    the slab height or any piece size. What segment_headers refuses is
+    refused before any slab runs.
+    """
+    segment_headers(model, volume.header)
+    _, ny, nx = volume.data.shape
     edges = model._edges()
 
     def predict(z0: int, z1: int, channels) -> None:
@@ -544,15 +554,36 @@ def segment_volume(model: ForestModel, volume: Volume, *, threads: int = 1
             del channel
         ids, probs, inverse = model._predict_bins(bins, edges)
         conf = probs.max(axis=1).astype(np.float32)
-        labels[z0 * plane:z1 * plane] = ids.astype(np.uint8)[inverse]
-        confidence[z0 * plane:z1 * plane] = conf[inverse]
+        del bins, probs
+        shape = (z1 - z0, ny, nx)
+        labels = ids.astype(np.uint8)[inverse].reshape(shape)
+        confidence = conf[inverse].reshape(shape)
+        # emit may write to a file while the other slabs run: it is handed
+        # the slab's outputs alone, not its bins or its index
+        del inverse
+        emit(z0, labels, confidence)
 
     map_slabs(volume, model.feature_bank, predict, threads=threads)
-    label_vol = volume.with_data(labels.reshape(nz, ny, nx), value_kind="label",
-                                 element_encoding="u8")
-    conf_vol = volume.with_data(confidence.reshape(nz, ny, nx),
-                                value_kind="grayscale", element_encoding="f32")
-    return label_vol, conf_vol
+
+
+def segment_volume(model: ForestModel, volume: Volume, *, threads: int = 1
+                   ) -> tuple[Volume, Volume]:
+    """Per-voxel classification of a grayscale volume.
+
+    Returns the label volume and a confidence volume holding each voxel's
+    maximum class probability, as segment_slabs gives them slab by slab,
+    with the headers of segment_headers.
+    """
+    label_header, conf_header = segment_headers(model, volume.header)
+    labels = np.empty(volume.data.shape, dtype=np.uint8)
+    confidence = np.empty(volume.data.shape, dtype=np.float32)
+
+    def keep(z0: int, slab_labels: np.ndarray, slab_conf: np.ndarray) -> None:
+        labels[z0:z0 + len(slab_labels)] = slab_labels
+        confidence[z0:z0 + len(slab_conf)] = slab_conf
+
+    segment_slabs(model, volume, keep, threads=threads)
+    return Volume(label_header, labels), Volume(conf_header, confidence)
 
 
 def save_model(model: ForestModel, path) -> None:

@@ -266,7 +266,10 @@ def _painted_r2(fg: np.ndarray) -> np.ndarray | None:
     background voxel, so background voxels next to pores hold an r² too."""
     if fg.all() or not fg.any():
         return None
-    return _paint_chords(_squared_distances(fg))
+    # no frame holds the r² grid once _chord_plan returns, so the levels
+    # run without it on every Python (up to 3.10 a caller holds the
+    # arguments of a call until it returns)
+    return _paint_chords(fg.shape, *_chord_plan(_squared_distances(fg)))
 
 
 def _thickness_um(r2: np.ndarray, vs: float) -> np.ndarray:
@@ -416,20 +419,18 @@ def _uncontained(r2: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _paint_chords(r2: np.ndarray) -> np.ndarray:
-    """``_paint`` as x-chords, one level of half-width at a time.
-
-    The same values as ``_paint`` of the centres r2 > 0 and their r2, in
-    the narrowest unsigned type that holds max(r2); local_thickness says
-    why it is exact. Only the ``_uncontained`` balls are painted. Level w
-    holds the chords of half-width w: for a centre of r² = s, the (dz, dy)
-    offsets with s - (w+1)² < e <= s - w², one contiguous range of the
-    offsets sorted by e = dz² + dy². Levels go from R = isqrt(max r2) down
-    to 0. Each is scattered into a grid padded in z and y, in ascending r²
-    order so that the largest r² written to a voxel stays, and folded into
-    the output by maximum. Before each lower level the output is widened by
-    one voxel each way along x. The count of entries, one per painted
-    centre and (dz, dy) of its ball, is logged first.
+def _chord_plan(r2: np.ndarray) -> tuple:
+    """The chords that ``_paint_chords`` writes for the grid r2, which
+    holds each centre's r² and 0 elsewhere, as (pad, offsets, values,
+    groups, cuts). Only the ``_uncontained`` balls are painted. values
+    holds their distinct r² in ascending order, and groups[g] the flat
+    indices of the centres of r² values[g] into the grid padded by pad, in
+    the narrowest signed type that holds them (signed, so that adding the
+    int64 offsets stays int64). offsets are the flat offsets in that grid
+    of the (dz, dy) chords, sorted by e = dz² + dy², and level w of group g
+    is offsets[cuts[g, w + 1]:cuts[g, w]], those with
+    s - (w+1)² < e <= s - w² for s = values[g]. The count of entries, one
+    per painted centre and (dz, dy) of its ball, is logged.
     """
     shape = r2.shape
     r2_max = int(r2.max())
@@ -439,34 +440,43 @@ def _paint_chords(r2: np.ndarray) -> np.ndarray:
     levels = math.isqrt(r2_max) + 1
     # the (dz, dy) offsets by e: a ball from _ball of a volume one voxel wide
     e, steps = _ball(shape[:2] + (1,), r2_max)
-    dtype = np.min_scalar_type(r2_max)
     pad = steps.max(axis=1).tolist()
     grid_shape = [n + 2 * p for n, p in zip(shape, pad)]
-    # the centres' flat indices into the padded grid, in the narrowest
-    # signed type that holds them (signed, so that adding the int64 chord
-    # offsets stays int64)
+    offsets = np.array([grid_shape[1] * grid_shape[2], grid_shape[2], 1]) @ steps
     flat_centres = np.flatnonzero(np.pad(centres, [(p, p) for p in pad])).astype(
         np.min_scalar_type(-math.prod(grid_shape)))
     # the same stable order, but a narrow dtype lets numpy sort by radix
-    order = np.argsort(r2.astype(dtype), kind="stable")
+    order = np.argsort(r2.astype(np.min_scalar_type(r2_max)), kind="stable")
     values, starts, sizes = np.unique(r2[order], return_index=True,
                                       return_counts=True)
-    # sorted into their groups; the unsorted indices and the order go
-    # before the grids are allocated
-    flat_centres = flat_centres[order]
-    del order
-    # cuts[g, w]: the offsets of group g with e <= s - w², so level w of
-    # the group is cuts[g, w + 1]:cuts[g, w]
+    # cuts[g, w]: the offsets of group g with e <= s - w²
     w2 = np.arange(levels + 1) ** 2
     cuts = np.searchsorted(e, values[:, None] - w2, side="right")
     log.debug("local thickness: %d pore voxels, %d of their balls painted, "
               "%d r2 groups, %d chord entries in %d levels", n_balls,
               r2.size, values.size, int(sizes @ cuts[:, 0]), levels)
+    return pad, offsets, values, np.split(flat_centres[order], starts[1:]), cuts
 
-    groups = np.split(flat_centres, starts[1:])
-    grid = np.empty(grid_shape, dtype=dtype)
+
+def _paint_chords(shape: tuple, pad: list, offsets: np.ndarray,
+                  values: np.ndarray, groups: list,
+                  cuts: np.ndarray) -> np.ndarray:
+    """``_paint`` as x-chords, one level of half-width at a time, of the
+    chords of ``_chord_plan``.
+
+    The same values as ``_paint`` of the centres of the grid r2 that
+    ``_chord_plan`` was given and their r², in the narrowest unsigned type
+    that holds the largest; local_thickness says why it is exact. Level w
+    holds the chords of half-width w. Levels go
+    from R = isqrt(max r2) down to 0. Each is scattered into a grid padded
+    by pad in z and y, in ascending r² order so that the largest r² written
+    to a voxel stays, and folded into the output by maximum. Before each
+    lower level the output is widened by one voxel each way along x.
+    """
+    levels = cuts.shape[1] - 1
+    dtype = np.min_scalar_type(int(values[-1]))
+    grid = np.empty([n + 2 * p for n, p in zip(shape, pad)], dtype=dtype)
     interior = grid[tuple(slice(p, p + n) for p, n in zip(pad, shape))]
-    offsets = np.array(grid.strides) // grid.itemsize @ steps
     out = np.zeros(shape, dtype=dtype)
     pair = np.empty(shape[:2] + (shape[2] - 1,), dtype=dtype)
     flat = grid.reshape(-1)

@@ -10,17 +10,22 @@ describing dims, voxel size, value kind, element encoding, and byte order.
 The declared element encoding is the storage format; computed volumes
 (distances, thicknesses) may carry wider in-memory dtypes and are cast on
 save. The cast to f32 rounds; u8 and u16 refuse values they cannot hold.
+Every blob is written by volume_writer, a range of z planes at a time, into
+a temporary file that replaces the target only once it is complete.
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BadHeader, BadParams, IoFailure, SizeMismatch
-from .fileio import json_array, json_typed, read_json, write_json
+from .fileio import (json_array, json_typed, open_replacement, read_json,
+                     write_json)
 
 VALUE_KINDS = ("grayscale", "label", "distance", "throat_size")
 ENCODINGS = ("u8", "u16", "f32")
@@ -171,35 +176,37 @@ def load_volume(raw_path: str | Path) -> Volume:
     The sidecar is the raw path with a .json suffix. Raises BadHeader for
     sidecar problems, SizeMismatch when the raw byte count disagrees
     with dims times element width, and BadParams for a raw path ending in
-    .json.
+    .json. The blob is read into one array, whose bytes are swapped in
+    place when the sidecar names the foreign byte order, so the volume
+    costs its raw bytes and no copy.
     """
     raw_path = Path(raw_path)
     header = VolumeHeader.from_json_dict(
         read_json(sidecar_path(raw_path), BadHeader, dict))
 
-    try:
-        blob = raw_path.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read raw file {raw_path}: {exc}") from exc
-
     dtype = header.storage_dtype
     expected = header.n_elements * dtype.itemsize
-    if len(blob) != expected:
-        raise SizeMismatch(
-            f"raw file {raw_path} holds {len(blob)} bytes, header expects {expected}")
-    data = np.frombuffer(blob, dtype=dtype)
-    # native-order copy so downstream math never sees a foreign byte order
-    data = data.astype(dtype.newbyteorder("="), copy=True)
+    try:
+        data = np.fromfile(raw_path, dtype=dtype)
+        size = raw_path.stat().st_size
+    except OSError as exc:
+        raise IoFailure(f"cannot read raw file {raw_path}: {exc}") from exc
+    if size != expected:
+        raise SizeMismatch(f"raw file {raw_path} holds {size} bytes, "
+                           f"header expects {expected}")
+    if not dtype.isnative:
+        # native order, so downstream math never sees a foreign byte order
+        data = data.byteswap(inplace=True).view(dtype.newbyteorder("="))
     return Volume(header, data)
 
 
-def _check_storable(volume: Volume, raw_path: Path) -> None:
+def _check_storable(data: np.ndarray, header: VolumeHeader,
+                    raw_path: Path) -> None:
     """Raise BadParams unless a u8 or u16 encoding holds every value exactly.
 
     f32 is a documented lossy cast; a safe cast (uint8 into u16) needs no scan.
     """
-    data, encoding = volume.data, volume.header.element_encoding
-    storage = volume.header.storage_dtype
+    encoding, storage = header.element_encoding, header.storage_dtype
     if encoding == "f32" or np.can_cast(data.dtype, storage, "safe"):
         return
     top = np.iinfo(storage).max
@@ -212,23 +219,54 @@ def _check_storable(volume: Volume, raw_path: Path) -> None:
                         f"holds whole numbers, but the data has fractions")
 
 
+@contextlib.contextmanager
+def volume_writer(header: VolumeHeader, raw_path: str | Path):
+    """Write a RAW volume and its sidecar by ranges of z planes.
+
+    Yields write(z0, planes), which stores the (k, ny, nx) planes as planes
+    z0 to z0 + k - 1. They are cast to the header's storage dtype, without
+    a copy when they have it already; data that a u8 or u16 encoding
+    cannot hold exactly (negative, too large or not whole) raises
+    BadParams. write may be called from several threads: one lock guards
+    each seek and write. The planes go into a temporary file beside
+    raw_path (fileio.open_replacement), which replaces raw_path when the
+    block ends cleanly; then the sidecar is written. When the block
+    raises, the temporary file is deleted and a raw_path that existed is
+    left as it was. An OSError in writing raises IoFailure naming raw_path.
+    A raw path ending in .json raises BadParams before any file is made.
+    """
+    raw_path = Path(raw_path)
+    header_path = sidecar_path(raw_path)
+    nx, ny, nz = header.dims
+    lock = threading.Lock()
+    with open_replacement(raw_path) as fh:
+        def write(z0: int, planes: np.ndarray) -> None:
+            if planes.shape[1:] != (ny, nx) or not 0 <= z0 <= nz - len(planes):
+                raise SizeMismatch(f"planes of shape {planes.shape} at z = {z0} "
+                                   f"do not fit dims {header.dims}")
+            _check_storable(planes, header, raw_path)
+            data = np.ascontiguousarray(planes, dtype=header.storage_dtype)
+            with lock:
+                try:
+                    fh.seek(z0 * ny * nx * data.itemsize)
+                    fh.write(data)
+                except OSError as exc:
+                    raise IoFailure(f"cannot write {raw_path}: {exc}") from exc
+
+        yield write
+    write_json(header_path, header.to_json_dict())
+
+
 def save_volume(volume: Volume, raw_path: str | Path) -> None:
     """Write the RAW blob and JSON sidecar; load_volume reproduces the volume.
 
     Data that a u8 or u16 encoding cannot hold exactly (negative, too large
-    or not whole), or a raw path ending in .json, raises BadParams before
-    anything is written.
+    or not whole), or a raw path ending in .json, raises BadParams and
+    leaves no file. The volume is one write through volume_writer, from
+    its own array when it already has the storage dtype.
     """
-    raw_path = Path(raw_path)
-    header_path = sidecar_path(raw_path)
-    _check_storable(volume, raw_path)
-    dtype = volume.header.storage_dtype
-    data = np.ascontiguousarray(volume.data, dtype=dtype)
-    try:
-        raw_path.write_bytes(data)
-    except OSError as exc:
-        raise IoFailure(f"cannot write volume to {raw_path}: {exc}") from exc
-    write_json(header_path, volume.header.to_json_dict())
+    with volume_writer(volume.header, raw_path) as write:
+        write(0, volume.data)
 
 
 def sidecar_path(raw_path: str | Path) -> Path:

@@ -238,24 +238,26 @@ class TestSegment:
 
     def test_class_counts_copy_no_volume(self, trained, tmp_path, capsys,
                                          monkeypatch):
-        # the work after the slabs holds less than 1 B/voxel: counting the
-        # whole u8 label volume with one bincount held an 8 B/voxel intp copy
+        # the work after the slabs (closing the files, printing the counts)
+        # holds less than 1 B/voxel: the counts are summed per slab, in
+        # pieces, where one bincount of the whole u8 label volume held an
+        # 8 B/voxel intp copy
         gray, _ = make_phantom("sphere_pack", (48, 48, 48), seed=7,
                                n_spheres=40, radius_range=(3.0, 6.0),
                                noise_sigma=8.0)
         save_volume(gray, tmp_path / "gray.raw")
-        real = drt.forest.segment_volume
+        real = drt.forest.segment_slabs
 
         def traced(*args, **kwargs):
-            result = real(*args, **kwargs)
+            real(*args, **kwargs)
             tracemalloc.start()
-            return result
 
-        monkeypatch.setattr(drt.forest, "segment_volume", traced)
+        monkeypatch.setattr(drt.forest, "segment_slabs", traced)
         out = tmp_path / "seg.raw"
         try:
             rc = main(["segment", "--volume", str(tmp_path / "gray.raw"),
                        "--model", str(trained), "--out", str(out)])
+            assert tracemalloc.is_tracing()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -265,6 +267,31 @@ class TestSegment:
         printed = capsys.readouterr().out.splitlines()
         counts = np.bincount(seg.data.ravel(), minlength=2)
         assert printed[:2] == [f"0 pore {counts[0]}", f"1 matrix {counts[1]}"]
+
+    def test_outputs_are_written_slab_by_slab(self, trained, tmp_path,
+                                              monkeypatch):
+        # 8 slabs of 6 planes on one thread: the command holds its input,
+        # one slab's working set and pieces, and neither whole output (5
+        # B/voxel). 3.2 B/voxel beyond the input measured; 8.1 when both
+        # outputs were held until the end
+        gray, _ = make_phantom("sphere_pack", (48, 48, 48), seed=7,
+                               n_spheres=40, radius_range=(3.0, 6.0),
+                               noise_sigma=8.0)
+        save_volume(gray, tmp_path / "gray.raw")
+        monkeypatch.setattr("drt.filters.SLAB_VOXELS", 48 * 48 * 6)
+        monkeypatch.setattr("drt.volume.PIECE", 4096)
+        model = load_model(trained)
+        assert len(drt.filters.slab_bounds(gray.dims, model.feature_bank, 1)) == 8
+        tracemalloc.start()
+        try:
+            rc = main(["segment", "--volume", str(tmp_path / "gray.raw"),
+                       "--model", str(trained), "--out", str(tmp_path / "seg.raw"),
+                       "--threads", "1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak - gray.data.nbytes < 5 * gray.data.size
 
     def test_deterministic(self, workdir, trained, segmented, tmp_path):
         again = tmp_path / "seg.raw"
@@ -320,7 +347,23 @@ class TestSegment:
         assert proc.returncode == 2, proc.stderr
         assert "300 classes" in proc.stderr
         assert "Traceback" not in proc.stderr
-        assert not (tmp_path / "s.raw").exists()
+        # refused before any output or temporary file is made
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    @pytest.mark.parametrize("name", ["seg.raw", "seg.json", "seg_confidence.raw",
+                                      "seg_confidence.json"])
+    def test_directory_in_an_outputs_place_exits_4(self, workdir, trained,
+                                                   tmp_path, name, caplog):
+        # refused before either output replaces its files, which are
+        # replaced one after the other: no new file is left beside it
+        (tmp_path / name).mkdir()
+        rc = main(["segment", "--volume", str(workdir / "gray.raw"),
+                   "--model", str(trained), "--out", str(tmp_path / "seg.raw")])
+        assert rc == 4
+        assert [r.getMessage() for r in caplog.records
+                if r.levelno >= logging.ERROR] == [
+            f"cannot write {tmp_path / name}: it is a directory"]
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
     @pytest.mark.parametrize("field, value", [
         ("left", 0),         # the root is its own child: the walk never ends
@@ -915,6 +958,67 @@ class TestCommonFlags:
             assert [r.getMessage() for r in caplog.records
                     if r.levelno >= logging.ERROR] == [message]
             assert all(r.exc_info is None for r in caplog.records)
+
+    def test_out_of_memory_leaves_no_partial_output(self, workdir, trained,
+                                                    segmented, tmp_path,
+                                                    monkeypatch):
+        # the second of two slabs runs out of memory after the first was
+        # written: no output, sidecar or temporary file is left, and the
+        # output of an earlier run is kept as it was
+        monkeypatch.setattr("drt.filters.SLAB_VOXELS", 24 * 24 * 12)
+        real = drt.forest.ForestModel._predict_bins
+        calls = []
+
+        def fail_second(model, bins, edges):
+            calls.append(len(bins))
+            if len(calls) == 2:
+                raise MemoryError("Unable to allocate 6.25 MiB")
+            return real(model, bins, edges)
+
+        monkeypatch.setattr(drt.forest.ForestModel, "_predict_bins", fail_second)
+        earlier = tmp_path / "earlier"
+        earlier.mkdir()
+        outputs = ["seg.raw", "seg.json", "seg_confidence.raw",
+                   "seg_confidence.json"]
+        for name in outputs:
+            (earlier / name).write_bytes((workdir / name).read_bytes())
+        for out_dir, kept in ((tmp_path / "fresh", []), (earlier, outputs)):
+            out_dir.mkdir(exist_ok=True)
+            calls.clear()
+            rc = main(["segment", "--volume", str(workdir / "gray.raw"),
+                       "--model", str(trained), "--out", str(out_dir / "seg.raw"),
+                       "--threads", "1"])
+            assert rc == 5
+            assert len(calls) == 2
+            assert sorted(p.name for p in out_dir.iterdir()) == sorted(kept)
+        for name in outputs:
+            assert (earlier / name).read_bytes() == (workdir / name).read_bytes()
+
+    def test_written_slabs_equal_segment_volume(self, workdir, trained,
+                                                tmp_path, monkeypatch):
+        # a big-endian f32 input in 4 slabs, at 1, 2 and 4 threads: each
+        # slab's planes land at their offset, and the confidences are
+        # written big-endian as the input's header says
+        gray = load_volume(workdir / "gray.raw")
+        header = dataclasses.replace(gray.header, byte_order="big")
+        save_volume(drt.Volume(header, gray.data), tmp_path / "gray.raw")
+        monkeypatch.setattr("drt.filters.SLAB_VOXELS", 24 * 24 * 6)
+        model = load_model(trained)
+        for threads in (1, 2, 4):
+            assert len(drt.filters.slab_bounds(gray.dims, model.feature_bank,
+                                               threads)) == 4
+        seg, conf = drt.segment_volume(model, load_volume(tmp_path / "gray.raw"))
+        assert conf.header.storage_dtype == np.dtype(">f4")
+        want = {"seg.raw": seg.data.astype(seg.header.storage_dtype).tobytes(),
+                "seg_confidence.raw":
+                    conf.data.astype(conf.header.storage_dtype).tobytes()}
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"t{threads}"
+            assert main(["segment", "--volume", str(tmp_path / "gray.raw"),
+                         "--model", str(trained), "--out", str(out / "seg.raw"),
+                         "--threads", threads]) == 0
+            assert {name: (out / name).read_bytes() for name in want} == want
+            assert load_volume(out / "seg_confidence.raw").header == conf.header
 
     def test_thread_count_does_not_change_output(self, workdir, tmp_path):
         # 24 planes and a halo of 6: 1, 2 and 4 slabs

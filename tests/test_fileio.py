@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import drt
-from drt import filters, forest, morphology, volume
+from drt import cli, filters, forest, morphology, volume
 from drt import (BadHeader, BadModelFile, BadParams, IoFailure, load_camo,
                  load_catalog, load_model, load_volume)
-from drt.fileio import (read_csv, read_json, read_text, write_csv, write_json,
-                        write_text)
+from drt.fileio import (open_replacement, read_csv, read_json, read_text,
+                        write_csv, write_json, write_text)
 
 _RAW_TEXT_IO = re.compile(
     r"json\.dumps?\(|json\.loads?\(|\bopen\(|\.write_text\(|\.read_text\("
@@ -27,6 +27,52 @@ def test_only_fileio_opens_or_encodes_text():
     hits = sorted({path.name for path in package.glob("*.py")
                    if _RAW_TEXT_IO.search(path.read_text(encoding="utf-8"))})
     assert hits == ["fileio.py"]
+
+
+def test_one_volume_write_path():
+    # every volume blob goes through volume_writer, and only it makes the
+    # temporary file that replaces its target: a second writer would be a
+    # second place where a failed run can leave a partial file
+    package = Path(drt.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in package.glob("*.py")}
+    hits = {name: text.count("open_replacement(") for name, text in sources.items()}
+    assert {name: n for name, n in hits.items() if n} == {"fileio.py": 1,
+                                                           "volume.py": 1}
+    assert "open_replacement(" in inspect.getsource(volume.volume_writer)
+    assert not [name for name, text in sources.items()
+                if re.search(r"\.(?:write_bytes|tofile)\(", text)]
+    assert "volume_writer(" in inspect.getsource(volume.save_volume)
+    source = inspect.getsource(cli.cmd_segment)
+    assert source.count("volume_writer(") == 2 and "save_volume" not in source
+
+
+def test_replacement_passes_the_blocks_errors_through(tmp_path):
+    # an OSError of the caller's own is not taken for one of the
+    # replacement's, and the target is kept as it was
+    target = tmp_path / "vol.raw"
+    target.write_bytes(b"earlier")
+    error = OSError("the caller's")
+    with pytest.raises(OSError) as info:
+        with open_replacement(target) as fh:
+            fh.write(b"partial")
+            raise error
+    assert info.value is error
+    assert [p.name for p in tmp_path.iterdir()] == ["vol.raw"]
+    assert target.read_bytes() == b"earlier"
+
+
+def test_replacement_writes_through_a_symlink(tmp_path):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "vol.raw").write_bytes(b"earlier")
+    link = tmp_path / "vol.raw"
+    link.symlink_to(tmp_path / "data" / "vol.raw")
+    with open_replacement(link) as fh:
+        fh.write(b"new")
+    assert link.is_symlink()
+    assert (tmp_path / "data" / "vol.raw").read_bytes() == b"new"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "vol.raw",
+                                                           "vol.raw"]
 
 
 def test_only_binary_mask_tests_class_membership():
@@ -63,8 +109,14 @@ def test_only_two_callers_predict_bins():
             for path in package.glob("*.py")}
     # its def and its two calls
     assert {name: n for name, n in hits.items() if n} == {"forest.py": 3}
-    for caller in (drt.ForestModel.predict_batch, drt.segment_volume):
+    for caller in (drt.ForestModel.predict_batch, forest.segment_slabs):
         assert inspect.getsource(caller).count("._predict_bins(") == 1
+    # one slab loop: segment_volume and the segment command both take their
+    # slabs from segment_slabs, and only it runs the slabs of a prediction
+    assert inspect.getsource(forest).count("map_slabs(") == 1
+    assert "map_slabs(" in inspect.getsource(forest.segment_slabs)
+    for caller in (drt.segment_volume, cli.cmd_segment):
+        assert inspect.getsource(caller).count("segment_slabs(") == 1
 
 
 def test_one_prediction_rule():

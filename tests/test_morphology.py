@@ -9,6 +9,8 @@ import json
 import logging
 import math
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +33,10 @@ from drt import (
     PoreThroatDistribution,
     throat_distribution,
 )
-from drt.morphology import (_ball, _containing_r2, _paint, _paint_chords,
-                            _pore_throat_distribution, _prominent_peaks,
-                            _squared_distances, _STRUCTS, _uncontained)
+from drt.morphology import (_ball, _chord_plan, _containing_r2, _paint,
+                            _paint_chords, _painted_r2, _pore_throat_distribution,
+                            _prominent_peaks, _squared_distances, _STRUCTS,
+                            _uncontained)
 
 from conftest import PIECES
 
@@ -691,6 +694,42 @@ class TestLocalThickness:
 
 
 class TestPaintChords:
+    def test_levels_hold_no_grid_of_the_centres(self, monkeypatch):
+        # the analyze_coarse_96 labels of seed 3 (bench/workloads.py), whose
+        # r² needs uint16: the chord levels set _painted_r2's peak with the
+        # padded grid, the output and the widening buffer, 8.9 B/voxel.
+        # Holding the centres' mask through the levels took 9.9, and the r²
+        # grid would add 2 more. On seeds 1 and 2 the squared EDT sets the
+        # peak, 7.0 B/voxel
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        import workloads
+        params = workloads.WORKLOADS["analyze_coarse_96"]
+        fg = workloads.sphere_pack(params["dims"], 3, params["n_spheres"],
+                                   params["radius_range"]) == 0
+        # no frame may hold the r² grid while the levels run, as a caller
+        # holds its call's arguments until it returns up to Python 3.10
+        grids = []
+
+        def squared_distances(fg):
+            grids.append(weakref.ref(r2 := _squared_distances(fg)))
+            return r2
+
+        def paint_chords(*plan):
+            assert [grid() for grid in grids] == [None]
+            return _paint_chords(*plan)
+
+        monkeypatch.setattr("drt.morphology._squared_distances",
+                            squared_distances)
+        monkeypatch.setattr("drt.morphology._paint_chords", paint_chords)
+        tracemalloc.start()
+        try:
+            th2 = _painted_r2(fg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert th2.dtype == np.uint16
+        assert peak <= 9.5 * fg.size
+
     @settings(max_examples=150, deadline=None)
     @given(shape=st.tuples(_axis, _axis, _axis),
            n_centres=st.integers(1, 64),
@@ -710,7 +749,7 @@ class TestPaintChords:
             mp.setattr("drt.volume.PIECE", piece)
             grid = np.zeros(shape, dtype=r2.dtype)
             grid[centres] = r2
-            got = _paint_chords(grid)
+            got = _paint_chords(shape, *_chord_plan(grid))
         want = _paint(centres, r2, *_ball(shape, r2_max))
         assert got.dtype == np.min_scalar_type(r2_max)
         np.testing.assert_array_equal(got, want)

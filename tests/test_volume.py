@@ -1,7 +1,9 @@
 """Volume container and RAW+JSON sidecar round trips."""
 
 import json
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from drt import (
     BadHeader,
     BadParams,
     connected_components,
+    IoFailure,
     SizeMismatch,
     Volume,
     VolumeHeader,
@@ -17,6 +20,7 @@ from drt import (
     save_volume,
     sidecar_path,
 )
+from drt.volume import volume_writer
 
 
 def make_volume(dims=(4, 3, 2), value_kind="grayscale", encoding="f32",
@@ -210,6 +214,70 @@ class TestVolumeIo:
             tracemalloc.stop()
         assert peak < 0.25 * v.data.nbytes
         np.testing.assert_array_equal(load_volume(path).data, v.data)
+
+    @pytest.mark.parametrize("byte_order", ["little", "big"])
+    def test_load_holds_one_copy(self, tmp_path, byte_order):
+        # the blob is read into the volume's own array, and a foreign byte
+        # order is swapped in place: reading it as bytes and copying them
+        # into an array held the volume twice
+        header = VolumeHeader((64, 64, 64), 1.0, byte_order=byte_order)
+        v = Volume(header, np.arange(64 ** 3, dtype=np.float32))
+        path = tmp_path / "vol.raw"
+        save_volume(v, path)
+        tracemalloc.start()
+        try:
+            loaded = load_volume(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * v.data.nbytes
+        assert loaded.data.dtype.isnative
+        np.testing.assert_array_equal(loaded.data, v.data)
+
+    @pytest.mark.parametrize("is_dir", [False, True])
+    def test_unreadable_raw_raises_io_failure(self, tmp_path, is_dir):
+        # a missing raw file, or a directory in its place, is unreadable,
+        # whatever size the directory reports
+        path = tmp_path / "vol.raw"
+        save_volume(make_volume(), path)
+        path.unlink()
+        if is_dir:
+            path.mkdir()
+        with pytest.raises(IoFailure, match="cannot read raw file .*"
+                           + ("Is a directory" if is_dir else "No such file")):
+            load_volume(path)
+
+    def test_threads_write_planes_at_their_offsets(self, tmp_path):
+        # 8 threads, more than the cores, write one plane each in a shuffled
+        # order under a short switch interval: a seek of one thread and a
+        # write of another, interleaved, would put a plane at a wrong offset
+        header = VolumeHeader((16, 8, 512), 1.0, byte_order="big")
+        data = np.arange(16 * 8 * 512, dtype=np.float32).reshape(512, 8, 16)
+        rng = np.random.default_rng(0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                with volume_writer(header, tmp_path / "vol.raw") as write:
+                    with ThreadPoolExecutor(max_workers=8) as pool:
+                        done = [pool.submit(write, z, data[z:z + 1])
+                                for z in rng.permutation(512).tolist()]
+                        for future in done:
+                            future.result(timeout=60)
+                assert (tmp_path / "vol.raw").read_bytes() == \
+                    data.astype(">f4").tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vol.json", "vol.raw"]
+
+    @pytest.mark.parametrize("z0, shape", [(-1, (1, 8, 16)), (63, (2, 8, 16)),
+                                           (0, (1, 8, 17)), (0, (1, 16, 8))])
+    def test_planes_outside_the_volume_raise(self, tmp_path, z0, shape):
+        header = VolumeHeader((16, 8, 64), 1.0)
+        with pytest.raises(SizeMismatch):
+            with volume_writer(header, tmp_path / "vol.raw") as write:
+                write(z0, np.zeros(shape, dtype=np.float32))
+        assert list(tmp_path.iterdir()) == []
 
     def test_loaded_data_is_native_order(self, tmp_path):
         header = VolumeHeader(dims=(2, 2, 2), voxel_size_um=1.0, byte_order="big")
