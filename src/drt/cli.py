@@ -251,7 +251,8 @@ def cmd_segment(args) -> int:
     model = load_model(args.model)
     label_header, conf_header = segment_headers(model, volume.header)
     _ensure_dir(out.parent)
-    counts = []
+    verbose = log.isEnabledFor(logging.DEBUG)
+    counts, histograms = [], []
     # each slab's labels and confidences go straight into their files, so
     # no whole output volume is held; a failed run replaces neither output.
     # The labels' writer is the inner one, so they replace theirs first
@@ -264,17 +265,22 @@ def cmd_segment(args) -> int:
             flat = labels.reshape(-1)
             counts.append(sum(np.bincount(flat[a:b], minlength=model.n_classes)
                               for a, b in pieces(flat.size)))
+            if verbose:
+                # np.histogram's temporaries take about 30 B per value
+                conf = confidence.reshape(-1)
+                histograms.append(sum(
+                    np.histogram(conf[a:b], bins=10, range=(0.0, 1.0))[0]
+                    for a, b in pieces(conf.size, 8)))
 
         segment_slabs(model, volume, write, threads=args.threads)
         # one output may replace its files only if the other can too
         for path in (out, sidecar_path(out), conf_out, sidecar_path(conf_out)):
             if path.is_dir():
                 raise IoFailure(f"cannot write {path}: it is a directory")
-    if log.isEnabledFor(logging.DEBUG):
-        deciles = np.percentile(load_volume(conf_out).data,
-                                np.arange(10, 100, 10))
-        log.debug("segment: %d threads, confidence deciles %s", args.threads,
-                  " ".join(f"{q:.3f}" for q in deciles))
+    if verbose:
+        log.debug("segment: %d threads, confidence histogram on [0, 1] in "
+                  "10 bins: %s", args.threads,
+                  " ".join(map(str, sum(histograms))))
     for class_id, (name, n) in enumerate(zip(model.class_names, sum(counts))):
         print(f"{class_id} {name} {int(n)}")
     print(out)

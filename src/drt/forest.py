@@ -165,100 +165,77 @@ class _Tree:
         return tree
 
 
-class _TreeBuilder:
-    """Grows one CART tree on a bootstrap sample with Gini splits."""
+def _grow_tree(x, y, n_classes, hp, mtry, rng) -> _Tree:
+    """One CART tree with Gini splits on a bootstrap sample (x, y).
 
-    def __init__(self, x, y, n_classes, hp, mtry, rng):
-        self.x = x
-        self.y = y
-        self.n_classes = n_classes
-        self.hp = hp
-        self.mtry = mtry
-        self.rng = rng
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.probs: list[np.ndarray] = []
+    Each node that passes the stop tests draws its mtry features from rng,
+    and _best_split picks the split among them. The node rows are appended
+    in preorder, left subtree first.
+    """
+    feature, threshold, left, right, probs = [], [], [], [], []
 
-    def build(self) -> _Tree:
-        self._grow(np.arange(self.x.shape[0]), depth=0)
-        return _Tree(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            probs=np.asarray(self.probs, dtype=np.float64),
-        )
-
-    def _add_node(self, counts: np.ndarray) -> int:
-        idx = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.probs.append(counts / counts.sum())
-        return idx
-
-    def _grow(self, idx: np.ndarray, depth: int) -> int:
-        counts = np.bincount(self.y[idx], minlength=self.n_classes).astype(np.float64)
-        node = self._add_node(counts)
-        n = idx.size
-        if (depth >= self.hp.max_depth or n < self.hp.min_samples_split
+    def grow(idx: np.ndarray, depth: int) -> int:
+        node = len(feature)
+        counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        probs.append(counts / counts.sum())
+        if (depth >= hp.max_depth or idx.size < hp.min_samples_split
                 or np.count_nonzero(counts) <= 1):
             return node
-        split = self._best_split(idx)
+        chosen = np.sort(rng.sample_without_replacement(x.shape[1], mtry))
+        split = _best_split(x[idx[:, None], chosen], y[idx], n_classes)
         if split is None:
             return node
-        f, t = split
-        go_left = self.x[idx, f] <= t
-        # children are appended after this node, left subtree first
-        self.feature[node] = f
-        self.threshold[node] = t
-        self.left[node] = self._grow(idx[go_left], depth + 1)
-        self.right[node] = self._grow(idx[~go_left], depth + 1)
+        column, t = split
+        f = int(chosen[column])
+        go_left = x[idx, f] <= t
+        feature[node], threshold[node] = f, t
+        left[node] = grow(idx[go_left], depth + 1)
+        right[node] = grow(idx[~go_left], depth + 1)
         return node
 
-    def _best_split(self, idx: np.ndarray) -> tuple[int, float] | None:
-        n_features = self.x.shape[1]
-        chosen = self.rng.sample_without_replacement(n_features, self.mtry)
-        best: tuple[float, int, float] | None = None
-        for f in sorted(chosen):
-            found = self._scan_feature(idx, f)
-            if found is None:
-                continue
-            score, thr = found
-            # strict < keeps the lowest feature index, lowest threshold on ties
-            if best is None or score < best[0]:
-                best = (score, f, thr)
-        if best is None:
-            return None
-        return best[1], best[2]
+    grow(np.arange(x.shape[0]), 0)
+    return _Tree(feature=np.asarray(feature, dtype=np.int32),
+                 threshold=np.asarray(threshold, dtype=np.float64),
+                 left=np.asarray(left, dtype=np.int32),
+                 right=np.asarray(right, dtype=np.int32),
+                 probs=np.asarray(probs, dtype=np.float64))
 
-    def _scan_feature(self, idx: np.ndarray, f: int) -> tuple[float, float] | None:
-        values = self.x[idx, f]
-        order = np.argsort(values, kind="stable")
-        v = values[order]
-        y = self.y[idx][order]
-        boundaries = np.nonzero(v[1:] > v[:-1])[0]
-        if boundaries.size == 0:
-            return None
-        n = v.size
-        onehot = np.zeros((n, self.n_classes), dtype=np.float64)
-        onehot[np.arange(n), y] = 1.0
-        prefix = np.cumsum(onehot, axis=0)
-        left_counts = prefix[boundaries]
-        total = prefix[-1]
-        right_counts = total[None, :] - left_counts
-        n_left = boundaries + 1.0
-        n_right = n - n_left
-        gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
-        gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-        best = int(np.argmin(weighted))  # argmin takes first -> lowest threshold
-        b = boundaries[best]
-        thr = 0.5 * (v[b] + v[b + 1])
-        return float(weighted[best]), float(thr)
+
+def _best_split(x: np.ndarray, y: np.ndarray, n_classes: int
+                ) -> tuple[int, float] | None:
+    """The Gini-best split of rows x (n, m) with class ids y (n,): the
+    column and the threshold between two neighbouring distinct values, or
+    None when no column has two distinct values.
+
+    Every column is sorted at once (stable), and the weighted Gini of every
+    position between two sorted rows comes from one cumulative sum of
+    one-hot classes, each score by the same float operations in the same
+    order, its class sum over the last, contiguous axis. Positions between
+    equal values score +inf, and the first minimum in (column, position)
+    order wins: the lowest column, then the lowest threshold.
+    """
+    n, m = x.shape
+    order = np.argsort(x, axis=0, kind="stable")
+    v = x[order, np.arange(m)].T
+    boundary = v[:, 1:] > v[:, :-1]
+    if not boundary.any():
+        return None
+    onehot = (y[order.T][..., None] == np.arange(n_classes)).astype(np.float64)
+    prefix = np.cumsum(onehot, axis=1)
+    left_counts = prefix[:, :-1]
+    right_counts = prefix[:, -1:] - left_counts
+    n_left = np.arange(1.0, n)
+    n_right = n - n_left
+    gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=2)
+    gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=2)
+    weighted = (n_left * gini_left + n_right * gini_right) / n
+    weighted[~boundary] = np.inf
+    column, b = divmod(int(np.argmin(weighted)), n - 1)
+    return column, float(0.5 * (v[column, b] + v[column, b + 1]))
 
 
 @dataclass
@@ -441,9 +418,8 @@ def train_forest(training: TrainingSet, hp: ForestHyperparameters,
     for t in range(hp.n_trees):
         rng = root.spawn(t)
         bag = rng.bootstrap_indices(n, draws)
-        builder = _TreeBuilder(training.features[bag], training.labels[bag],
-                               n_classes, hp, mtry, rng)
-        tree = builder.build()
+        tree = _grow_tree(training.features[bag], training.labels[bag],
+                          n_classes, hp, mtry, rng)
         trees.append(tree)
         in_bag = np.zeros(n, dtype=bool)
         in_bag[bag] = True

@@ -236,12 +236,15 @@ class TestSegment:
         assert printed[2] == str(out)
         assert printed[3] == str(workdir / "seg_echo_confidence.raw")
 
+    @pytest.mark.parametrize("verbose", [False, True])
     def test_class_counts_copy_no_volume(self, trained, tmp_path, capsys,
-                                         monkeypatch):
+                                         caplog, monkeypatch, verbose):
         # the work after the slabs (closing the files, printing the counts)
         # holds less than 1 B/voxel: the counts are summed per slab, in
         # pieces, where one bincount of the whole u8 label volume held an
-        # 8 B/voxel intp copy
+        # 8 B/voxel intp copy. Under -v the confidence histogram is summed
+        # per slab too, where reading the confidence file back for its
+        # deciles held 4 B/voxel
         gray, _ = make_phantom("sphere_pack", (48, 48, 48), seed=7,
                                n_spheres=40, radius_range=(3.0, 6.0),
                                noise_sigma=8.0)
@@ -255,8 +258,11 @@ class TestSegment:
         monkeypatch.setattr(drt.forest, "segment_slabs", traced)
         out = tmp_path / "seg.raw"
         try:
-            rc = main(["segment", "--volume", str(tmp_path / "gray.raw"),
-                       "--model", str(trained), "--out", str(out)])
+            with caplog.at_level(logging.DEBUG if verbose else logging.INFO,
+                                 logger="drt"):
+                rc = main(["-v"] * verbose + [
+                    "segment", "--volume", str(tmp_path / "gray.raw"),
+                    "--model", str(trained), "--out", str(out)])
             assert tracemalloc.is_tracing()
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -267,6 +273,8 @@ class TestSegment:
         printed = capsys.readouterr().out.splitlines()
         counts = np.bincount(seg.data.ravel(), minlength=2)
         assert printed[:2] == [f"0 pore {counts[0]}", f"1 matrix {counts[1]}"]
+        assert any("confidence histogram" in r.getMessage()
+                   for r in caplog.records) == verbose
 
     def test_outputs_are_written_slab_by_slab(self, trained, tmp_path,
                                               monkeypatch):
@@ -430,9 +438,10 @@ class TestSegment:
         predicts = [r.getMessage() for r in caplog.records
                     if r.name == "drt.forest"]
         conf = load_volume(tmp_path / "s_confidence.raw").data
-        deciles = " ".join(f"{q:.3f}" for q in
-                           np.percentile(conf, np.arange(10, 100, 10)))
-        assert lines[0] == f"segment: 2 threads, confidence deciles {deciles}"
+        histogram = " ".join(
+            str(n) for n in np.histogram(conf, bins=10, range=(0.0, 1.0))[0])
+        assert lines[0] == ("segment: 2 threads, confidence histogram on "
+                            f"[0, 1] in 10 bins: {histogram}")
         check_stage_line("segment", lines[1])
         assert len(lines) == 2
         assert slabs.startswith("feature slabs: 2 slabs, ")
@@ -924,11 +933,88 @@ CHAIN_SHA256 = {
 }
 
 
+def sha256_of(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+def noisy_chain(out):
+    """train and segment, on 2 threads, a 32^3 sphere pack whose 1,000
+    labels are 8% flipped; the model and the digests of the three
+    artifacts."""
+    gray, truth = make_phantom("sphere_pack", (32, 32, 32), seed=3,
+                               n_spheres=12, radius_range=(3.0, 7.0),
+                               noise_sigma=30.0)
+    save_volume(gray, out / "gray.raw")
+    rng = np.random.default_rng(8)
+    zyx = np.concatenate([rng.choice(np.argwhere(truth.data == c), 500,
+                                     replace=False) for c in (0, 1)])
+    labels = truth.data[tuple(zyx.T)].astype(np.int64)
+    swap = rng.random(labels.size) < 0.08
+    labels[swap] = 1 - labels[swap]
+    (out / "labels.csv").write_text("".join(
+        f"{x},{y},{z},{c}\n" for (z, y, x), c in zip(zyx, labels)))
+    (out / "config.json").write_text(json.dumps({"forest": {"n_trees": 10}}))
+    common = ["--config", str(out / "config.json"), "--threads", "2"]
+    assert main(["train", "--volume", str(out / "gray.raw"),
+                 "--labels", str(out / "labels.csv"),
+                 "--out", str(out / "model.json"), *common]) == 0
+    assert main(["segment", "--volume", str(out / "gray.raw"),
+                 "--model", str(out / "model.json"),
+                 "--out", str(out / "seg.raw"), *common]) == 0
+    return load_model(out / "model.json"), sha256_of(
+        out, ["model.json", "seg.raw", "seg_confidence.raw"])
+
+
+def long_axis_analysis(out):
+    """analyze, on 2 threads, the truth of a 16 x 16 x 192 sphere pack;
+    the digests of its analysis.json and throat_distribution.csv."""
+    _, rod = make_phantom("sphere_pack", (16, 16, 192), seed=5, n_spheres=30,
+                          radius_range=(2.0, 5.0))
+    save_volume(rod, out / "rod.raw")
+    assert main(["analyze", "--labels", str(out / "rod.raw"),
+                 "--out", str(out / "analysis"), "--threads", "2"]) == 0
+    return sha256_of(out / "analysis",
+                     ["analysis.json", "throat_distribution.csv"])
+
+
+# taken as CHAIN_SHA256 was: noisy_chain's forest has trees of more than 64
+# leaves, so the leaf search spans two words, and long_axis_analysis's EDT
+# holds its grid in uint32 (191^2 + 2 * 15^2 + 1 + 192^2 > 2^16)
+NOISY_CHAIN_SHA256 = {
+    "model.json":
+        "857d7085f1fae1a6e3746df3353b6602b6a9d8085ef04c65c058443023febedf",
+    "seg.raw":
+        "6d158bc4e0089d8549db33ea1e0a479ff46bdabc109870256b0b909ac3706c30",
+    "seg_confidence.raw":
+        "63e0c580c9209d0a8fa039e0929496fd1f15fd0963599ce57ecf0bc9e226caf8",
+}
+LONG_AXIS_SHA256 = {
+    "analysis.json":
+        "24d3ec8fc6294db4c295d543de49e9f3000851136016cc54aa312847ef8eeaf0",
+    "throat_distribution.csv":
+        "c48e9c3bd37a0b8c98ada7f2a80f4313cb8db653a929415959d0053a3aa63afa",
+}
+
+
 class TestCommonFlags:
     def test_chain_digests_are_pinned(self, workdir, tmp_path):
         got = {path.as_posix(): hashlib.sha256(data).hexdigest()
                for path, data in run_chain(workdir, tmp_path).items()}
         assert got == CHAIN_SHA256
+
+    def test_noisy_chain_digests_are_pinned(self, tmp_path):
+        model, got = noisy_chain(tmp_path)
+        assert max(np.count_nonzero(t.feature < 0) for t in model.trees) > 64
+        assert got == NOISY_CHAIN_SHA256
+
+    def test_long_axis_analysis_digests_are_pinned(self, tmp_path, caplog):
+        with caplog.at_level(logging.DEBUG, logger="drt.morphology"):
+            got = long_axis_analysis(tmp_path)
+        assert any(r.getMessage().startswith("squared EDT: shape (192, 16, 16), "
+                                             "uint32")
+                   for r in caplog.records)
+        assert got == LONG_AXIS_SHA256
 
     def test_threads_must_be_positive(self, workdir, tmp_path):
         rc = main(["analyze", "--labels", str(workdir / "truth.raw"),

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drt import (
     BadHyperparameters,
@@ -34,7 +34,7 @@ from drt import (
     train_forest,
 )
 from drt.filters import map_slabs, sample_features, slab_bounds
-from drt.forest import _bin, _distinct, _Tree
+from drt.forest import _best_split, _bin, _distinct, _Tree
 
 from conftest import PIECES
 
@@ -227,6 +227,93 @@ class TestTraining:
         for tree in model.trees:
             # depth-1 trees have at most one split and two leaves
             assert len(tree.feature) <= 3
+
+
+def scan_feature(x, y, n_classes, idx, f):
+    """The Gini-best (score, threshold) of column f over rows idx, one
+    feature at a time: the split search that _best_split replaced, kept as
+    its reference."""
+    values = x[idx, f]
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    y = y[idx][order]
+    boundaries = np.nonzero(v[1:] > v[:-1])[0]
+    if boundaries.size == 0:
+        return None
+    n = v.size
+    onehot = np.zeros((n, n_classes), dtype=np.float64)
+    onehot[np.arange(n), y] = 1.0
+    prefix = np.cumsum(onehot, axis=0)
+    left_counts = prefix[boundaries]
+    total = prefix[-1]
+    right_counts = total[None, :] - left_counts
+    n_left = boundaries + 1.0
+    n_right = n - n_left
+    gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
+    gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
+    weighted = (n_left * gini_left + n_right * gini_right) / n
+    best = int(np.argmin(weighted))  # argmin takes first -> lowest threshold
+    b = boundaries[best]
+    thr = 0.5 * (v[b] + v[b + 1])
+    return float(weighted[best]), float(thr)
+
+
+def reference_split(x, y, n_classes, chosen):
+    """The best (feature, threshold) over the chosen features, by
+    scan_feature and a strict < across them."""
+    idx = np.arange(x.shape[0])
+    best = None
+    for f in sorted(chosen):
+        found = scan_feature(x, y, n_classes, idx, f)
+        if found is None:
+            continue
+        score, thr = found
+        # strict < keeps the lowest feature index, lowest threshold on ties
+        if best is None or score < best[0]:
+            best = (score, f, thr)
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+@st.composite
+def split_nodes(draw):
+    """A node's rows (n, m) and class ids. Each column is small integers
+    (tied values), normal floats, one value throughout, or a copy of an
+    earlier column (scores tied across columns)."""
+    n = draw(st.one_of(st.just(2), st.integers(2, 50)))
+    n_classes = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["ints", "floats", "constant",
+                                                "copy"]), min_size=1,
+                              max_size=6)):
+        if kind == "copy" and columns:
+            columns.append(columns[rng.integers(len(columns))])
+        elif kind == "floats":
+            columns.append(rng.normal(size=n))
+        elif kind == "constant":
+            columns.append(np.full(n, rng.normal()))
+        else:
+            columns.append(rng.integers(0, 3, n).astype(np.float64))
+    return np.stack(columns, axis=1), rng.integers(0, n_classes, n), n_classes
+
+
+class TestSplitSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(node=split_nodes())
+    # no column with two distinct values; a constant column, then two equal
+    # ones that tie
+    @example(node=(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([0, 1]), 2))
+    @example(node=(np.array([[5.0, 0.0, 0.0], [5.0, 1.0, 1.0]]),
+                   np.array([0, 1]), 2))
+    def test_equals_the_per_feature_scan(self, node):
+        x, y, n_classes = node
+        want = reference_split(x, y, n_classes, range(x.shape[1]))
+        got = _best_split(x, y, n_classes)
+        assert got == want
+        if got is not None:
+            assert type(got[0]) is int and type(got[1]) is float
 
 
 class TestPrediction:
